@@ -533,7 +533,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=None, help="use the full matrix algebra M_n")
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--ring", default=DEFAULT_RING)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", choices=("text", "structured"), default="text")
     sp.add_argument("--timings", action="store_true")
     sp.set_defaults(fn=cmd_identity_space)

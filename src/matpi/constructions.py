@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .blocks import BlockShape, staircase_units, tail_staircase_units
+from .blocks import BlockShape, staircase_units
 from .errors import DimensionError, SpecFileError, UnsupportedRingError
 from .matrices import Matrix, matrix_unit, zero_matrix
 from .rings import IntegerModRing, Ring
@@ -39,16 +39,6 @@ def upper_triangular(ring: Ring, n: int) -> SubalgebraBasis:
 def full_matrix_algebra(ring: Ring, n: int) -> SubalgebraBasis:
     a = full_block_algebra(ring, BlockShape((n,)))
     return a.relabel(f"M_{n}")
-
-
-def staircase(ring: Ring, n: int) -> list:
-    """The staircase sequence of 2n-1 matrix units (see staircase_units)."""
-    return staircase_units(ring, n)
-
-
-def tail_staircase(ring: Ring, n: int) -> list:
-    """The degree 2n-2 witness sequence (staircase minus its first unit)."""
-    return tail_staircase_units(ring, n)
 
 
 def repetition_units(ring: Ring, l: int, m: int, include_corner: bool = True) -> list:
@@ -246,7 +236,7 @@ def build_named(ring: Ring, n: int, kind: str, params: dict):
     if kind == "staircase_closure":
         from .subalgebra import close_generators
 
-        alg = close_generators(staircase(ring, n), label=f"<staircase_{n}>")
+        alg = close_generators(staircase_units(ring, n), label=f"<staircase_{n}>")
         return done(alg)
     if kind == "repetition":
         l = take_int("l")

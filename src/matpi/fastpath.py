@@ -141,11 +141,22 @@ def combos_to_stack(basis_arr: np.ndarray, combo_block, n: int) -> np.ndarray:
     return np.ascontiguousarray(stack)
 
 
-def coords_to_stack(basis_arr: np.ndarray, coords: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Random-linear-combination stack: coords is (B, t, d) residues."""
-    flat = coords @ basis_arr              # (B, t, n*n)
-    flat %= p
-    return np.ascontiguousarray(flat.reshape(coords.shape[0], coords.shape[1], n, n).transpose(1, 0, 2, 3))
+def coords_to_stack(basis_arr: np.ndarray, coords, n: int, p: int) -> np.ndarray:
+    """Random-linear-combination stack: coords is (B, t, d) residues.
+
+    A single matmul would sum d products of size up to (p-1)^2, which can
+    wrap int64 even where :func:`supports` holds, so the combination is
+    summed over column chunks short enough that each partial sum stays
+    below 2^63.
+    """
+    coords = np.asarray(coords, dtype=np.int64)
+    B, t, d = coords.shape
+    step = (2**63 - 1) // (p - 1) ** 2
+    flat = np.zeros((B, t, basis_arr.shape[1]), dtype=np.int64)
+    for lo in range(0, d, step):
+        flat += coords[..., lo : lo + step] @ basis_arr[lo : lo + step] % p
+        flat %= p
+    return np.ascontiguousarray(flat.reshape(B, t, n, n).transpose(1, 0, 2, 3))
 
 
 def suggested_batch(t: int, n: int, budget_bytes: int = 256 * 2**20) -> int:

@@ -6,17 +6,30 @@ the exhaustive mode sweeps strictly increasing basis combinations only:
 s_t is multilinear, so vanishing on basis tuples decides the identity, and
 alternating, so tuples with a repeated element vanish automatically and
 reorderings change nothing but sign.  Over Z/m no such pruning is attempted
-and all tuples from the spanning set are swept.
+and all tuples from the spanning set are swept.  Randomized mode evaluates
+seeded random linear combinations of the basis instead.
 
-Verdicts of "not an identity" always carry a witness tuple that is
-re-evaluated with an independent evaluator before being reported.
+All three reach s_t through one driver, :func:`_first_nonzero`: each mode
+only supplies its ordered source of argument tuples (basis combinations,
+spanning-set tuples or coefficient rows) and its report fields.  The driver
+picks the kernel once per sweep: batched int64 evaluation by
+:func:`fastpath.dp_batch` over GF(p) when the overflow bound allows it,
+spread over a thread pool when asked, and the exact pure-Python DP
+otherwise (QQ, Z/m, large p), which never imports numpy.  It stops at the
+first nonzero value.
+
+Verdicts of "not an identity" always carry a witness tuple whose arguments
+are checked to lie in the algebra and whose value is re-evaluated with an
+independent evaluator before being reported.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, islice, product
 from math import comb, factorial
 from typing import Optional, Sequence, Union
@@ -33,10 +46,10 @@ from .matrices import Echelon, Matrix, mul_flat
 from .rings import Ring
 from .standardpoly import (
     NAIVE_MAX_DEGREE,
-    MultilinearPoly,
     _eval_standard_dp_py,
     eval_standard_dp,
     eval_standard_naive,
+    signed_permutations,
 )
 from .subalgebra import SubalgebraBasis, close_generators
 
@@ -176,16 +189,6 @@ def _chunked(iterable, size: int):
         yield block
 
 
-def _scan_values(vals) -> Optional[int]:
-    """Index of the first nonzero matrix in a (B, n, n) residue array."""
-    flags = vals.reshape(vals.shape[0], -1).any(axis=1)
-    if not flags.any():
-        return None
-    import numpy as np
-
-    return int(np.argmax(flags))
-
-
 def _use_fastpath(ring: Ring, n: int, t: int) -> bool:
     if ring.kind != "prime_field":
         return False
@@ -194,168 +197,102 @@ def _use_fastpath(ring: Ring, n: int, t: int) -> bool:
     return fastpath.supports(ring.p, n, t)
 
 
-def _sweep_combinations_fast(a: SubalgebraBasis, t: int, threads: int):
-    """Returns (witness_combo|None, value|None, evaluated_count)."""
-    from concurrent.futures import ThreadPoolExecutor
+def _dp_batches(blocks, build, p: int, threads: int = 1):
+    """Yield (block, stack, values) for each block, in order.
 
+    build(block) makes a (t, B, n, n) int64 stack on the calling thread, so
+    seeded draws keep their order; values are its s_t residues mod p.  With
+    threads > 1 that many stacks are evaluated at a time.
+    """
     from . import fastpath
 
-    d, n, p = a.dim, a.n, a.ring.p
-    basis_arr = fastpath.basis_to_flat(a.mats)
-    batch = fastpath.suggested_batch(t, n)
-    chunks = _chunked(combinations(range(d), t), batch)
+    evaluate = partial(fastpath.dp_batch, p=p)
+    pool, mapper = nullcontext(), map
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(threads)
+        mapper = pool.map
+    with pool:
+        for group in _chunked(blocks, max(threads, 1)):
+            stacks = [build(block) for block in group]
+            yield from zip(group, stacks, mapper(evaluate, stacks))
+
+
+def _first_nonzero(a, t: int, tuples, coords: bool = False, threads: int = 1):
+    """Evaluate s_t on argument tuples in order, stopping at the first nonzero.
+
+    Each tuple is t indices into a.mats, or with coords=True a t x dim row
+    of coefficients in a.mats.  Returns (tuples evaluated, witness or None);
+    the witness is checked to lie in the algebra and re-verified first.
+    """
+    ring, n = a.ring, a.n
     evaluated = 0
-
-    def eval_chunk(chunk):
-        stack = fastpath.combos_to_stack(basis_arr, chunk, n)
-        return fastpath.dp_batch(stack, p)
-
-    if threads <= 1:
-        for chunk in chunks:
-            vals = eval_chunk(chunk)
-            hit = _scan_values(vals)
-            if hit is not None:
-                value = fastpath.array_to_matrix(a.ring, vals[hit])
-                return chunk[hit], value, evaluated + hit + 1
-            evaluated += len(chunk)
-        return None, None, evaluated
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for group in _chunked(chunks, threads):
-            futures = [(chunk, pool.submit(eval_chunk, chunk)) for chunk in group]
-            for chunk, fut in futures:
-                vals = fut.result()
-                hit = _scan_values(vals)
-                if hit is not None:
-                    value = fastpath.array_to_matrix(a.ring, vals[hit])
-                    return chunk[hit], value, evaluated + hit + 1
-                evaluated += len(chunk)
-    return None, None, evaluated
-
-
-def _sweep_combinations_pure(a: SubalgebraBasis, t: int):
-    evaluated = 0
-    for combo in combinations(range(a.dim), t):
-        val = eval_standard_dp([a.mats[i] for i in combo])
-        evaluated += 1
-        if not val.is_zero():
-            return combo, val, evaluated
-    return None, None, evaluated
-
-
-def _field_exhaustive(a: SubalgebraBasis, t: int, threads: int, started: float) -> IdentityReport:
-    ring, d = a.ring, a.dim
-    total = comb(d, t)
-    common = dict(
-        algebra=a.label, ring=ring.name, n=a.n, dim=d, degree=t,
-        mode="exhaustive", trials=None, seed=None,
-    )
-    if t > d:
-        return IdentityReport(
-            is_identity=True, probabilistic=False, witness=None,
-            tuples_checked=0, tuple_space=total, note=VACUOUS_NOTE,
-            elapsed_ms=(time.perf_counter() - started) * 1e3, **common,
-        )
-    if _use_fastpath(ring, a.n, t):
-        combo, value, evaluated = _sweep_combinations_fast(a, t, threads)
-    else:
-        combo, value, evaluated = _sweep_combinations_pure(a, t)
-    witness = None
-    if combo is not None:
-        mats = tuple(a.mats[i] for i in combo)
-        _reverify_witness(mats, value)
-        witness = Witness(tuple(i + 1 for i in combo), mats, value)
-    return IdentityReport(
-        is_identity=witness is None, probabilistic=False, witness=witness,
-        tuples_checked=evaluated, tuple_space=total, note=PRUNING_NOTE,
-        elapsed_ms=(time.perf_counter() - started) * 1e3, **common,
-    )
-
-
-def _field_randomized(a: SubalgebraBasis, t: int, trials: int, seed: int,
-                      threads: int, started: float) -> IdentityReport:
-    ring, d, n = a.ring, a.dim, a.n
-    if trials < 1:
-        raise DimensionError(f"need trials >= 1, got {trials}")
-    common = dict(
-        algebra=a.label, ring=ring.name, n=n, dim=d, degree=t,
-        mode="randomized", trials=trials, seed=seed,
-    )
-    witness = None
-    evaluated = 0
-    if d == 0:
-        return IdentityReport(
-            is_identity=True, probabilistic=False, witness=None,
-            tuples_checked=0, tuple_space=trials,
-            note=VACUOUS_NOTE, elapsed_ms=(time.perf_counter() - started) * 1e3,
-            **common,
-        )
     if _use_fastpath(ring, n, t):
-        import numpy as np
-
         from . import fastpath
 
-        rng = np.random.default_rng(seed)
-        coords = rng.integers(0, ring.p, size=(trials, t, d), dtype=np.int64)
         basis_arr = fastpath.basis_to_flat(a.mats)
-        batch = fastpath.suggested_batch(t, n)
-        for lo in range(0, trials, batch):
-            block = coords[lo : lo + batch]
-            stack = fastpath.coords_to_stack(basis_arr, block, n, ring.p)
-            vals = fastpath.dp_batch(stack, ring.p)
-            hit = _scan_values(vals)
-            if hit is not None:
-                mats = tuple(
-                    fastpath.array_to_matrix(ring, stack[k, hit]) for k in range(t)
-                )
-                value = fastpath.array_to_matrix(ring, vals[hit])
-                _reverify_witness(mats, value)
-                witness = Witness(None, mats, value)
+        if coords:
+            build = partial(fastpath.coords_to_stack, basis_arr, n=n, p=ring.p)
+        else:
+            build = partial(fastpath.combos_to_stack, basis_arr, n=n)
+        blocks = _chunked(tuples, fastpath.suggested_batch(t, n))
+        for block, stack, vals in _dp_batches(blocks, build, ring.p, threads):
+            flags = vals.reshape(len(block), -1).any(axis=1)
+            if flags.any():
+                hit = int(flags.argmax())
                 evaluated += hit + 1
+                tup = block[hit]
+                mats = tuple(fastpath.array_to_matrix(ring, stack[k, hit]) for k in range(t))
+                value = fastpath.array_to_matrix(ring, vals[hit])
                 break
             evaluated += len(block)
+        else:
+            return evaluated, None
     else:
-        rng = random.Random(seed)
-        for _ in range(trials):
-            mats = tuple(_linear_combination(a, _random_coords(ring, d, rng)) for _ in range(t))
-            val = eval_standard_dp(list(mats))
+        for tup in tuples:
+            if coords:
+                mats = tuple(_linear_combination(a, row) for row in tup)
+            else:
+                mats = tuple(a.mats[i] for i in tup)
+            value = eval_standard_dp(list(mats))
             evaluated += 1
-            if not val.is_zero():
-                _reverify_witness(mats, val)
-                witness = Witness(None, mats, val)
+            if not value.is_zero():
                 break
-    return IdentityReport(
-        is_identity=witness is None, probabilistic=witness is None,
-        witness=witness, tuples_checked=evaluated, tuple_space=trials,
-        note=RANDOM_NOTE, elapsed_ms=(time.perf_counter() - started) * 1e3,
-        **common,
-    )
+        else:
+            return evaluated, None
+    if not all(a.contains(x) for x in mats):
+        raise ContractViolationError("witness argument lies outside the algebra")
+    _reverify_witness(mats, value)
+    indices = None if coords else tuple(i + 1 for i in tup)
+    return evaluated, Witness(indices, mats, value)
 
 
-def _spanning_exhaustive(a: SpanningSetAlgebra, t: int, started: float) -> IdentityReport:
-    d = len(a.mats)
-    total = d**t
-    if total > SPANNING_SWEEP_LIMIT:
-        raise DegreeGuardError(
-            f"spanning sweep of {total} tuples exceeds the {SPANNING_SWEEP_LIMIT} guard"
-        )
-    common = dict(
-        algebra=a.label, ring=a.ring.name, n=a.n, dim=d, degree=t,
-        mode="exhaustive", trials=None, seed=None,
-    )
-    witness = None
-    evaluated = 0
-    for tup in product(range(d), repeat=t):
-        mats = tuple(a.mats[i] for i in tup)
-        val = eval_standard_dp(list(mats))
-        evaluated += 1
-        if not val.is_zero():
-            _reverify_witness(mats, val)
-            witness = Witness(tuple(i + 1 for i in tup), mats, val)
-            break
+def _random_rows(a: SubalgebraBasis, t: int, trials: int, seed: int):
+    """Seeded t x dim coefficient rows for randomized mode.
+
+    The int64 kernel draws all rows at once from numpy's generator and the
+    exact kernel draws them one by one from random.Random, so each keeps
+    the stream its seeded reports have always been computed from.
+    """
+    ring = a.ring
+    if _use_fastpath(ring, a.n, t):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, ring.p, size=(trials, t, a.dim), dtype=np.int64)
+    rng = random.Random(seed)
+    return ([_random_coords(ring, a.dim, rng) for _ in range(t)] for _ in range(trials))
+
+
+def _report(a, t: int, mode: str, started: float, evaluated: int, witness,
+            space: int, note: str, trials=None, seed=None,
+            probabilistic: bool = False) -> IdentityReport:
     return IdentityReport(
-        is_identity=witness is None, probabilistic=False, witness=witness,
-        tuples_checked=evaluated, tuple_space=total, note=SPANNING_NOTE,
-        elapsed_ms=(time.perf_counter() - started) * 1e3, **common,
+        algebra=a.label, ring=a.ring.name, n=a.n, dim=a.dim, degree=t, mode=mode,
+        is_identity=witness is None, probabilistic=probabilistic, witness=witness,
+        tuples_checked=evaluated, tuple_space=space, trials=trials, seed=seed,
+        note=note, elapsed_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
@@ -377,7 +314,13 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
             raise UnsupportedRingError(
                 f"randomized mode needs a field; {a.ring.name} descriptors are exhaustive-only"
             )
-        return _spanning_exhaustive(a, t, started)
+        total = a.dim**t
+        if total > SPANNING_SWEEP_LIMIT:
+            raise DegreeGuardError(
+                f"spanning sweep of {total} tuples exceeds the {SPANNING_SWEEP_LIMIT} guard"
+            )
+        evaluated, witness = _first_nonzero(a, t, product(range(a.dim), repeat=t))
+        return _report(a, t, "exhaustive", started, evaluated, witness, total, SPANNING_NOTE)
     if not isinstance(a, SubalgebraBasis):
         raise DimensionError(f"cannot test identities of {type(a).__name__}")
     if not a.ring.is_field:
@@ -386,9 +329,21 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
             f"spanning-set descriptor"
         )
     if mode == "exhaustive":
-        return _field_exhaustive(a, t, threads, started)
+        total = comb(a.dim, t)
+        if t > a.dim:
+            return _report(a, t, mode, started, 0, None, total, VACUOUS_NOTE)
+        evaluated, witness = _first_nonzero(a, t, combinations(range(a.dim), t),
+                                            threads=threads)
+        return _report(a, t, mode, started, evaluated, witness, total, PRUNING_NOTE)
     if mode == "randomized":
-        return _field_randomized(a, t, trials, seed, threads, started)
+        if trials < 1:
+            raise DimensionError(f"need trials >= 1, got {trials}")
+        if a.dim == 0:
+            return _report(a, t, mode, started, 0, None, trials, VACUOUS_NOTE, trials, seed)
+        evaluated, witness = _first_nonzero(a, t, _random_rows(a, t, trials, seed),
+                                            coords=True, threads=threads)
+        return _report(a, t, mode, started, evaluated, witness, trials, RANDOM_NOTE,
+                       trials, seed, probabilistic=witness is None)
     raise DimensionError(f"unknown mode {mode!r}")
 
 
@@ -552,9 +507,7 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int, verify: bool = True) 
 
 def standard_sign_vector(ring: Ring, t: int) -> tuple:
     """Coefficient vector of s_t in the lexicographic-rank indexing."""
-    poly = MultilinearPoly.standard(ring, t)
-    zero = ring.zero
-    return tuple(poly.coeffs.get(r, zero) for r in range(factorial(t)))
+    return tuple(ring.canon(sign) for _, sign in signed_permutations(t))
 
 
 # -- block assembly property (two triangular blocks) -------------------------
@@ -645,17 +598,18 @@ def block_assembly_check(a_top: SubalgebraBasis, a_bot: SubalgebraBasis,
         top_flat = fastpath.basis_to_flat(a_top.mats)
         bot_flat = fastpath.basis_to_flat(a_bot.mats)
         batch = fastpath.suggested_batch(t, n)
-        for lo in range(0, trials, batch):
-            size = min(batch, trials - lo)
-            tops = (rng.integers(0, p, size=(size, t, a_top.dim), dtype=np.int64) @ top_flat) % p
-            bots = (rng.integers(0, p, size=(size, t, a_bot.dim), dtype=np.int64) @ bot_flat) % p
+
+        def assemble(size):
+            stack = np.zeros((t, size, n, n), dtype=np.int64)
+            for flat, lo, hi in ((top_flat, 0, l), (bot_flat, l, n)):
+                coords = rng.integers(0, p, size=(size, t, len(flat)), dtype=np.int64)
+                stack[:, :, lo:hi, lo:hi] = fastpath.coords_to_stack(flat, coords, hi - lo, p)
             coupling = rng.integers(0, p, size=(size, t, l, m), dtype=np.int64)
-            full = np.zeros((size, t, n, n), dtype=np.int64)
-            full[:, :, :l, :l] = tops.reshape(size, t, l, l)
-            full[:, :, l:, l:] = bots.reshape(size, t, m, m)
-            full[:, :, :l, l:] = coupling
-            stack = np.ascontiguousarray(full.transpose(1, 0, 2, 3))
-            vals = fastpath.dp_batch(stack, p)
+            stack[:, :, :l, l:] = coupling.transpose(1, 0, 2, 3)
+            return stack
+
+        sizes = [min(batch, trials - lo) for lo in range(0, trials, batch)]
+        for size, stack, vals in _dp_batches(sizes, assemble, p):
             flags = vals.reshape(size, -1).any(axis=1)
             hits = np.nonzero(flags)[0]
             violations += int(len(hits))
@@ -757,11 +711,13 @@ def ur_vanishing_check(ring: Ring, l: int, m: int, trials: int = 200, seed: int 
         rng = np.random.default_rng(seed)
         basis_arr = fastpath.basis_to_flat(span.mats)
         batch = fastpath.suggested_batch(t, n)
-        for lo in range(0, trials, batch):
-            size = min(batch, trials - lo)
+
+        def draw(size):
             coords = rng.integers(0, p, size=(size, t, span.dim), dtype=np.int64)
-            stack = fastpath.coords_to_stack(basis_arr, coords, n, p)
-            vals = fastpath.dp_batch(stack, p)
+            return fastpath.coords_to_stack(basis_arr, coords, n, p)
+
+        sizes = [min(batch, trials - lo) for lo in range(0, trials, batch)]
+        for size, _stack, vals in _dp_batches(sizes, draw, p):
             corners = vals[:, :l, l + m :]
             violations += int((corners.reshape(size, -1).any(axis=1)).sum())
     else:

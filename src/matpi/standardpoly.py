@@ -94,29 +94,6 @@ def perm_unrank(t: int, rank: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A permutation word over {1..t} together with its sign."""
-
-    word: tuple
-    sign: int
-
-    def __post_init__(self):
-        t = len(self.word)
-        if sorted(self.word) != list(range(1, t + 1)):
-            raise DimensionError(f"{self.word} is not a permutation of 1..{t}")
-        if self.sign != perm_sign(self.word):
-            raise DimensionError(f"sign {self.sign} wrong for word {self.word}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.word)
-
-    @property
-    def rank(self) -> int:
-        return perm_rank(self.word)
-
-
-@dataclass(frozen=True)
 class MultilinearPoly:
     """A multilinear polynomial of fixed degree in noncommuting variables.
 

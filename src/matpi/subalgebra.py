@@ -158,10 +158,6 @@ def close_generators(gens, include_identity: bool = False, label: Optional[str] 
     return SubalgebraBasis(ring, n, [Matrix._new(ring, n, n, r) for r in ech.rows], label)
 
 
-def contains(basis: SubalgebraBasis, x: Matrix) -> bool:
-    return basis.contains(x)
-
-
 def jacobson_radical(a: SubalgebraBasis) -> SubalgebraBasis:
     """Radical via the trace bilinear form.
 

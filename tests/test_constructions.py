@@ -1,6 +1,6 @@
 import pytest
 
-from matpi.blocks import BlockShape
+from matpi.blocks import BlockShape, staircase_units
 from matpi.constructions import (
     CONSTRUCTION_KINDS,
     SpanningSetAlgebra,
@@ -12,7 +12,6 @@ from matpi.constructions import (
     full_matrix_algebra,
     repetition_algebra,
     repetition_units,
-    staircase,
     two_block_radical,
     upper_triangular,
 )
@@ -40,7 +39,7 @@ def test_upper_triangular_and_full():
 
 def test_staircase_members_live_in_triangular():
     u = upper_triangular(F, 4)
-    for m in staircase(F, 4):
+    for m in staircase_units(F, 4):
         assert u.contains(m)
 
 

@@ -4,7 +4,7 @@ import pytest
 from matpi import fastpath
 from matpi.matrices import Matrix
 from matpi.rings import GF
-from matpi.standardpoly import eval_standard_dp, eval_standard_naive
+from matpi.standardpoly import _eval_standard_dp_py, _eval_standard_naive_py
 
 F = GF(101)
 
@@ -38,7 +38,7 @@ def test_dp_batch_matches_pure(t, n):
     out = fastpath.dp_batch(stack, 101)
     for b, ms in enumerate(cases):
         got = fastpath.array_to_matrix(F, out[b])
-        assert got == eval_standard_dp(ms)
+        assert got == _eval_standard_dp_py(ms)
 
 
 @pytest.mark.parametrize("t,n", [(2, 2), (4, 2), (5, 3), (8, 2)])
@@ -48,7 +48,7 @@ def test_naive_single_matches_pure(t, n):
         ms = random_mats(rng, t, n)
         arr = fastpath.mats_to_array(ms)
         got = fastpath.array_to_matrix(F, fastpath.naive_single(arr, 101))
-        assert got == eval_standard_naive(ms)
+        assert got == _eval_standard_naive_py(ms)
 
 
 def test_naive_vs_dp_cross_check():
@@ -84,6 +84,17 @@ def test_coords_to_stack_linear_combinations():
                 term = int(coords[b, slot, k]) * basis[k]
                 want = term if want is None else want + term
             assert fastpath.array_to_matrix(F, stack[slot, b]) == want
+
+
+def test_coords_to_stack_exact_at_int64_edge():
+    # supports() holds here, yet one matmul over d = 64 products of size
+    # (p-1)^2 would wrap int64
+    p, n, t, d = 536870909, 8, 2, 64
+    assert fastpath.supports(p, n, t)
+    basis_arr = np.full((d, n * n), p - 1, dtype=np.int64)
+    coords = np.full((1, t, d), p - 1, dtype=np.int64)
+    stack = fastpath.coords_to_stack(basis_arr, coords, n, p)
+    assert (stack == d).all()
 
 
 def test_suggested_batch_positive():

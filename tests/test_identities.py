@@ -13,7 +13,8 @@ from matpi.constructions import (
     repetition_algebra,
     upper_triangular,
 )
-from matpi.errors import DegreeGuardError, UnsupportedRingError
+from matpi import fastpath
+from matpi.errors import ContractViolationError, DegreeGuardError, UnsupportedRingError
 from matpi.identities import (
     block_assembly_check,
     is_standard_identity,
@@ -137,6 +138,26 @@ def test_threads_do_not_change_report():
     i1 = is_standard_identity(a, 6, threads=1)
     i4 = is_standard_identity(a, 6, threads=4)
     assert i1.to_dict() == i4.to_dict()
+    # 5000 trials span two int64 batches, so the pool evaluates both at once
+    for t in (4, 6):
+        r1 = is_standard_identity(a, t, mode="randomized", trials=5000, seed=2, threads=1)
+        r4 = is_standard_identity(a, t, mode="randomized", trials=5000, seed=2, threads=4)
+        assert r1.to_dict() == r4.to_dict()
+
+
+@pytest.mark.parametrize("mode,builder", [("exhaustive", "combos_to_stack"),
+                                          ("randomized", "coords_to_stack")])
+def test_witness_outside_algebra_is_rejected(monkeypatch, mode, builder):
+    real = getattr(fastpath, builder)
+
+    def corrupted(*args, **kwargs):
+        stack = real(*args, **kwargs)
+        stack[..., 2, 0] = 1  # below the diagonal: outside U_3
+        return stack
+
+    monkeypatch.setattr(fastpath, builder, corrupted)
+    with pytest.raises(ContractViolationError, match="outside the algebra"):
+        is_standard_identity(upper_triangular(F, 3), 2, mode=mode, trials=20)
 
 
 def test_unital_monotonicity():
