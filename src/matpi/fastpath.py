@@ -11,6 +11,7 @@ cross-checks both directions).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -88,11 +89,27 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
     return prev[(1 << t) - 1]
 
 
+@lru_cache(maxsize=None)
+def _signed_words(t: int) -> tuple:
+    """The t! permutation words of range(t) as a read-only (t!, t) uint8
+    array, with their signs as a read-only int8 array; built once per t."""
+    words = np.array(list(permutations(range(t))), dtype=np.uint8)
+    # sign by inversion count
+    inv = np.zeros(len(words), dtype=np.int8)
+    for i in range(t):
+        for j in range(i + 1, t):
+            inv ^= words[:, i] > words[:, j]
+    signs = np.where(inv, -1, 1).astype(np.int8)
+    words.setflags(write=False)
+    signs.setflags(write=False)
+    return words, signs
+
+
 def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
     """Evaluate s_t on one argument tuple by summing all t! products.
 
-    arr has shape (t, n, n).  The t! permutation words are materialized as
-    one index array; products are chained with batched matmul and reduced
+    arr has shape (t, n, n).  The t! permutation words come from a table
+    cached per t; products are chained with batched matmul and reduced
     mod p after every step, and the signed sum fits int64 because
     t! * (p-1) does for t <= 8.
     """
@@ -101,13 +118,7 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
         raise DegreeGuardError(f"naive kernel guarded to degree 8, got {t}")
     if not supports(p, n, t) or factorial(t) * (p - 1) >= INT64_BUDGET:
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
-    words = np.array(list(permutations(range(t))), dtype=np.int64)
-    # sign by inversion count
-    inv = np.zeros(len(words), dtype=np.int64)
-    for i in range(t):
-        for j in range(i + 1, t):
-            inv += words[:, i] > words[:, j]
-    signs = np.where(inv & 1, -1, 1).astype(np.int64)
+    words, signs = _signed_words(t)
     prod = arr[words[:, 0]]
     for k in range(1, t):
         prod = np.matmul(prod, arr[words[:, k]])

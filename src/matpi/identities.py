@@ -5,9 +5,9 @@ standard polynomial s_t vanishes identically on a subalgebra.  Over a field
 the exhaustive mode sweeps strictly increasing basis combinations only:
 s_t is multilinear, so vanishing on basis tuples decides the identity, and
 alternating, so tuples with a repeated element vanish automatically and
-reorderings change nothing but sign.  Over Z/m no such pruning is attempted
-and all tuples from the spanning set are swept.  Randomized mode evaluates
-seeded random linear combinations of the basis instead.
+reorderings change nothing but sign.  Over Z/m all tuples from the spanning
+set are swept.  Randomized mode evaluates seeded random linear combinations
+of the basis instead.
 
 All three reach s_t through one driver, :func:`_first_nonzero`: each mode
 only supplies its ordered source of argument tuples (basis combinations,
@@ -17,6 +17,24 @@ picks the kernel once per sweep: batched int64 evaluation by
 spread over a thread pool when asked, and the exact pure-Python DP
 otherwise (QQ, Z/m, large p), which never imports numpy.  It stops at the
 first nonzero value.
+
+Sweeps over index tuples (the two exhaustive modes and both loops of
+:func:`multilinear_identity_space`) also skip tuples that are zero by the
+grading of M_n by the diagonal torus, as in Swan's graph proof of
+Amitsur-Levitski.  The matrix unit e_ij has weight eps_i - eps_j, a matrix
+is a weight vector exactly when it is diagonal (weight 0) or has a single
+off-diagonal entry, and a product of weight vectors has the sum of their
+weights.  A nonzero n x n matrix of one weight has weight 0 or some
+eps_a - eps_b, so when the weights of a tuple sum to anything else every
+product of it, and with it every multilinear value, is zero.  A graded
+span is the direct sum of its weight spaces, which live on disjoint sets
+of entries, so its reduced echelon basis is the union of theirs and
+consists of weight vectors; this covers every span of matrix units, such
+as the block triangular and full block algebras.  When some element of the
+basis or spanning set is not a weight vector the sweep evaluates every
+tuple.  A tuple skipped this way is proved zero, so it counts in
+`tuples_checked` and `tuples_swept` as an evaluated one would, and
+witnesses stay the lex-first nonzero tuples.
 
 Verdicts of "not an identity" always carry a witness tuple whose arguments
 are checked to lie in the algebra and whose value is re-evaluated with an
@@ -219,53 +237,92 @@ def _dp_batches(blocks, build, p: int, threads: int = 1):
             yield from zip(group, stacks, mapper(evaluate, stacks))
 
 
+def _torus_weights(a, t: int) -> Optional[list]:
+    """Torus weight of each element of a.mats packed into one int, or None.
+
+    e_ij has weight eps_i - eps_j, packed as B**i - B**j with B = 2t + 1;
+    diagonal elements weigh 0.  A sum of at most t weights has coordinates
+    in [-t, t], which base B represents injectively.  Returns None unless
+    every element is homogeneous: diagonal, or a single off-diagonal entry.
+    """
+    base, n, zero = 2 * t + 1, a.n, a.ring.zero
+    weights = []
+    for x in a.mats:
+        support = [divmod(k, n) for k, v in enumerate(x.data) if v != zero]
+        if all(i == j for i, j in support):
+            weights.append(0)
+        elif len(support) == 1:
+            (i, j), = support
+            weights.append(base**i - base**j)
+        else:
+            return None
+    return weights
+
+
+def _weight_feasible(a, t: int):
+    """Predicate on index t-tuples into a.mats that is False only where
+    every product of the tuple is zero by weight; None for ungraded a."""
+    weights = _torus_weights(a, t)
+    if weights is None:
+        return None
+    base = 2 * t + 1
+    targets = frozenset(base**i - base**j for i in range(a.n) for j in range(a.n))
+    return lambda tup: sum(map(weights.__getitem__, tup)) in targets
+
+
 def _first_nonzero(a, t: int, tuples, coords: bool = False, threads: int = 1):
     """Evaluate s_t on argument tuples in order, stopping at the first nonzero.
 
     Each tuple is t indices into a.mats, or with coords=True a t x dim row
-    of coefficients in a.mats.  Returns (tuples evaluated, witness or None);
-    the witness is checked to lie in the algebra and re-verified first.
+    of coefficients in a.mats.  Index tuples that are zero by weight are
+    dropped unevaluated.  Returns None when every tuple vanishes, else the
+    1-based position of the first nonzero tuple in `tuples` and its
+    witness, which is checked to lie in the algebra and re-verified first.
     """
     ring, n = a.ring, a.n
-    evaluated = 0
+    numbered = enumerate(tuples, 1)
+    feasible = None if coords else _weight_feasible(a, t)
+    if feasible is not None:
+        numbered = ((pos, tup) for pos, tup in numbered if feasible(tup))
     if _use_fastpath(ring, n, t):
         from . import fastpath
 
         basis_arr = fastpath.basis_to_flat(a.mats)
         if coords:
-            build = partial(fastpath.coords_to_stack, basis_arr, n=n, p=ring.p)
+            make = partial(fastpath.coords_to_stack, basis_arr, n=n, p=ring.p)
         else:
-            build = partial(fastpath.combos_to_stack, basis_arr, n=n)
-        blocks = _chunked(tuples, fastpath.suggested_batch(t, n))
+            make = partial(fastpath.combos_to_stack, basis_arr, n=n)
+
+        def build(block):
+            return make([tup for _, tup in block])
+
+        blocks = _chunked(numbered, fastpath.suggested_batch(t, n))
         for block, stack, vals in _dp_batches(blocks, build, ring.p, threads):
             flags = vals.reshape(len(block), -1).any(axis=1)
             if flags.any():
                 hit = int(flags.argmax())
-                evaluated += hit + 1
-                tup = block[hit]
+                pos, tup = block[hit]
                 mats = tuple(fastpath.array_to_matrix(ring, stack[k, hit]) for k in range(t))
                 value = fastpath.array_to_matrix(ring, vals[hit])
                 break
-            evaluated += len(block)
         else:
-            return evaluated, None
+            return None
     else:
-        for tup in tuples:
+        for pos, tup in numbered:
             if coords:
                 mats = tuple(_linear_combination(a, row) for row in tup)
             else:
                 mats = tuple(a.mats[i] for i in tup)
             value = eval_standard_dp(list(mats))
-            evaluated += 1
             if not value.is_zero():
                 break
         else:
-            return evaluated, None
+            return None
     if not all(a.contains(x) for x in mats):
         raise ContractViolationError("witness argument lies outside the algebra")
     _reverify_witness(mats, value)
     indices = None if coords else tuple(i + 1 for i in tup)
-    return evaluated, Witness(indices, mats, value)
+    return pos, Witness(indices, mats, value)
 
 
 def _random_rows(a: SubalgebraBasis, t: int, trials: int, seed: int):
@@ -285,13 +342,13 @@ def _random_rows(a: SubalgebraBasis, t: int, trials: int, seed: int):
     return ([_random_coords(ring, a.dim, rng) for _ in range(t)] for _ in range(trials))
 
 
-def _report(a, t: int, mode: str, started: float, evaluated: int, witness,
+def _report(a, t: int, mode: str, started: float, checked: int, witness,
             space: int, note: str, trials=None, seed=None,
             probabilistic: bool = False) -> IdentityReport:
     return IdentityReport(
         algebra=a.label, ring=a.ring.name, n=a.n, dim=a.dim, degree=t, mode=mode,
         is_identity=witness is None, probabilistic=probabilistic, witness=witness,
-        tuples_checked=evaluated, tuple_space=space, trials=trials, seed=seed,
+        tuples_checked=checked, tuple_space=space, trials=trials, seed=seed,
         note=note, elapsed_ms=(time.perf_counter() - started) * 1e3,
     )
 
@@ -319,8 +376,8 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
             raise DegreeGuardError(
                 f"spanning sweep of {total} tuples exceeds the {SPANNING_SWEEP_LIMIT} guard"
             )
-        evaluated, witness = _first_nonzero(a, t, product(range(a.dim), repeat=t))
-        return _report(a, t, "exhaustive", started, evaluated, witness, total, SPANNING_NOTE)
+        checked, witness = _first_nonzero(a, t, product(range(a.dim), repeat=t)) or (total, None)
+        return _report(a, t, "exhaustive", started, checked, witness, total, SPANNING_NOTE)
     if not isinstance(a, SubalgebraBasis):
         raise DimensionError(f"cannot test identities of {type(a).__name__}")
     if not a.ring.is_field:
@@ -332,17 +389,17 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
         total = comb(a.dim, t)
         if t > a.dim:
             return _report(a, t, mode, started, 0, None, total, VACUOUS_NOTE)
-        evaluated, witness = _first_nonzero(a, t, combinations(range(a.dim), t),
-                                            threads=threads)
-        return _report(a, t, mode, started, evaluated, witness, total, PRUNING_NOTE)
+        checked, witness = _first_nonzero(a, t, combinations(range(a.dim), t),
+                                          threads=threads) or (total, None)
+        return _report(a, t, mode, started, checked, witness, total, PRUNING_NOTE)
     if mode == "randomized":
         if trials < 1:
             raise DimensionError(f"need trials >= 1, got {trials}")
         if a.dim == 0:
             return _report(a, t, mode, started, 0, None, trials, VACUOUS_NOTE, trials, seed)
-        evaluated, witness = _first_nonzero(a, t, _random_rows(a, t, trials, seed),
-                                            coords=True, threads=threads)
-        return _report(a, t, mode, started, evaluated, witness, trials, RANDOM_NOTE,
+        checked, witness = _first_nonzero(a, t, _random_rows(a, t, trials, seed),
+                                          coords=True, threads=threads) or (trials, None)
+        return _report(a, t, mode, started, checked, witness, trials, RANDOM_NOTE,
                        trials, seed, probabilistic=witness is None)
     raise DimensionError(f"unknown mode {mode!r}")
 
@@ -460,10 +517,11 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int, verify: bool = True) 
 
     Builds the matrix with one column per permutation monomial and one row
     per (basis tuple, matrix entry) pair; alternation pruning does not apply
-    to general multilinear polynomials, so all dim^t tuples contribute.
-    Rows feed an incremental echelon and the sweep stops as soon as the rank
-    hits t! (zero space).  With verify=True each kernel vector is re-checked
-    against every spanning tuple.
+    to general multilinear polynomials, so all dim^t tuples contribute,
+    except that tuples zero by weight would give only zero rows and are
+    skipped (they still count as swept).  Rows feed an incremental echelon
+    and the sweep stops as soon as the rank hits t! (zero space).  With
+    verify=True each kernel vector is re-checked against every tuple.
     """
     if not 1 <= t <= IDENTITY_SPACE_MAX_DEGREE:
         raise DegreeGuardError(
@@ -476,10 +534,13 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int, verify: bool = True) 
     zero = ring.zero
     sieve = Echelon(ring, fact)
     flats = [m.data for m in a.mats]
+    feasible = _weight_feasible(a, t) or (lambda tup: True)
     swept = 0
     for tup in product(range(d), repeat=t):
-        prods = _perm_products([flats[i] for i in tup], n, ring)
         swept += 1
+        if not feasible(tup):
+            continue
+        prods = _perm_products([flats[i] for i in tup], n, ring)
         for e in range(n * n):
             row = [zero if P is None else P[e] for P in prods]
             sieve.insert(row)
@@ -487,7 +548,7 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int, verify: bool = True) 
             break
     kernel = sieve.nullspace_basis()
     if verify and kernel:
-        for tup in product(range(d), repeat=t):
+        for tup in filter(feasible, product(range(d), repeat=t)):
             prods = _perm_products([flats[i] for i in tup], n, ring)
             for vec in kernel:
                 for e in range(n * n):

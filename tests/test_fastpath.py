@@ -4,7 +4,7 @@ import pytest
 from matpi import fastpath
 from matpi.matrices import Matrix
 from matpi.rings import GF
-from matpi.standardpoly import _eval_standard_dp_py, _eval_standard_naive_py
+from matpi.standardpoly import _eval_standard_dp_py, _eval_standard_naive_py, perm_sign
 
 F = GF(101)
 
@@ -49,6 +49,17 @@ def test_naive_single_matches_pure(t, n):
         arr = fastpath.mats_to_array(ms)
         got = fastpath.array_to_matrix(F, fastpath.naive_single(arr, 101))
         assert got == _eval_standard_naive_py(ms)
+
+
+def test_signed_words_cached_and_read_only():
+    words, signs = fastpath._signed_words(5)
+    assert fastpath._signed_words(5)[0] is words
+    assert words.dtype == np.uint8 and words.shape == (120, 5)
+    assert not words.flags.writeable and not signs.flags.writeable
+    for word, sign in zip(words, signs):
+        assert sign == perm_sign(tuple(int(i) for i in word))
+    words8, _ = fastpath._signed_words(8)
+    assert words8.nbytes == 40320 * 8
 
 
 def test_naive_vs_dp_cross_check():

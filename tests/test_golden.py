@@ -1,10 +1,11 @@
 """Byte-for-byte golden outputs of the CLI in structured mode.
 
-Each command's stdout is hashed and compared with a digest recorded before
-the identity sweeps were folded into one driver, so any change to a
-verdict, witness, count or field order shows up here.  Spec files are
-written under fixed relative names because the spec path is part of the
-report.
+Each command's stdout is hashed and compared with a digest recorded by
+earlier code: before the identity sweeps were folded into one driver, or,
+for the identity-space commands and the GF(101) specs, before sweeps
+skipped tuples that are zero by torus weight.  Any change to a verdict,
+witness, count or field order shows up here.  Spec files are written under
+fixed relative names because the spec path is part of the report.
 
 The exact-arithmetic commands (over QQ and Z/m) also run in a fresh
 interpreter that must finish without importing numpy: those paths stay on
@@ -23,6 +24,18 @@ import pytest
 import matpi
 from matpi.cli import main
 
+
+def _tied_u3_spec() -> str:
+    """U_3 repeated twice down the diagonal of M_6.  Its basis elements
+    e_ij + e_(i+3)(j+3) are not weight vectors, so no tuple is pruned."""
+    lines = ["ring: {kind: gf, p: 101}", "n: 6", "source:", "  generators:"]
+    for i, j in ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2)):
+        rows = [[0] * 6 for _ in range(6)]
+        rows[i][j] = rows[i + 3][j + 3] = 1
+        lines.append(f"    - {rows}")
+    return "\n".join(lines) + "\n"
+
+
 SPECS = {
     "b2-z8.yaml": """
         ring: {kind: zmod, m: 8}
@@ -40,7 +53,21 @@ SPECS = {
         shape: [1, 1, 1, 1]
         source: {construction: {kind: upper_triangular}}
     """,
+    "u3-gf.yaml": """
+        ring: {kind: gf, p: 101}
+        n: 3
+        source: {construction: {kind: upper_triangular}}
+    """,
+    "u5-gf.yaml": """
+        ring: {kind: gf, p: 101}
+        n: 5
+        shape: [1, 1, 1, 1, 1]
+        source: {construction: {kind: upper_triangular}}
+    """,
+    "tied-u3-gf.yaml": _tied_u3_spec(),
 }
+# the specs over QQ or Z/m
+EXACT_SPECS = ("b2-z8.yaml", "b3-z4.yaml", "u4-qq.yaml")
 
 # argv -> sha256 of stdout with --out structured appended
 GOLDEN = {
@@ -66,11 +93,18 @@ GOLDEN = {
         "e93f801b4e887819a3830538bf1ba4b7c01597e90455f8765e44c179ac43f354",
     ("classify", "--spec", "u4-qq.yaml"):
         "5ed07da9140365b19ee9c4df8628ecb6235c326730df3d1bb74e47f36c4cfb96",
+    ("identity-space", "--spec", "u3-gf.yaml", "--t", "5"):
+        "e2aaff788590b9f01b2c4bc49556d46040b0858112894c1a0e4081d63ec58e38",
+    ("identity-space", "--n", "2", "--ring", "q", "--t", "4"):
+        "774d851d840d93f763b92a6c3308f158db5b1d33d7b358a8ea602420bed1dc32",
+    ("min-degree", "--spec", "u5-gf.yaml"):
+        "069802858bf32abc336dd8548590c69ffbf15a2d4c91397a3169e6ba96e32b28",
+    ("min-degree", "--spec", "tied-u3-gf.yaml"):
+        "44da0ba185616677a94aa245a2dd0f4f4db7f12e4847fc7fd13246a09c589dab",
 }
 
-# every spec above is over QQ or Z/m
 EXACT_ONLY = [argv for argv in GOLDEN
-              if "q" in argv or any(a.endswith(".yaml") for a in argv)]
+              if "q" in argv or any(a in EXACT_SPECS for a in argv)]
 
 
 @pytest.fixture

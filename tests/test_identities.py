@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -13,7 +13,7 @@ from matpi.constructions import (
     repetition_algebra,
     upper_triangular,
 )
-from matpi import fastpath
+from matpi import fastpath, identities
 from matpi.errors import ContractViolationError, DegreeGuardError, UnsupportedRingError
 from matpi.identities import (
     block_assembly_check,
@@ -346,3 +346,112 @@ def test_witness_serialization():
     d = rep.to_dict()
     assert d["witness"]["indices"] == [1, 2]
     assert d["witness"]["value"] == [["0", "1"], ["0", "0"]]
+
+
+# -- torus-weight pruning --------------------------------------------------------
+
+def _unpruned(monkeypatch):
+    monkeypatch.setattr(identities, "_torus_weights", lambda a, t: None)
+
+
+def _count_dp_items(monkeypatch) -> list:
+    """Record the batch size of every fastpath.dp_batch call."""
+    sizes = []
+    real = fastpath.dp_batch
+
+    def counting(stack, p):
+        sizes.append(stack.shape[1])
+        return real(stack, p)
+
+    monkeypatch.setattr(fastpath, "dp_batch", counting)
+    return sizes
+
+
+PRUNING_CASES = [
+    (upper_triangular(F, 4), (4, 6, 8)),
+    (full_matrix_algebra(F, 3), (4, 5, 6)),
+    (upper_triangular(QQ, 3), (3, 4, 6)),
+    (full_matrix_algebra(QQ, 2), (2, 3, 4)),
+    (full_block_algebra(F, BlockShape((1, 2))), (3, 4, 5)),
+    (constrained_triangular(Zmod(8), 2, 2), (2, 3, 4)),
+    (constrained_triangular(Zmod(4), 3, 2), (2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("a,degrees", PRUNING_CASES,
+                         ids=[f"{a.label} over {a.ring.name}" for a, _ in PRUNING_CASES])
+def test_pruning_on_and_off_agree(monkeypatch, a, degrees):
+    assert identities._torus_weights(a, max(degrees)) is not None
+    pruned = [is_standard_identity(a, t).to_dict() for t in degrees]
+    _unpruned(monkeypatch)
+    assert [is_standard_identity(a, t).to_dict() for t in degrees] == pruned
+
+
+def test_pruning_on_and_off_agree_on_closures(monkeypatch):
+    # seeded closures in U_3: some have matrix-unit bases, some do not
+    algs = random_triangular_closures(F, 3, 8, seed=5, include_identity=True)
+    algs += random_triangular_closures(F, 4, 6, seed=5)
+    algs += random_triangular_closures(QQ, 3, 4, seed=6)
+    graded = [identities._torus_weights(a, 6) is not None for a in algs]
+    assert any(graded) and not all(graded)
+    pruned = [min_standard_degree(a).to_dict() for a in algs]
+    _unpruned(monkeypatch)
+    assert [min_standard_degree(a).to_dict() for a in algs] == pruned
+
+
+@pytest.mark.parametrize("a", [upper_triangular(F, 3), upper_triangular(F, 2),
+                               full_matrix_algebra(QQ, 2)], ids=lambda a: a.label)
+def test_identity_space_pruning_on_and_off_agree(monkeypatch, a):
+    pruned = multilinear_identity_space(a, 4)
+    _unpruned(monkeypatch)
+    assert multilinear_identity_space(a, 4).to_dict() == pruned.to_dict()
+
+
+@pytest.mark.parametrize("t,space", [(10, 3003), (11, 1365)])
+def test_u5_top_degrees_send_nothing_to_the_kernel(monkeypatch, t, space):
+    sizes = _count_dp_items(monkeypatch)
+    rep = is_standard_identity(upper_triangular(F, 5), t)
+    assert rep.is_identity
+    assert rep.tuples_checked == rep.tuple_space == space
+    assert sizes == []
+
+
+def test_m4_s8_evaluates_only_weight_feasible_combinations(monkeypatch):
+    sizes = _count_dp_items(monkeypatch)
+    rep = is_standard_identity(full_matrix_algebra(F, 4), 8)
+    assert rep.is_identity
+    assert rep.tuples_checked == rep.tuple_space == 12870
+    assert sum(sizes) == 3978
+
+
+def test_infeasible_tuples_have_only_zero_products():
+    # the pruning argument itself, checked by brute force on M_3
+    a = full_matrix_algebra(F, 3)
+    for t in (2, 3):
+        feasible = identities._weight_feasible(a, t)
+        dropped = 0
+        for tup in product(range(a.dim), repeat=t):
+            if feasible(tup):
+                continue
+            dropped += 1
+            for order in permutations(tup):
+                prod = a.mats[order[0]]
+                for i in order[1:]:
+                    prod = prod * a.mats[i]
+                assert prod.is_zero(), tup
+        assert dropped > 0
+
+
+def test_torus_weights_of_matrix_units():
+    # U_2 basis e11, e12, e22; base 2t + 1 = 5 at t = 2
+    assert identities._torus_weights(upper_triangular(F, 2), 2) == [0, 1 - 5, 0]
+
+
+@pytest.mark.parametrize("mats", [
+    [matrix_unit(F, 3, 1, 2) + matrix_unit(F, 3, 2, 3), matrix_unit(F, 3, 1, 3)],
+    [matrix_unit(F, 3, 1, 1) + matrix_unit(F, 3, 1, 2), matrix_unit(F, 3, 2, 2)],
+], ids=["e12+e23", "e11+e12"])
+def test_torus_weights_decline_on_mixed_support(mats):
+    a = span_basis(F, 3, mats)
+    assert identities._torus_weights(a, 4) is None
+    assert identities._weight_feasible(a, 4) is None
