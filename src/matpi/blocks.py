@@ -11,7 +11,7 @@ each force the identity to hold at degree 2n-2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
     CharacteristicError,

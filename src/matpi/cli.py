@@ -19,7 +19,6 @@ import time
 
 from . import __version__
 from .blocks import (
-    BlockShape,
     FullBlockTriangular,
     NotCanonical,
     SatisfiesLowDegree,
@@ -52,7 +51,6 @@ from .standardpoly import (
     eval_standard_naive,
     product_of,
 )
-from .subalgebra import SubalgebraBasis
 
 DEFAULT_RING = "gf:101"
 
@@ -169,14 +167,12 @@ def cmd_verify_al(args) -> int:
             f"exhaustive sweeps are guarded to n <= 4 (C(n^2, 2n) grows too fast); "
             f"use --mode randomized for n = {n}"
         )
-    params = {"n": n, "ring": ring.name, "mode": mode, "trials": args.trials,
-              "threads": args.threads}
+    params = {"n": n, "ring": ring.name, "mode": mode, "trials": args.trials}
     report = _base_report("verify-al", params, _digest_of_params(params), args.seed)
     timing = args.timings
     mn = full_matrix_algebra(ring, n)
 
-    rep = is_standard_identity(mn, 2 * n, mode=mode, trials=args.trials,
-                               seed=args.seed, threads=args.threads)
+    rep = is_standard_identity(mn, 2 * n, mode=mode, trials=args.trials, seed=args.seed)
     report["checks"].append(_check(
         "al-identity", "pass" if rep.is_identity else "fail",
         f"s_{2 * n} on M_{n} over {ring.name}: {rep.verdict} "
@@ -186,7 +182,7 @@ def cmd_verify_al(args) -> int:
 
     if n >= 2:
         rep = is_standard_identity(mn, 2 * n - 2, mode=mode, trials=args.trials,
-                                   seed=args.seed, threads=args.threads)
+                                   seed=args.seed)
         report["checks"].append(_check(
             "below-degree-witness", "pass" if not rep.is_identity else "fail",
             f"s_{2 * n - 2} on M_{n}: {rep.verdict}"
@@ -228,8 +224,7 @@ def cmd_classify(args) -> int:
             f"classification needs a field; {alg.ring.name} spanning-set "
             f"descriptors cannot be classified"
         )
-    params = {"spec": spec.path, "mode": args.mode, "trials": args.trials,
-              "threads": args.threads}
+    params = {"spec": spec.path, "mode": args.mode, "trials": args.trials}
     report = _base_report("classify", params, spec.digest, args.seed)
     timing = args.timings
 
@@ -252,7 +247,7 @@ def cmd_classify(args) -> int:
         ))
     else:
         rep = is_standard_identity(alg, 2 * n - 2, mode=args.mode, trials=args.trials,
-                                   seed=args.seed, threads=args.threads)
+                                   seed=args.seed)
         full = isinstance(verdict, FullBlockTriangular)
         consistent = full == (not rep.is_identity)
         report["checks"].append(_check(
@@ -271,9 +266,9 @@ def cmd_min_degree(args) -> int:
     spec = load_algebra_spec(args.spec)
     alg = build_algebra(spec)
     t_max = args.t_max if args.t_max is not None else 2 * alg.n
-    params = {"spec": spec.path, "t_max": t_max, "threads": args.threads}
+    params = {"spec": spec.path, "t_max": t_max}
     report = _base_report("min-degree", params, spec.digest, None)
-    result = min_standard_degree(alg, t_max=t_max, threads=args.threads)
+    result = min_standard_degree(alg, t_max=t_max)
     summary = (
         f"{alg.label}: minimal standard degree {result.degree}"
         if result.degree is not None
@@ -354,7 +349,7 @@ def _consecutive_factor_configs(ring, trials, seed):
 def cmd_lemma_suite(args) -> int:
     started = time.perf_counter()
     ring = GF(101)
-    params = {"trials": args.trials, "threads": args.threads, "ring": ring.name}
+    params = {"trials": args.trials, "ring": ring.name}
     report = _base_report("lemma-suite", params, _digest_of_params(params), args.seed)
     timing = args.timings
 
@@ -377,7 +372,7 @@ def cmd_lemma_suite(args) -> int:
 
     for (l, m) in ((1, 1), (1, 2), (2, 1)):
         alg = repetition_algebra(ring, l, m)
-        rep = is_standard_identity(alg, 2 * (l + m), threads=args.threads)
+        rep = is_standard_identity(alg, 2 * (l + m))
         report["checks"].append(_check(
             f"corner-repeated-identity({l},{m})", "pass" if rep.is_identity else "fail",
             f"{alg.label} (dim {alg.dim}) satisfies s_{2 * (l + m)} "
@@ -496,7 +491,6 @@ def _add_common(sp, spec=False, ring=True, seeded=True):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--trials", type=int, default=2000,
                         help="randomized-mode tuple count")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", choices=("text", "structured"), default="text")
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock fields (breaks byte-stability)")
@@ -541,7 +535,6 @@ def build_parser() -> _Parser:
                         "block lemmas and the Z/4 witnesses")
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", choices=("text", "structured"), default="text")
     sp.add_argument("--timings", action="store_true")
     sp.set_defaults(fn=cmd_lemma_suite)
@@ -549,7 +542,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("bench", help="evaluator throughput table")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--t", type=int, default=8)
-    _add_common(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    _add_common(sp, seeded=False)
     sp.set_defaults(fn=cmd_bench)
     return p
 

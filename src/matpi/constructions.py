@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 from .blocks import BlockShape, staircase_units
 from .errors import DimensionError, SpecFileError, UnsupportedRingError

@@ -13,10 +13,9 @@ All three reach s_t through one driver, :func:`_first_nonzero`: each mode
 only supplies its ordered source of argument tuples (basis combinations,
 spanning-set tuples or coefficient rows) and its report fields.  The driver
 picks the kernel once per sweep: batched int64 evaluation by
-:func:`fastpath.dp_batch` over GF(p) when the overflow bound allows it,
-spread over a thread pool when asked, and the exact pure-Python DP
-otherwise (QQ, Z/m, large p), which never imports numpy.  It stops at the
-first nonzero value.
+:func:`fastpath.dp_batch` over GF(p) when the overflow bound allows it, and
+the exact pure-Python DP otherwise (QQ, Z/m, large p), which never imports
+numpy.  It stops at the first nonzero value.
 
 Sweeps over index tuples (the two exhaustive modes and both loops of
 :func:`multilinear_identity_space`) also skip tuples that are zero by the
@@ -45,12 +44,11 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, islice, product
 from math import comb, factorial
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .constructions import SpanningSetAlgebra, repetition_units
 from .errors import (
@@ -215,28 +213,6 @@ def _use_fastpath(ring: Ring, n: int, t: int) -> bool:
     return fastpath.supports(ring.p, n, t)
 
 
-def _dp_batches(blocks, build, p: int, threads: int = 1):
-    """Yield (block, stack, values) for each block, in order.
-
-    build(block) makes a (t, B, n, n) int64 stack on the calling thread, so
-    seeded draws keep their order; values are its s_t residues mod p.  With
-    threads > 1 that many stacks are evaluated at a time.
-    """
-    from . import fastpath
-
-    evaluate = partial(fastpath.dp_batch, p=p)
-    pool, mapper = nullcontext(), map
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(threads)
-        mapper = pool.map
-    with pool:
-        for group in _chunked(blocks, max(threads, 1)):
-            stacks = [build(block) for block in group]
-            yield from zip(group, stacks, mapper(evaluate, stacks))
-
-
 def _torus_weights(a, t: int) -> Optional[list]:
     """Torus weight of each element of a.mats packed into one int, or None.
 
@@ -270,7 +246,7 @@ def _weight_feasible(a, t: int):
     return lambda tup: sum(map(weights.__getitem__, tup)) in targets
 
 
-def _first_nonzero(a, t: int, tuples, coords: bool = False, threads: int = 1):
+def _first_nonzero(a, t: int, tuples, coords: bool = False):
     """Evaluate s_t on argument tuples in order, stopping at the first nonzero.
 
     Each tuple is t indices into a.mats, or with coords=True a t x dim row
@@ -292,12 +268,9 @@ def _first_nonzero(a, t: int, tuples, coords: bool = False, threads: int = 1):
             make = partial(fastpath.coords_to_stack, basis_arr, n=n, p=ring.p)
         else:
             make = partial(fastpath.combos_to_stack, basis_arr, n=n)
-
-        def build(block):
-            return make([tup for _, tup in block])
-
-        blocks = _chunked(numbered, fastpath.suggested_batch(t, n))
-        for block, stack, vals in _dp_batches(blocks, build, ring.p, threads):
+        for block in _chunked(numbered, fastpath.suggested_batch(t, n)):
+            stack = make([tup for _, tup in block])
+            vals = fastpath.dp_batch(stack, ring.p)
             flags = vals.reshape(len(block), -1).any(axis=1)
             if flags.any():
                 hit = int(flags.argmax())
@@ -354,7 +327,7 @@ def _report(a, t: int, mode: str, started: float, checked: int, witness,
 
 
 def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000,
-                         seed: int = 0, threads: int = 1) -> IdentityReport:
+                         seed: int = 0) -> IdentityReport:
     """Decide whether s_t is a polynomial identity of the subalgebra.
 
     Exhaustive mode is a proof either way over a field (combination sweep;
@@ -389,8 +362,7 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
         total = comb(a.dim, t)
         if t > a.dim:
             return _report(a, t, mode, started, 0, None, total, VACUOUS_NOTE)
-        checked, witness = _first_nonzero(a, t, combinations(range(a.dim), t),
-                                          threads=threads) or (total, None)
+        checked, witness = _first_nonzero(a, t, combinations(range(a.dim), t)) or (total, None)
         return _report(a, t, mode, started, checked, witness, total, PRUNING_NOTE)
     if mode == "randomized":
         if trials < 1:
@@ -398,7 +370,7 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
         if a.dim == 0:
             return _report(a, t, mode, started, 0, None, trials, VACUOUS_NOTE, trials, seed)
         checked, witness = _first_nonzero(a, t, _random_rows(a, t, trials, seed),
-                                          coords=True, threads=threads) or (trials, None)
+                                          coords=True) or (trials, None)
         return _report(a, t, mode, started, checked, witness, trials, RANDOM_NOTE,
                        trials, seed, probabilistic=witness is None)
     raise DimensionError(f"unknown mode {mode!r}")
@@ -420,7 +392,7 @@ class MinDegreeResult:
         }
 
 
-def min_standard_degree(a, t_max: Optional[int] = None, threads: int = 1) -> MinDegreeResult:
+def min_standard_degree(a, t_max: Optional[int] = None) -> MinDegreeResult:
     """Smallest degree t <= t_max with s_t an identity, sweeping t = 2, 3, ...
 
     Both parities are tested rather than assuming the unital even/odd
@@ -436,7 +408,7 @@ def min_standard_degree(a, t_max: Optional[int] = None, threads: int = 1) -> Min
     reports = []
     found = None
     for t in range(2, t_max + 1):
-        rep = is_standard_identity(a, t, mode="exhaustive", threads=threads)
+        rep = is_standard_identity(a, t, mode="exhaustive")
         reports.append(rep)
         if rep.is_identity:
             found = t
@@ -448,7 +420,7 @@ def min_standard_degree(a, t_max: Optional[int] = None, threads: int = 1) -> Min
         and isinstance(a, SubalgebraBasis)
         and a.is_unital()
     ):
-        cross = is_standard_identity(a, found + 1, mode="exhaustive", threads=threads)
+        cross = is_standard_identity(a, found + 1, mode="exhaustive")
         if not cross.is_identity:
             raise ContractViolationError(
                 f"s_{found} is an identity of unital {a.label} but s_{found + 1} is not; "
@@ -660,17 +632,15 @@ def block_assembly_check(a_top: SubalgebraBasis, a_bot: SubalgebraBasis,
         bot_flat = fastpath.basis_to_flat(a_bot.mats)
         batch = fastpath.suggested_batch(t, n)
 
-        def assemble(size):
+        for start in range(0, trials, batch):
+            size = min(batch, trials - start)
             stack = np.zeros((t, size, n, n), dtype=np.int64)
             for flat, lo, hi in ((top_flat, 0, l), (bot_flat, l, n)):
                 coords = rng.integers(0, p, size=(size, t, len(flat)), dtype=np.int64)
                 stack[:, :, lo:hi, lo:hi] = fastpath.coords_to_stack(flat, coords, hi - lo, p)
             coupling = rng.integers(0, p, size=(size, t, l, m), dtype=np.int64)
             stack[:, :, :l, l:] = coupling.transpose(1, 0, 2, 3)
-            return stack
-
-        sizes = [min(batch, trials - lo) for lo in range(0, trials, batch)]
-        for size, stack, vals in _dp_batches(sizes, assemble, p):
+            vals = fastpath.dp_batch(stack, p)
             flags = vals.reshape(size, -1).any(axis=1)
             hits = np.nonzero(flags)[0]
             violations += int(len(hits))
@@ -773,12 +743,10 @@ def ur_vanishing_check(ring: Ring, l: int, m: int, trials: int = 200, seed: int 
         basis_arr = fastpath.basis_to_flat(span.mats)
         batch = fastpath.suggested_batch(t, n)
 
-        def draw(size):
+        for start in range(0, trials, batch):
+            size = min(batch, trials - start)
             coords = rng.integers(0, p, size=(size, t, span.dim), dtype=np.int64)
-            return fastpath.coords_to_stack(basis_arr, coords, n, p)
-
-        sizes = [min(batch, trials - lo) for lo in range(0, trials, batch)]
-        for size, _stack, vals in _dp_batches(sizes, draw, p):
+            vals = fastpath.dp_batch(fastpath.coords_to_stack(basis_arr, coords, n, p), p)
             corners = vals[:, :l, l + m :]
             violations += int((corners.reshape(size, -1).any(axis=1)).sum())
     else:

@@ -36,7 +36,7 @@ from .constructions import SpanningSetAlgebra, build_named
 from .errors import MatpiError, SpecFileError
 from .matrices import Matrix, identity_matrix
 from .rings import Ring, ring_from_params
-from .subalgebra import GeneratorSet, SubalgebraBasis, close_generators, span_basis
+from .subalgebra import GeneratorSet, close_generators, span_basis
 
 _TOP_KEYS = {"label", "ring", "n", "source", "include_identity", "shape"}
 

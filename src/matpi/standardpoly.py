@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DegreeGuardError, DimensionError, RingMismatchError
 from .matrices import Matrix, flat_is_zero, mul_flat, zero_matrix

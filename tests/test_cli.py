@@ -171,6 +171,21 @@ def test_usage_error_exits_1(capsys):
     assert ei.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-al", "--n", "2", "--threads", "2"),
+    ("classify", "--spec", "alg.yaml", "--threads", "2"),
+    ("min-degree", "--spec", "alg.yaml", "--threads", "2"),
+    ("lemma-suite", "--threads", "2"),
+    ("bench", "--threads", "2"),
+    ("bench", "--trials", "5"),
+], ids=" ".join)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main(list(argv))
+    assert ei.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_1(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])
