@@ -215,14 +215,6 @@ def project(a: SubalgebraBasis, shape: BlockShape, i: int, j: int) -> Subalgebra
     return span_basis(a.ring, sub_n, cut, label=f"{a.label}|{i}..{j}")
 
 
-def ur_corner(x: Matrix, l: int, m: int) -> Matrix:
-    """Upper-right l x l corner of a (2l+m) x (2l+m) matrix."""
-    n = 2 * l + m
-    if not x.is_square or x.rows != n:
-        raise DimensionError(f"matrix is {x.shape_str()}, expected {n}x{n}")
-    return x.submatrix(0, l, l + m, n)
-
-
 def intertwiner_space(a: SubalgebraBasis, shape: BlockShape, i: int, j: int) -> list:
     """Solutions T of T * pi_i(x) = pi_j(x) * T for all x in the algebra.
 

@@ -1,9 +1,9 @@
 """Command line front door.
 
-Subcommands: verify-al, classify, min-degree, identity-space, lemma-suite,
-bench.  Reports come in a human text form (default) and a structured JSON
-form (--out structured); the JSON form is byte-stable for fixed inputs and
-seed (wall-clock timings only appear under --timings).
+Subcommands: verify-al, classify, min-degree, identity-space and
+lemma-suite.  Reports come in a human text form (default) and a structured
+JSON form (--out structured); the JSON form is byte-stable for fixed inputs
+and seed (wall-clock timings only appear under --timings).
 
 Exit codes: 0 all checks consistent, 1 usage or input error, 2 a checked
 mathematical claim failed (never expected).
@@ -167,7 +167,9 @@ def cmd_verify_al(args) -> int:
             f"exhaustive sweeps are guarded to n <= 4 (C(n^2, 2n) grows too fast); "
             f"use --mode randomized for n = {n}"
         )
-    params = {"n": n, "ring": ring.name, "mode": mode, "trials": args.trials}
+    params = {"n": n, "ring": ring.name, "mode": mode}
+    if mode == "randomized":
+        params["trials"] = args.trials
     report = _base_report("verify-al", params, _digest_of_params(params), args.seed)
     timing = args.timings
     mn = full_matrix_algebra(ring, n)
@@ -224,7 +226,9 @@ def cmd_classify(args) -> int:
             f"classification needs a field; {alg.ring.name} spanning-set "
             f"descriptors cannot be classified"
         )
-    params = {"spec": spec.path, "mode": args.mode, "trials": args.trials}
+    params = {"spec": spec.path, "mode": args.mode}
+    if args.mode == "randomized":
+        params["trials"] = args.trials
     report = _base_report("classify", params, spec.digest, args.seed)
     timing = args.timings
 
@@ -287,12 +291,14 @@ def cmd_min_degree(args) -> int:
 def cmd_identity_space(args) -> int:
     started = time.perf_counter()
     if args.spec:
+        if args.ring is not None:
+            raise MatpiError("identity-space takes the ring from the spec file; drop --ring")
         spec = load_algebra_spec(args.spec)
         alg = build_algebra(spec)
         digest = spec.digest
         params = {"spec": spec.path, "t": args.t}
     elif args.n:
-        ring = parse_ring_flag(args.ring)
+        ring = parse_ring_flag(args.ring or DEFAULT_RING)
         alg = full_matrix_algebra(ring, args.n)
         params = {"n": args.n, "ring": ring.name, "t": args.t}
         digest = _digest_of_params(params)
@@ -409,76 +415,6 @@ def cmd_lemma_suite(args) -> int:
     return finish(report, args, started)
 
 
-# -- bench ----------------------------------------------------------------------
-
-def cmd_bench(args) -> int:
-    started = time.perf_counter()
-    ring = parse_ring_flag(args.ring)
-    n, t = args.n, args.t
-    if t < 2 or n < 1:
-        raise MatpiError(f"need t >= 2 and n >= 1, got t={t}, n={n}")
-    params = {"n": n, "t": t, "ring": ring.name}
-    report = _base_report("bench", params, _digest_of_params(params), args.seed)
-    import random as _random
-
-    rng = _random.Random(args.seed)
-    from .matrices import Matrix
-
-    def random_mats():
-        out = []
-        for _ in range(t):
-            entries = [rng.randrange(ring.p) if ring.kind == "prime_field"
-                       else rng.randint(-9, 9) for _ in range(n * n)]
-            out.append(Matrix(ring, n, n, entries))
-        return out
-
-    rows = []
-    naive_rate = None
-    if t <= 8:
-        tuples = [random_mats() for _ in range(4)]
-        count = 0
-        t0 = time.perf_counter()
-        while time.perf_counter() - t0 < 0.5:
-            eval_standard_naive(tuples[count % len(tuples)])
-            count += 1
-        naive_rate = count / (time.perf_counter() - t0)
-        rows.append(("naive", t, n, ring.name, round(naive_rate, 2)))
-
-    dp_rate = None
-    if ring.kind == "prime_field":
-        from . import fastpath
-
-        if fastpath.supports(ring.p, n, t):
-            import numpy as np
-
-            nprng = np.random.default_rng(args.seed)
-            B = fastpath.suggested_batch(t, n)
-            stack = nprng.integers(0, ring.p, size=(t, B, n, n), dtype=np.int64)
-            t0 = time.perf_counter()
-            reps = 0
-            while time.perf_counter() - t0 < 0.5:
-                fastpath.dp_batch(stack, ring.p)
-                reps += 1
-            dp_rate = reps * B / (time.perf_counter() - t0)
-    if dp_rate is None:
-        tuples = [random_mats() for _ in range(4)]
-        count = 0
-        t0 = time.perf_counter()
-        while time.perf_counter() - t0 < 0.5:
-            eval_standard_dp(tuples[count % len(tuples)])
-            count += 1
-        dp_rate = count / (time.perf_counter() - t0)
-    rows.append(("dp", t, n, ring.name, round(dp_rate, 2)))
-
-    table = [{"evaluator": ev, "t": tt, "matrix_size": nn, "field": rr,
-              "evals_per_second": rate} for (ev, tt, nn, rr, rate) in rows]
-    summary = "; ".join(f"{r['evaluator']}: {r['evals_per_second']:.0f} evals/s" for r in table)
-    if naive_rate:
-        summary += f"; dp/naive = {dp_rate / naive_rate:.1f}x"
-    report["checks"].append(_check("bench", "info", summary, {"table": table}))
-    return finish(report, args, started)
-
-
 # -- parser ---------------------------------------------------------------------
 
 def _add_common(sp, spec=False, ring=True, seeded=True):
@@ -526,7 +462,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--spec", default=None, help="algebra spec file (YAML)")
     sp.add_argument("--n", type=int, default=None, help="use the full matrix algebra M_n")
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--ring", default=DEFAULT_RING)
+    sp.add_argument("--ring", default=None,
+                    help="ring of M_n with --n (default gf:101); a spec names its own")
     sp.add_argument("--out", choices=("text", "structured"), default="text")
     sp.add_argument("--timings", action="store_true")
     sp.set_defaults(fn=cmd_identity_space)
@@ -539,12 +476,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--timings", action="store_true")
     sp.set_defaults(fn=cmd_lemma_suite)
 
-    sp = sub.add_parser("bench", help="evaluator throughput table")
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--t", type=int, default=8)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp, seeded=False)
-    sp.set_defaults(fn=cmd_bench)
     return p
 
 

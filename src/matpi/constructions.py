@@ -100,8 +100,8 @@ class SpanningSetAlgebra:
     """An algebra over Z/m given by a spanning set and a membership test.
 
     No canonical basis exists without a field, so identity testing over
-    this object sweeps all tuples from the spanning set instead of
-    echelonized combinations.
+    this object sweeps increasing combinations of the spanning set instead
+    of an echelonized basis.
     """
 
     ring: IntegerModRing

@@ -5,17 +5,19 @@ standard polynomial s_t vanishes identically on a subalgebra.  Over a field
 the exhaustive mode sweeps strictly increasing basis combinations only:
 s_t is multilinear, so vanishing on basis tuples decides the identity, and
 alternating, so tuples with a repeated element vanish automatically and
-reorderings change nothing but sign.  Over Z/m all tuples from the spanning
-set are swept.  Randomized mode evaluates seeded random linear combinations
-of the basis instead.
+reorderings change nothing but sign.  Both hold over any commutative ring,
+so over Z/m the same combinations of the spanning set are swept, while the
+counts refer to all tuples from it.  Randomized mode evaluates seeded
+random linear combinations of the basis instead.
 
-All three reach s_t through one driver, :func:`_first_nonzero`: each mode
-only supplies its ordered source of argument tuples (basis combinations,
-spanning-set tuples or coefficient rows) and its report fields.  The driver
-picks the kernel once per sweep: batched int64 evaluation by
-:func:`fastpath.dp_batch` over GF(p) when the overflow bound allows it, and
-the exact pure-Python DP otherwise (QQ, Z/m, large p), which never imports
-numpy.  It stops at the first nonzero value.
+Every s_t sweep goes through one driver, :func:`_nonzero_hits`, fed an
+ordered source of argument tuples (combinations or coefficient rows) and
+optionally the entries of the value that count.  The identity tests stop
+at its first hit; the block-assembly and corner-vanishing checks count all
+hits over random elements of a span.  The driver picks the kernel once per
+sweep: batched int64 evaluation by :func:`fastpath.dp_batch` over GF(p)
+when the overflow bound allows it, and the exact pure-Python DP otherwise
+(QQ, Z/m, large p), which never imports numpy.
 
 Sweeps over index tuples (the two exhaustive modes and both loops of
 :func:`multilinear_identity_space`) also skip tuples that are zero by the
@@ -58,7 +60,7 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .matrices import Echelon, Matrix, mul_flat
+from .matrices import Echelon, Matrix, matrix_unit, mul_flat
 from .rings import Ring
 from .standardpoly import (
     NAIVE_MAX_DEGREE,
@@ -83,8 +85,9 @@ VACUOUS_NOTE = (
     "alternating multilinear polynomials vanish on dependent tuples"
 )
 SPANNING_NOTE = (
-    "coefficient ring has zero divisors: no combination pruning; all tuples "
-    "from the spanning set were swept"
+    "coefficient ring has zero divisors: exhaustive over strictly increasing "
+    "spanning-set combinations (s_t is alternating over any commutative ring); "
+    "counts refer to all dim^t tuples"
 )
 RANDOM_NOTE = (
     "randomized sweep; identity verdicts are heuristic (no counterexample "
@@ -246,20 +249,28 @@ def _weight_feasible(a, t: int):
     return lambda tup: sum(map(weights.__getitem__, tup)) in targets
 
 
-def _first_nonzero(a, t: int, tuples, coords: bool = False):
-    """Evaluate s_t on argument tuples in order, stopping at the first nonzero.
+def _nonzero_hits(a, t: int, tuples, coords: bool = False, entries=None):
+    """Evaluate s_t on argument tuples in order and yield every nonzero one.
 
     Each tuple is t indices into a.mats, or with coords=True a t x dim row
-    of coefficients in a.mats.  Index tuples that are zero by weight are
-    dropped unevaluated.  Returns None when every tuple vanishes, else the
-    1-based position of the first nonzero tuple in `tuples` and its
-    witness, which is checked to lie in the algebra and re-verified first.
+    of coefficients in a.mats.  With `entries`, a list of flat indices into
+    the n x n value, only those entries count toward a hit.  Index tuples
+    that are zero by weight are dropped unevaluated.  Yields the 1-based
+    position of each hit in `tuples` and its witness, which is checked to
+    lie in the algebra and re-verified first.
     """
     ring, n = a.ring, a.n
     numbered = enumerate(tuples, 1)
     feasible = None if coords else _weight_feasible(a, t)
     if feasible is not None:
         numbered = ((pos, tup) for pos, tup in numbered if feasible(tup))
+
+    def hit(pos, tup, mats, value):
+        if not all(a.contains(x) for x in mats):
+            raise ContractViolationError("witness argument lies outside the algebra")
+        _reverify_witness(mats, value)
+        return pos, Witness(None if coords else tuple(i + 1 for i in tup), mats, value)
+
     if _use_fastpath(ring, n, t):
         from . import fastpath
 
@@ -271,39 +282,36 @@ def _first_nonzero(a, t: int, tuples, coords: bool = False):
         for block in _chunked(numbered, fastpath.suggested_batch(t, n)):
             stack = make([tup for _, tup in block])
             vals = fastpath.dp_batch(stack, ring.p)
-            flags = vals.reshape(len(block), -1).any(axis=1)
-            if flags.any():
-                hit = int(flags.argmax())
-                pos, tup = block[hit]
-                mats = tuple(fastpath.array_to_matrix(ring, stack[k, hit]) for k in range(t))
-                value = fastpath.array_to_matrix(ring, vals[hit])
-                break
+            flat = vals.reshape(len(block), -1)
+            if entries is not None:
+                flat = flat[:, entries]
+            for b in flat.any(axis=1).nonzero()[0].tolist():
+                mats = tuple(fastpath.array_to_matrix(ring, stack[k, b]) for k in range(t))
+                yield hit(*block[b], mats, fastpath.array_to_matrix(ring, vals[b]))
+        return
+    zero = ring.zero
+    counted = range(n * n) if entries is None else entries
+    for pos, tup in numbered:
+        if coords:
+            mats = tuple(_linear_combination(a, row) for row in tup)
         else:
-            return None
-    else:
-        for pos, tup in numbered:
-            if coords:
-                mats = tuple(_linear_combination(a, row) for row in tup)
-            else:
-                mats = tuple(a.mats[i] for i in tup)
-            value = eval_standard_dp(list(mats))
-            if not value.is_zero():
-                break
-        else:
-            return None
-    if not all(a.contains(x) for x in mats):
-        raise ContractViolationError("witness argument lies outside the algebra")
-    _reverify_witness(mats, value)
-    indices = None if coords else tuple(i + 1 for i in tup)
-    return pos, Witness(indices, mats, value)
+            mats = tuple(a.mats[i] for i in tup)
+        value = eval_standard_dp(list(mats))
+        if any(value.data[e] != zero for e in counted):
+            yield hit(pos, tup, mats, value)
+
+
+def _first_nonzero(a, t: int, tuples, coords: bool = False):
+    """(pos, witness) of the first nonzero tuple, or None if all vanish."""
+    return next(_nonzero_hits(a, t, tuples, coords), None)
 
 
 def _random_rows(a: SubalgebraBasis, t: int, trials: int, seed: int):
-    """Seeded t x dim coefficient rows for randomized mode.
+    """`trials` seeded t x dim coefficient rows of random elements of a.
 
     The int64 kernel draws all rows at once from numpy's generator and the
-    exact kernel draws them one by one from random.Random, so each keeps
-    the stream its seeded reports have always been computed from.
+    exact kernel draws them one by one from random.Random, the streams that
+    seeded randomized-mode reports have always been computed from.
     """
     ring = a.ring
     if _use_fastpath(ring, a.n, t):
@@ -331,8 +339,8 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
     """Decide whether s_t is a polynomial identity of the subalgebra.
 
     Exhaustive mode is a proof either way over a field (combination sweep;
-    see module docstring) and over Z/m spanning-set descriptors (full tuple
-    sweep).  Randomized mode draws `trials` seeded tuples of random algebra
+    see module docstring) and over Z/m spanning-set descriptors (combination
+    sweep of the spanning set).  Randomized mode draws `trials` seeded tuples of random algebra
     elements; its identity verdicts are heuristic and flagged probabilistic.
     Any witness is re-verified with a second evaluator before reporting.
     """
@@ -349,7 +357,13 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
             raise DegreeGuardError(
                 f"spanning sweep of {total} tuples exceeds the {SPANNING_SWEEP_LIMIT} guard"
             )
-        checked, witness = _first_nonzero(a, t, product(range(a.dim), repeat=t)) or (total, None)
+        hit = _first_nonzero(a, t, combinations(range(a.dim), t))
+        if hit is None:
+            return _report(a, t, "exhaustive", started, total, None, total, SPANNING_NOTE)
+        witness = hit[1]
+        # the lex-first nonzero one of all dim^t tuples is this increasing
+        # one; count the tuples a sweep over all of them would have checked
+        checked = 1 + sum((i - 1) * a.dim ** (t - k) for k, i in enumerate(witness.indices, 1))
         return _report(a, t, "exhaustive", started, checked, witness, total, SPANNING_NOTE)
     if not isinstance(a, SubalgebraBasis):
         raise DimensionError(f"cannot test identities of {type(a).__name__}")
@@ -580,6 +594,16 @@ class BlockAssemblyReport:
         return out
 
 
+def _embed(x: Matrix, n: int, offset: int) -> Matrix:
+    """x placed as the diagonal block at (offset, offset) of an n x n zero."""
+    k = x.rows
+    data = [x.ring.zero] * (n * n)
+    for i in range(k):
+        start = (offset + i) * n + offset
+        data[start : start + k] = x.data[i * k : (i + 1) * k]
+    return Matrix._new(x.ring, n, n, data)
+
+
 def block_assembly_check(a_top: SubalgebraBasis, a_bot: SubalgebraBasis,
                          q: int, r: int, trials: int = 500, seed: int = 0) -> BlockAssemblyReport:
     """Random-assembly test that two stacked identities compose.
@@ -617,67 +641,16 @@ def block_assembly_check(a_top: SubalgebraBasis, a_bot: SubalgebraBasis,
                 note=f"{label} factor does not satisfy s_{deg}; nothing to test",
                 elapsed_ms=(time.perf_counter() - started) * 1e3, **common,
             )
-    t = q + r
     n = l + m
+    parts = [_embed(x, n, 0) for x in a_top.mats] + [_embed(y, n, l) for y in a_bot.mats]
+    parts += [matrix_unit(ring, n, i, l + j) for i in range(1, l + 1) for j in range(1, m + 1)]
+    span = SubalgebraBasis(ring, n, parts, label=f"{a_top.label}+{a_bot.label}")
     violations = 0
     first: Optional[Witness] = None
-    if _use_fastpath(ring, n, t):
-        import numpy as np
-
-        from . import fastpath
-
-        p = ring.p
-        rng = np.random.default_rng(seed)
-        top_flat = fastpath.basis_to_flat(a_top.mats)
-        bot_flat = fastpath.basis_to_flat(a_bot.mats)
-        batch = fastpath.suggested_batch(t, n)
-
-        for start in range(0, trials, batch):
-            size = min(batch, trials - start)
-            stack = np.zeros((t, size, n, n), dtype=np.int64)
-            for flat, lo, hi in ((top_flat, 0, l), (bot_flat, l, n)):
-                coords = rng.integers(0, p, size=(size, t, len(flat)), dtype=np.int64)
-                stack[:, :, lo:hi, lo:hi] = fastpath.coords_to_stack(flat, coords, hi - lo, p)
-            coupling = rng.integers(0, p, size=(size, t, l, m), dtype=np.int64)
-            stack[:, :, :l, l:] = coupling.transpose(1, 0, 2, 3)
-            vals = fastpath.dp_batch(stack, p)
-            flags = vals.reshape(size, -1).any(axis=1)
-            hits = np.nonzero(flags)[0]
-            violations += int(len(hits))
-            if len(hits) and first is None:
-                b = int(hits[0])
-                mats = tuple(fastpath.array_to_matrix(ring, stack[k, b]) for k in range(t))
-                value = fastpath.array_to_matrix(ring, vals[b])
-                _reverify_witness(mats, value)
-                first = Witness(None, mats, value)
-    else:
-        rng = random.Random(seed)
-        zero = ring.zero
-        for _ in range(trials):
-            mats = []
-            for _k in range(t):
-                x = _linear_combination(a_top, _random_coords(ring, a_top.dim, rng))
-                y = _linear_combination(a_bot, _random_coords(ring, a_bot.dim, rng))
-                data = [zero] * (n * n)
-                for i in range(l):
-                    for j in range(l):
-                        data[i * n + j] = x[i, j]
-                for i in range(m):
-                    for j in range(m):
-                        data[(l + i) * n + (l + j)] = y[i, j]
-                for i in range(l):
-                    for j in range(m):
-                        data[i * n + (l + j)] = ring.canon(
-                            rng.randrange(ring.p) if ring.kind == "prime_field"
-                            else rng.randint(-QQ_RANDOM_BOUND, QQ_RANDOM_BOUND)
-                        )
-                mats.append(Matrix._new(ring, n, n, ring.canon_list(data)))
-            val = eval_standard_dp(mats)
-            if not val.is_zero():
-                violations += 1
-                if first is None:
-                    _reverify_witness(tuple(mats), val)
-                    first = Witness(None, tuple(mats), val)
+    for _, witness in _nonzero_hits(span, q + r, _random_rows(span, q + r, trials, seed),
+                                    coords=True):
+        violations += 1
+        first = first or witness
     return BlockAssemblyReport(
         status="ok" if violations == 0 else "violation",
         violations=violations, first_violation=first,
@@ -721,8 +694,6 @@ def ur_vanishing_check(ring: Ring, l: int, m: int, trials: int = 200, seed: int 
     asserts the upper-right corner of the value is zero.  The value itself
     need not vanish; only its corner must.
     """
-    from .blocks import ur_corner
-
     started = time.perf_counter()
     if not ring.is_field:
         raise UnsupportedRingError(f"corner check needs a field, not {ring.name}")
@@ -732,30 +703,9 @@ def ur_vanishing_check(ring: Ring, l: int, m: int, trials: int = 200, seed: int 
     # only a sampling domain here, so SubalgebraBasis is used as a plain span
     t = 2 * (l + m)
     n = 2 * l + m
-    violations = 0
-    if _use_fastpath(ring, n, t):
-        import numpy as np
-
-        from . import fastpath
-
-        p = ring.p
-        rng = np.random.default_rng(seed)
-        basis_arr = fastpath.basis_to_flat(span.mats)
-        batch = fastpath.suggested_batch(t, n)
-
-        for start in range(0, trials, batch):
-            size = min(batch, trials - start)
-            coords = rng.integers(0, p, size=(size, t, span.dim), dtype=np.int64)
-            vals = fastpath.dp_batch(fastpath.coords_to_stack(basis_arr, coords, n, p), p)
-            corners = vals[:, :l, l + m :]
-            violations += int((corners.reshape(size, -1).any(axis=1)).sum())
-    else:
-        rng = random.Random(seed)
-        for _ in range(trials):
-            mats = [_linear_combination(span, _random_coords(ring, span.dim, rng)) for _ in range(t)]
-            val = eval_standard_dp(mats)
-            if not ur_corner(val, l, m).is_zero():
-                violations += 1
+    corner = [i * n + j for i in range(l) for j in range(l + m, n)]
+    violations = sum(1 for _ in _nonzero_hits(span, t, _random_rows(span, t, trials, seed),
+                                              coords=True, entries=corner))
     return CornerVanishingReport(
         ring=ring.name, l=l, m=m, degree=t, trials=trials, seed=seed,
         status="ok" if violations == 0 else "violation", violations=violations,

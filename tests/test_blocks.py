@@ -18,7 +18,6 @@ from matpi.blocks import (
     project,
     staircase_units,
     tail_staircase_units,
-    ur_corner,
     window_block,
 )
 from matpi.constructions import (
@@ -95,14 +94,6 @@ def test_project_rejects_non_triangular():
     bad = span_basis(F, 3, [matrix_unit(F, 3, 2, 1)])
     with pytest.raises(NotBlockTriangularError):
         project(bad, s, 1, 1)
-
-
-def test_ur_corner():
-    # corner rows 1..l, cols l+m+1..2l+m
-    x = Matrix(F, 4, 4, range(16))
-    c = ur_corner(x, 1, 2)
-    assert c.rows == 1 and c.cols == 1
-    assert c[0, 0] == x[0, 3]
 
 
 def test_intertwiner_space_identity_coupling():

@@ -139,6 +139,30 @@ def test_identity_space_m2(capsys):
     assert "permutation-sign vector" in out
 
 
+def test_verify_al_exhaustive_ignores_trials(capsys):
+    # exhaustive mode reads no trial count, so none enters the report
+    _, plain, _ = run(capsys, "verify-al", "--n", "2", "--out", "structured")
+    _, with_trials, _ = run(capsys, "verify-al", "--n", "2", "--trials", "5",
+                            "--out", "structured")
+    assert with_trials == plain
+    assert "trials" not in json.loads(plain)["command"]
+
+
+def test_identity_space_spec_rejects_ring(capsys, tmp_path):
+    path = spec_file(tmp_path, """
+        ring: {kind: gf, p: 101}
+        n: 2
+        source: {construction: {kind: full_matrix}}
+    """)
+    code, out, err = run(capsys, "identity-space", "--spec", path, "--t", "3", "--ring", "q")
+    assert code == 1 and out == ""
+    assert "--ring" in err
+    code, out, _ = run(capsys, "identity-space", "--spec", path, "--t", "3",
+                       "--out", "structured")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["detail"]["ring"] == "GF(101)"
+
+
 def test_identity_space_structured(capsys):
     code, out, _ = run(capsys, "identity-space", "--n", "2", "--t", "3",
                        "--out", "structured")
@@ -151,12 +175,6 @@ def test_lemma_suite(capsys):
     assert code == 0
     assert "[FAIL]" not in out
     assert "mod-ring-witness(n=3)" in out
-
-
-def test_bench_runs(capsys):
-    code, out, _ = run(capsys, "bench", "--t", "4", "--n", "2")
-    assert code == 0
-    assert "evals/s" in out
 
 
 def test_missing_spec_file_exits_1(capsys):
@@ -176,14 +194,14 @@ def test_usage_error_exits_1(capsys):
     ("classify", "--spec", "alg.yaml", "--threads", "2"),
     ("min-degree", "--spec", "alg.yaml", "--threads", "2"),
     ("lemma-suite", "--threads", "2"),
-    ("bench", "--threads", "2"),
-    ("bench", "--trials", "5"),
+    ("bench",),
 ], ids=" ".join)
 def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as ei:
         main(list(argv))
     assert ei.value.code == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("invalid choice: 'bench'" if argv == ("bench",) else "unrecognized arguments") in err
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -188,6 +188,22 @@ def test_spanning_sweep_zmod():
     assert rep.tuple_space == b.dim ** 2
 
 
+@pytest.mark.parametrize("n,t", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)])
+def test_spanning_sweep_matches_full_tuple_sweep(n, t):
+    # the combination sweep reports the witness and count of a sweep over
+    # all dim^t tuples in product order
+    b = constrained_triangular(Zmod(4), n, 2)
+    rep = is_standard_identity(b, t)
+    for pos, tup in enumerate(product(range(b.dim), repeat=t), 1):
+        if not eval_standard_naive([b.mats[i] for i in tup]).is_zero():
+            assert rep.witness.indices == tuple(i + 1 for i in tup)
+            assert rep.tuples_checked == pos
+            break
+    else:
+        assert rep.is_identity and rep.tuples_checked == b.dim ** t
+    assert rep.tuple_space == b.dim ** t
+
+
 def test_zmod_randomized_rejected():
     b = constrained_triangular(Zmod(4), 2, 2)
     with pytest.raises(UnsupportedRingError):
@@ -283,21 +299,47 @@ def test_identity_space_degree_guard():
 
 # -- lemma harnesses ---------------------------------------------------------------
 
+# GF(101) runs the int64 kernel; QQ and GF(2^31 - 1) the exact one
+LEMMA_RINGS = (F, QQ, GF(2147483647))
+
+
 def test_ur_vanishing_small():
-    rep = ur_vanishing_check(F, 1, 1, trials=50, seed=0)
-    assert rep.status == "ok"
-    assert rep.violations == 0
-    assert rep.degree == 4
+    for ring in LEMMA_RINGS:
+        rep = ur_vanishing_check(ring, 1, 1, trials=50, seed=0)
+        assert rep.status == "ok", ring
+        assert rep.violations == 0
+        assert rep.degree == 4
 
 
 def test_block_assembly_ok_and_invalid():
-    top = full_matrix_algebra(F, 1)
-    bot = full_matrix_algebra(F, 2)
-    rep = block_assembly_check(top, bot, 2, 4, trials=100, seed=0)
-    assert rep.status == "ok"
-    assert rep.violations == 0
-    bad = block_assembly_check(top, bot, 1, 4, trials=10, seed=0)
-    assert bad.status == "invalid-instance"
+    for ring in LEMMA_RINGS:
+        top = full_matrix_algebra(ring, 1)
+        bot = full_matrix_algebra(ring, 2)
+        rep = block_assembly_check(top, bot, 2, 4, trials=100, seed=0)
+        assert rep.status == "ok", ring
+        assert rep.violations == 0
+        bad = block_assembly_check(top, bot, 1, 4, trials=10, seed=0)
+        assert bad.status == "invalid-instance"
+
+
+def test_counted_hits_agree_across_kernels(monkeypatch):
+    # Rep(1,2) in M_4 satisfies s_6 but not s_4; at t = 4 its corner entry
+    # (1, 4), flat index 3, is zero on some tuples whose value is not
+    a = repetition_algebra(F, 1, 2)
+    corner = [3]
+
+    def hits(t, entries):
+        rng = random.Random(0)
+        rows = [[[rng.randrange(101) for _ in range(a.dim)] for _ in range(t)]
+                for _ in range(40)]
+        return [(pos, w.mats, w.value) for pos, w in
+                identities._nonzero_hits(a, t, rows, coords=True, entries=entries)]
+
+    fast = hits(4, corner)
+    assert fast and len(fast) < len(hits(4, None)) == 40
+    assert hits(6, None) == []
+    monkeypatch.setattr(identities, "_use_fastpath", lambda *args: False)
+    assert hits(4, corner) == fast
 
 
 def test_block_assembly_detects_violation_when_degree_too_low():
