@@ -1,12 +1,15 @@
-"""Vectorized prime-field kernels for batched standard-polynomial sweeps.
+"""Vectorized prime-field kernels for standard-polynomial evaluation.
 
-Everything here is an int64 numpy re-implementation of the exact evaluators
-in :mod:`standardpoly`, valid only when the overflow bound holds:
-accumulating t products of reduced n x n matrices keeps every intermediate
-below t * n * (p-1)^2, which must stay inside int64.  Callers must check
-:func:`supports` first; the pure-Python paths remain the reference and the
-fallback.  Results agree entrywise with the exact evaluators (the test suite
-cross-checks both directions).
+Two int64 numpy kernels re-implement the exact evaluators of
+:mod:`standardpoly`: :func:`dp_batch`, the subset DP over a batch of
+argument tuples that the sweeps run, and :func:`naive_single`, the
+permutation sum over one tuple that re-checks witnesses.  Both are valid
+only when the overflow bound holds: accumulating t products of reduced
+n x n matrices keeps every intermediate below t * n * (p-1)^2, which must
+stay inside int64.  Callers must check :func:`supports` first; the
+pure-Python paths remain the reference and the fallback.  Results agree
+entrywise with the exact evaluators (the test suite cross-checks both
+directions).
 """
 
 from __future__ import annotations
@@ -125,13 +128,6 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
         prod %= p
     total = (signs[:, None, None] * prod).sum(axis=0)
     return total % p
-
-
-def dp_to_matrix(mats) -> Matrix:
-    ring = mats[0].ring
-    stack = mats_to_array(mats)[:, None, :, :]
-    out = dp_batch(stack, ring.p)[0]
-    return array_to_matrix(ring, out)
 
 
 def naive_to_matrix(mats) -> Matrix:

@@ -60,16 +60,16 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .matrices import Echelon, Matrix, matrix_unit, mul_flat
+from .matrices import Echelon, Matrix, matrix_unit
 from .rings import Ring
 from .standardpoly import (
     NAIVE_MAX_DEGREE,
-    _eval_standard_dp_py,
     eval_standard_dp,
     eval_standard_naive,
     signed_permutations,
+    word_products,
 )
-from .subalgebra import SubalgebraBasis, close_generators
+from .subalgebra import SubalgebraBasis, _linear_combination, close_generators
 
 QQ_RANDOM_BOUND = 100
 SPANNING_SWEEP_LIMIT = 5_000_000
@@ -167,30 +167,21 @@ class IdentityReport:
 def _reverify_witness(mats: Sequence[Matrix], expected: Matrix) -> None:
     """Witnesses never ship unvalidated: re-evaluate with a second evaluator.
 
-    The naive evaluator is the re-check up to its degree guard; past it the
-    pure-Python DP (independent of any vectorized kernel) re-evaluates.
+    Up to its degree guard the re-check is the naive permutation sum: the
+    int64 :func:`fastpath.naive_single` over GF(p) where its overflow bound
+    holds, else the prefix-shared pure-Python sum.  Neither shares code
+    with the subset DP that found the witness.  Past the guard the
+    pure-Python DP re-evaluates, which is independent of the batched int64
+    kernel but not of the pure-Python sweep.
     """
     if len(mats) <= NAIVE_MAX_DEGREE:
         got = eval_standard_naive(list(mats))
     else:
-        got = _eval_standard_dp_py(list(mats))
+        got = eval_standard_dp(list(mats))
     if got != expected or got.is_zero():
         raise ContractViolationError(
             "witness failed re-verification; evaluators disagree"
         )
-
-
-def _linear_combination(a: SubalgebraBasis, coords) -> Matrix:
-    ring = a.ring
-    zero = ring.zero
-    acc = [zero] * (a.n * a.n)
-    for c, b in zip(coords, a.mats):
-        c = ring.canon(c)
-        if c != zero:
-            for idx, v in enumerate(b.data):
-                if v != zero:
-                    acc[idx] += c * v
-    return Matrix._new(ring, a.n, a.n, ring.canon_list(acc))
 
 
 def _random_coords(ring: Ring, d: int, rng: random.Random) -> list:
@@ -473,31 +464,6 @@ class IdentitySpace:
         }
 
 
-def _perm_products(flats: list, n: int, ring: Ring) -> list:
-    """Products over all permutation words of the given matrices, in
-    lexicographic word order; zero products are stored as None."""
-    t = len(flats)
-    zero = ring.zero
-    out = []
-
-    def rec(prod, used, depth):
-        if depth == t:
-            out.append(prod)
-            return
-        for i in range(t):
-            bit = 1 << i
-            if used & bit:
-                continue
-            nxt = flats[i] if prod is None else mul_flat(prod, flats[i], n, n, n, ring)
-            if all(v == zero for v in nxt):
-                out.extend([None] * factorial(t - depth - 1))
-                continue
-            rec(nxt, used | bit, depth + 1)
-
-    rec(None, 0, 0)
-    return out
-
-
 def multilinear_identity_space(a: SubalgebraBasis, t: int, verify: bool = True) -> IdentitySpace:
     """Nullspace of the evaluation map on all multilinear degree-t polynomials.
 
@@ -526,26 +492,29 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int, verify: bool = True) 
         swept += 1
         if not feasible(tup):
             continue
-        prods = _perm_products([flats[i] for i in tup], n, ring)
-        for e in range(n * n):
-            row = [zero if P is None else P[e] for P in prods]
+        rows = [[zero] * fact for _ in range(n * n)]
+        for r, prod in word_products([flats[i] for i in tup], n, ring):
+            for e, v in enumerate(prod):
+                rows[e][r] = v
+        for row in rows:
             sieve.insert(row)
         if sieve.rank == fact:
             break
     kernel = sieve.nullspace_basis()
     if verify and kernel:
         for tup in filter(feasible, product(range(d), repeat=t)):
-            prods = _perm_products([flats[i] for i in tup], n, ring)
+            prods = list(word_products([flats[i] for i in tup], n, ring))
             for vec in kernel:
-                for e in range(n * n):
-                    acc = zero
-                    for r, c in enumerate(vec):
-                        if c != zero and prods[r] is not None:
-                            acc += c * prods[r][e]
-                    if ring.canon(acc) != zero:
-                        raise ContractViolationError(
-                            "identity-space vector failed re-verification"
-                        )
+                acc = [zero] * (n * n)
+                for r, prod in prods:
+                    c = vec[r]
+                    if c != zero:
+                        for e, v in enumerate(prod):
+                            acc[e] += c * v
+                if any(ring.canon(v) != zero for v in acc):
+                    raise ContractViolationError(
+                        "identity-space vector failed re-verification"
+                    )
     return IdentitySpace(
         algebra=a.label, ring=ring.name, degree=t, dimension=fact - sieve.rank,
         basis=tuple(kernel), tuples_swept=swept, verified=bool(verify and kernel),

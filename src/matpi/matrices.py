@@ -46,16 +46,6 @@ class Matrix:
         object.__setattr__(self, "data", tuple(canonical_entries))
         return self
 
-    @classmethod
-    def from_rows(cls, ring: Ring, rows_of_entries) -> "Matrix":
-        rows_of_entries = [list(r) for r in rows_of_entries]
-        nrows = len(rows_of_entries)
-        ncols = len(rows_of_entries[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows_of_entries):
-            raise DimensionError("ragged rows")
-        flat = [v for row in rows_of_entries for v in row]
-        return cls(ring, nrows, ncols, flat)
-
     # -- access ------------------------------------------------------------
     def __getitem__(self, key):
         i, j = key
@@ -69,10 +59,6 @@ class Matrix:
 
     def shape_str(self) -> str:
         return f"{self.rows}x{self.cols}"
-
-    def vec(self) -> tuple:
-        """Row-major flattening, the coordinate convention used throughout."""
-        return self.data
 
     @property
     def is_square(self) -> bool:

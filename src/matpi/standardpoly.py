@@ -4,7 +4,9 @@ s_t(x_1, ..., x_t) = sum over all permutations w of {1..t} of
 sign(w) * x_{w(1)} * ... * x_{w(t)}.  Two evaluators are provided: a naive
 sum over all t! permutation products (the oracle, guarded to t <= 8) and a
 subset dynamic program that is exact over any coefficient ring and runs in
-O(2^t * t) matrix products.
+O(2^t * t) matrix products.  The naive sum walks the words depth first
+with :func:`word_products`, so words that share a prefix share its
+product and a zero prefix skips every word that extends it.
 
 Permutation words are tuples over {1..t} everywhere in the public API, to
 match the 1-based matrix unit convention.
@@ -13,6 +15,7 @@ match the 1-based matrix unit convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
 from typing import Sequence
 
@@ -123,10 +126,7 @@ class MultilinearPoly:
 
     @classmethod
     def standard(cls, ring: Ring, t: int) -> "MultilinearPoly":
-        coeffs = {}
-        for word, sign in signed_permutations(t):
-            coeffs[perm_rank(word)] = sign
-        return cls(ring, t, coeffs)
+        return cls(ring, t, {rank: sign for rank, (_, sign) in enumerate(signed_permutations(t))})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -146,7 +146,11 @@ def _check_eval_args(mats: Sequence[Matrix]) -> tuple:
 
 
 def eval_multilinear(poly: MultilinearPoly, mats: Sequence[Matrix]) -> Matrix:
-    """Evaluate an arbitrary multilinear polynomial by expanding monomials."""
+    """Evaluate an arbitrary multilinear polynomial by expanding monomials.
+
+    Each word of the support is multiplied out on its own, which suits
+    sparse supports; the all-words sums use :func:`word_products`.
+    """
     if poly.degree != len(mats):
         raise DimensionError(f"degree {poly.degree} poly applied to {len(mats)} matrices")
     if poly.degree == 0:
@@ -173,6 +177,32 @@ def eval_multilinear(poly: MultilinearPoly, mats: Sequence[Matrix]) -> Matrix:
     return Matrix._new(ring, n, n, ring.canon_list(acc))
 
 
+def word_products(flats: Sequence, n: int, ring: Ring):
+    """Yield (rank, product) for every permutation word of the flat n x n
+    matrices whose product is nonzero, in lexicographic word order.
+
+    The walk is depth first: each prefix product is formed once and shared
+    by every word that extends it, and a zero prefix ends its subtree.
+    Ranks are lexicographic among all t! words, as in :func:`perm_rank`.
+    """
+    if not flats:
+        raise DimensionError("need at least one matrix")
+    zero = ring.zero
+
+    def walk(prod, rest, rank):
+        step = factorial(len(rest) - 1)
+        for k, i in enumerate(rest):
+            nxt = flats[i] if prod is None else mul_flat(prod, flats[i], n, n, n, ring)
+            if flat_is_zero(nxt, zero):
+                continue
+            if len(rest) == 1:
+                yield rank, nxt
+            else:
+                yield from walk(nxt, rest[:k] + rest[k + 1:], rank + k * step)
+
+    return walk(None, tuple(range(len(flats))), 0)
+
+
 def eval_standard_naive(mats: Sequence[Matrix]) -> Matrix:
     """s_t by direct summation over all t! permutation products.
 
@@ -197,25 +227,13 @@ def eval_standard_naive(mats: Sequence[Matrix]) -> Matrix:
 def _eval_standard_naive_py(mats: Sequence[Matrix]) -> Matrix:
     ring, n = _check_eval_args(mats)
     zero = ring.zero
-    t = len(mats)
     # alternation: a repeated argument forces s_t = 0
-    seen = set()
-    for a in mats:
-        if a.data in seen:
-            return zero_matrix(ring, n)
-        seen.add(a.data)
-    flats = [a.data for a in mats]
+    if len({a.data for a in mats}) < len(mats):
+        return zero_matrix(ring, n)
+    signs = [sign for _, sign in signed_permutations(len(mats))]
     acc = [zero] * (n * n)
-    for word, sign in signed_permutations(t):
-        prod = flats[word[0] - 1]
-        for w in word[1:]:
-            prod = mul_flat(prod, flats[w - 1], n, n, n, ring)
-            if flat_is_zero(prod, zero):
-                prod = None
-                break
-        if prod is None:
-            continue
-        if sign > 0:
+    for rank, prod in word_products([a.data for a in mats], n, ring):
+        if signs[rank] > 0:
             for idx, v in enumerate(prod):
                 if v != zero:
                     acc[idx] += v
@@ -236,32 +254,18 @@ def eval_standard_dp(mats: Sequence[Matrix]) -> Matrix:
 
     where pos_S(i) is the 1-based position of i in the sorted order of S.
     The answer is g(full set), reached layer by layer in O(2^t * t)
-    products.  Exact over any coefficient ring.
+    products.  Exact over any coefficient ring, in pure Python; batched
+    sweeps over GF(p) use the int64 twin :func:`fastpath.dp_batch`.
     """
     t = len(mats)
     if t > DP_MAX_DEGREE:
         raise DegreeGuardError(f"DP evaluation guarded to degree {DP_MAX_DEGREE}, got {t}")
     ring, n = _check_eval_args(mats)
-    if ring.kind == "prime_field" and t >= FASTPATH_MIN_DEGREE:
-        from . import fastpath
-
-        if fastpath.supports(ring.p, n, t):
-            return fastpath.dp_to_matrix(mats)
-    return _eval_standard_dp_py(mats)
-
-
-def _eval_standard_dp_py(mats: Sequence[Matrix]) -> Matrix:
-    from itertools import combinations
-
-    ring, n = _check_eval_args(mats)
     zero = ring.zero
-    t = len(mats)
     flats = [a.data for a in mats]
-    size = n * n
-    ident = [zero] * size
-    one = ring.one
+    ident = [zero] * (n * n)
     for i in range(n):
-        ident[i * n + i] = one
+        ident[i * n + i] = ring.one
     # g values for the previous layer, keyed by subset bitmask; None = zero
     prev = {0: ident}
     for k in range(1, t + 1):
@@ -319,39 +323,14 @@ def consecutive_factor_sum(mats: Sequence[Matrix], offset: int, window: int) -> 
         raise DimensionError(
             f"window [{offset + 1}..{offset + window}] out of range for degree {t}"
         )
-    ring, n = _check_eval_args(mats)
-    zero = ring.zero
-    flats = [a.data for a in mats]
-    first = offset + 1
-    acc = [zero] * (n * n)
-    for word, sign in signed_permutations(t):
-        pos = word.index(first)
-        if pos + window > t:
-            continue
-        ok = True
-        for k in range(1, window):
-            if word[pos + k] != first + k:
-                ok = False
-                break
-        if not ok:
-            continue
-        prod = flats[word[0] - 1]
-        for w in word[1:]:
-            prod = mul_flat(prod, flats[w - 1], n, n, n, ring)
-            if flat_is_zero(prod, zero):
-                prod = None
-                break
-        if prod is None:
-            continue
-        if sign > 0:
-            for idx, v in enumerate(prod):
-                if v != zero:
-                    acc[idx] += v
-        else:
-            for idx, v in enumerate(prod):
-                if v != zero:
-                    acc[idx] -= v
-    return Matrix._new(ring, n, n, ring.canon_list(acc))
+    ring, _ = _check_eval_args(mats)
+    run = tuple(range(offset + 1, offset + window + 1))
+    coeffs = {}
+    for rank, (word, sign) in enumerate(signed_permutations(t)):
+        pos = word.index(offset + 1)
+        if word[pos:pos + window] == run:
+            coeffs[rank] = sign
+    return eval_multilinear(MultilinearPoly(ring, t, coeffs), mats)
 
 
 def product_of(mats: Sequence[Matrix]) -> Matrix:

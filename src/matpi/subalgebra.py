@@ -107,6 +107,20 @@ class SubalgebraBasis:
         return f"SubalgebraBasis({self.label}: dim {self.dim} in M_{self.n}({self.ring.name}))"
 
 
+def _linear_combination(a: SubalgebraBasis, coords) -> Matrix:
+    """The element sum of coords[k] * a.mats[k]."""
+    ring = a.ring
+    zero = ring.zero
+    acc = [zero] * (a.n * a.n)
+    for c, b in zip(coords, a.mats):
+        c = ring.canon(c)
+        if c != zero:
+            for idx, v in enumerate(b.data):
+                if v != zero:
+                    acc[idx] += c * v
+    return Matrix._new(ring, a.n, a.n, ring.canon_list(acc))
+
+
 def span_basis(ring: Ring, n: int, mats: Sequence[Matrix], label: str = "A") -> SubalgebraBasis:
     """Echelonize a spanning set into a canonical basis (no closure check)."""
     return SubalgebraBasis(ring, n, mats, label)
@@ -182,16 +196,7 @@ def jacobson_radical(a: SubalgebraBasis) -> SubalgebraBasis:
         for j in range(d):
             gram.append(trace_pair(a.mats[i], a.mats[j]))
     kernel = nullspace(Matrix._new(ring, d, d, gram))
-    rad_mats = []
-    zero = ring.zero
-    for vec in kernel:
-        acc = [zero] * (a.n * a.n)
-        for c, b in zip(vec, a.mats):
-            if c != zero:
-                for idx, v in enumerate(b.data):
-                    if v != zero:
-                        acc[idx] += c * v
-        rad_mats.append(Matrix._new(ring, a.n, a.n, ring.canon_list(acc)))
+    rad_mats = [_linear_combination(a, vec) for vec in kernel]
     return span_basis(ring, a.n, rad_mats, label=f"rad({a.label})")
 
 

@@ -4,7 +4,7 @@ import pytest
 from matpi import fastpath
 from matpi.matrices import Matrix
 from matpi.rings import GF
-from matpi.standardpoly import _eval_standard_dp_py, _eval_standard_naive_py, perm_sign
+from matpi.standardpoly import _eval_standard_naive_py, eval_standard_dp, perm_sign
 
 F = GF(101)
 
@@ -38,7 +38,7 @@ def test_dp_batch_matches_pure(t, n):
     out = fastpath.dp_batch(stack, 101)
     for b, ms in enumerate(cases):
         got = fastpath.array_to_matrix(F, out[b])
-        assert got == _eval_standard_dp_py(ms)
+        assert got == eval_standard_dp(ms)
 
 
 @pytest.mark.parametrize("t,n", [(2, 2), (4, 2), (5, 3), (8, 2)])
@@ -67,7 +67,7 @@ def test_naive_vs_dp_cross_check():
     for _ in range(3):
         ms = random_mats(rng, 7, 2)
         a = fastpath.naive_to_matrix(ms)
-        b = fastpath.dp_to_matrix(ms)
+        b = eval_standard_dp(ms)
         assert a == b
 
 

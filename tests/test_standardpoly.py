@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import permutations as iperm
+from pathlib import Path
 
 import pytest
+
+import matpi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +26,7 @@ from matpi.standardpoly import (
     perm_unrank,
     product_of,
     signed_permutations,
+    word_products,
 )
 
 F = GF(101)
@@ -52,6 +60,57 @@ def test_perm_rank_unrank_roundtrip():
         for r, p in enumerate(iperm(range(1, t + 1))):
             assert perm_rank(p) == r
             assert perm_unrank(t, r) == p
+
+
+def _brute_word_products(mats):
+    """(rank, product data) of every nonzero word product, word by word."""
+    t = len(mats)
+    out = []
+    for rank in range(math.factorial(t)):
+        prod = product_of([mats[w - 1] for w in perm_unrank(t, rank)])
+        if not prod.is_zero():
+            out.append((rank, prod.data))
+    return out
+
+
+@pytest.mark.parametrize("ring", [F, QQ], ids=["GF101", "QQ"])
+def test_word_products_matches_brute_force(ring):
+    def e(i, j):
+        return matrix_unit(ring, 3, i, j)
+
+    generic = Matrix(ring, 3, 3, [2, -1, 0, 3, 5, 7, 0, 1, -4])
+    cases = [
+        # zero prefixes: e12*e12 and e23*e11 vanish, e11*e23 vanishes
+        [e(1, 1), e(1, 2), e(2, 3), e(3, 3)],
+        # a repeated argument and a zero argument
+        [e(1, 2), e(2, 2), e(1, 2), zero_matrix(ring, 3)],
+        [e(1, 1), generic, e(2, 3), generic, e(3, 1)],
+        [generic, e(2, 1), generic * generic, e(1, 3), e(3, 3), e(2, 2)],
+        [e(1, 3)],
+    ]
+    for mats in cases:
+        got = list(word_products([a.data for a in mats], 3, ring))
+        assert [(r, tuple(p)) for r, p in got] == _brute_word_products(mats)
+
+
+def test_eval_standard_dp_leaves_numpy_unimported():
+    # s_7 on the n = 4 staircase over GF(101) is in the int64 kernel's
+    # range, yet a single tuple runs the pure-Python DP
+    script = textwrap.dedent("""
+        import sys
+        from matpi.blocks import staircase_units
+        from matpi.matrices import matrix_unit
+        from matpi.rings import GF
+        from matpi.standardpoly import eval_standard_dp
+        F = GF(101)
+        assert eval_standard_dp(staircase_units(F, 4)) == matrix_unit(F, 4, 1, 4)
+        print("numpy" in sys.modules)
+    """)
+    src = str(Path(matpi.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], text=True, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_staircase_values_frozen_oracle():
