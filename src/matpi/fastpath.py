@@ -1,15 +1,15 @@
 """Vectorized prime-field kernels for standard-polynomial evaluation.
 
 Two int64 numpy kernels re-implement the exact evaluators of
-:mod:`standardpoly`: :func:`dp_batch`, the subset DP over a batch of
-argument tuples that the sweeps run, and :func:`naive_single`, the
-permutation sum over one tuple that re-checks witnesses.  Both are valid
-only when the overflow bound holds: accumulating t products of reduced
-n x n matrices keeps every intermediate below t * n * (p-1)^2, which must
-stay inside int64.  Callers must check :func:`supports` first; the
-pure-Python paths remain the reference and the fallback.  Results agree
-entrywise with the exact evaluators (the test suite cross-checks both
-directions).
+:mod:`standardpoly`: :func:`dp_batch`, the half-depth subset DP over a
+batch of argument tuples that the sweeps run, and :func:`naive_single`,
+the permutation sum over one tuple that re-checks witnesses.  Both are
+valid only when the overflow bound holds: accumulating t products of
+reduced n x n matrices before reducing again keeps every intermediate
+below t * n * (p-1)^2 plus one residue, which must stay inside int64.
+Callers must check :func:`supports` first; the pure-Python paths remain
+the reference and the fallback.  Results agree entrywise with the exact
+evaluators (the test suite cross-checks both directions).
 """
 
 from __future__ import annotations
@@ -58,38 +58,76 @@ def basis_to_flat(basis_mats) -> np.ndarray:
 
 
 def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate s_t on a batch of argument tuples by the subset DP.
+    """Evaluate s_t on a batch of argument tuples by the half-depth subset DP.
 
-    stack has shape (t, B, n, n): argument k of batch item b is
-    stack[k, b].  Returns (B, n, n) residues mod p.  Layers are kept two
-    at a time, keyed by subset bitmask, so peak memory is
-    O(C(t, t/2) * B * n^2).
+    stack has shape (t, B, n, n) and holds residues in [0, p): argument k
+    of batch item b is stack[k, b].  Returns (B, n, n) residues mod p.
+
+    For a subset S of arguments let g(S) = s_|S| applied to S in index
+    order.  Layer 1 is g({i}) = x_i, and layer k is built from layer k-1 as
+    in :func:`standardpoly.eval_standard_dp`.  The layers stop at
+    b = ceil(t/2), and one join gives the answer: with a = floor(t/2),
+
+        s_t = sum over a-subsets S of (-1)^inv(S) * g(S) * g(complement of S)
+
+    where inv(S) counts the pairs s in S, c not in S with s > c (the sign
+    of the shuffle that puts S first).  This forms 2,802 products at t = 10
+    where building all t layers forms t * 2^(t-1) = 5,120.  Layers are kept
+    two at a time, keyed by subset bitmask, so peak memory is
+    O(C(t, b) * B * n^2).
+
+    int64 bound: arguments are residues and layers are reduced mod p, so
+    every product entry is at most n * (p-1)^2 in size, and a layer sums
+    k <= t of them, inside the t * n * (p-1)^2 < 2^62 of :func:`supports`.
+    The join sums C(t, a) products, more than t once t >= 4, so it reduces
+    after every t of them: a residue below p plus t products stays below
+    2^63.
     """
-    t, B, n, _ = stack.shape
+    t, _, n, _ = stack.shape
     if not supports(p, n, t):
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (B, n, n))
-    prev = {0: eye}
-    for k in range(1, t + 1):
-        cur = {}
-        for comb_idx in combinations(range(t), k):
-            mask = 0
-            for i in comb_idx:
-                mask |= 1 << i
-            acc = None
-            for pos, i in enumerate(comb_idx):
-                g = prev[mask ^ (1 << i)]
-                term = np.matmul(g, stack[i])
-                if (k - 1 - pos) & 1:
-                    term = -term
-                if acc is None:
-                    acc = term
-                else:
-                    acc += term
+    if stack.min() < 0 or stack.max() >= p:
+        raise DegreeGuardError(f"int64 bound needs residues in [0, {p})")
+    if t == 1:
+        return stack[0].copy()
+    a, b = t // 2, t - t // 2
+    layer = {1 << i: stack[i] for i in range(t)}
+    lower = layer
+    for k in range(2, b + 1):
+        lower, layer = layer, {}
+        for comb in combinations(range(t), k):
+            mask = sum(1 << i for i in comb)
+            layer[mask] = _signed_sum(
+                [(lower[mask ^ (1 << i)], stack[i], (k - 1 - pos) & 1)
+                 for pos, i in enumerate(comb)], p, t)
+    if a == b:
+        lower = layer
+    full = (1 << t) - 1
+    pairs = []
+    for comb in combinations(range(t), a):
+        mask = sum(1 << i for i in comb)
+        # s_j, the j-th member of S, exceeds s_j - j members of the complement
+        inv = sum(comb) - a * (a - 1) // 2
+        pairs.append((lower[mask], layer[full ^ mask], inv & 1))
+    return _signed_sum(pairs, p, t)
+
+
+def _signed_sum(pairs, p: int, every: int) -> np.ndarray:
+    """Sum of (-1)^negate * left @ right over (left, right, negate),
+    reduced mod p after every `every` products and at the end."""
+    acc = None
+    for j, (left, right, negate) in enumerate(pairs, 1):
+        term = np.matmul(left, right)
+        if acc is None:
+            acc = np.negative(term, out=term) if negate else term
+        elif negate:
+            acc -= term
+        else:
+            acc += term
+        if j % every == 0:
             acc %= p
-            cur[mask] = acc
-        prev = cur
-    return prev[(1 << t) - 1]
+    acc %= p
+    return acc
 
 
 @lru_cache(maxsize=None)

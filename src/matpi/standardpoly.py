@@ -3,8 +3,11 @@
 s_t(x_1, ..., x_t) = sum over all permutations w of {1..t} of
 sign(w) * x_{w(1)} * ... * x_{w(t)}.  Two evaluators are provided: a naive
 sum over all t! permutation products (the oracle, guarded to t <= 8) and a
-subset dynamic program that is exact over any coefficient ring and runs in
-O(2^t * t) matrix products.  The naive sum walks the words depth first
+subset dynamic program that is exact over any coefficient ring.  The DP
+builds s_k of every k-subset of the arguments for k up to ceil(t/2) and
+joins complementary halves, so it forms about t * 2^(t-2) + C(t, t/2)
+matrix products, half of the t * 2^(t-1) that building all t layers takes.
+The naive sum walks the words depth first
 with :func:`word_products`, so words that share a prefix share its
 product and a zero prefix skips every word that extends it.
 
@@ -15,6 +18,7 @@ match the 1-based matrix unit convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Sequence
@@ -61,6 +65,12 @@ def signed_permutations(t: int):
         flips = 1 + (suffix * (suffix - 1)) // 2
         if flips & 1:
             sign = -sign
+
+
+@lru_cache(maxsize=None)
+def _perm_signs(t: int) -> tuple:
+    """Signs of the t! words in lexicographic order, built once per t."""
+    return tuple(sign for _, sign in signed_permutations(t))
 
 
 def perm_sign(word: Sequence[int]) -> int:
@@ -230,7 +240,7 @@ def _eval_standard_naive_py(mats: Sequence[Matrix]) -> Matrix:
     # alternation: a repeated argument forces s_t = 0
     if len({a.data for a in mats}) < len(mats):
         return zero_matrix(ring, n)
-    signs = [sign for _, sign in signed_permutations(len(mats))]
+    signs = _perm_signs(len(mats))
     acc = [zero] * (n * n)
     for rank, prod in word_products([a.data for a in mats], n, ring):
         if signs[rank] > 0:
@@ -245,63 +255,84 @@ def _eval_standard_naive_py(mats: Sequence[Matrix]) -> Matrix:
 
 
 def eval_standard_dp(mats: Sequence[Matrix]) -> Matrix:
-    """s_t by the subset dynamic program.
+    """s_t by the half-depth subset dynamic program.
 
     For a subset S of arguments let g(S) = s_{|S|} applied to S (in index
-    order).  Then g({}) = I and
+    order).  Then g({i}) = x_i and
 
         g(S) = sum over i in S of (-1)^(|S| - pos_S(i)) * g(S - {i}) * x_i
 
     where pos_S(i) is the 1-based position of i in the sorted order of S.
-    The answer is g(full set), reached layer by layer in O(2^t * t)
-    products.  Exact over any coefficient ring, in pure Python; batched
-    sweeps over GF(p) use the int64 twin :func:`fastpath.dp_batch`.
+    The layers stop at b = ceil(t/2), and one join gives the answer.
+    Splitting each word of s_t after its first a = floor(t/2) letters,
+
+        s_t = sum over a-subsets S of (-1)^inv(S) * g(S) * g(complement of S)
+
+    where inv(S) counts the pairs s in S, c not in S with s > c: the sign
+    of the shuffle that lists S before its complement.  This is
+    X^t = X^a * X^b for X = sum of x_i e_i over the Grassmann algebra.  The
+    layers and the join form about t * 2^(t-2) + C(t, a) products, against
+    t * 2^(t-1) for all t layers.  Exact over any coefficient ring, in pure
+    Python; batched sweeps over GF(p) use the int64 twin
+    :func:`fastpath.dp_batch`.
     """
     t = len(mats)
     if t > DP_MAX_DEGREE:
         raise DegreeGuardError(f"DP evaluation guarded to degree {DP_MAX_DEGREE}, got {t}")
     ring, n = _check_eval_args(mats)
     zero = ring.zero
-    flats = [a.data for a in mats]
-    ident = [zero] * (n * n)
-    for i in range(n):
-        ident[i * n + i] = ring.one
-    # g values for the previous layer, keyed by subset bitmask; None = zero
-    prev = {0: ident}
-    for k in range(1, t + 1):
-        cur = {}
+    if t == 1:
+        return mats[0]
+    a, b = t // 2, t - t // 2
+    # g values keyed by subset bitmask; None = zero
+    x = [None if flat_is_zero(m.data, zero) else m.data for m in mats]
+    layer = {1 << i: x[i] for i in range(t)}
+    lower = layer
+    for k in range(2, b + 1):
+        lower, layer = layer, {}
         for comb in combinations(range(t), k):
-            acc = None
-            mask = 0
-            for i in comb:
-                mask |= 1 << i
-            for pos, i in enumerate(comb):
-                g = prev[mask ^ (1 << i)]
-                if g is None:
-                    continue
-                term = mul_flat(g, flats[i], n, n, n, ring)
-                # sign (-1)^(k - (pos+1))
-                negate = (k - 1 - pos) & 1
-                if acc is None:
-                    acc = [-v for v in term] if negate else list(term)
-                elif negate:
-                    for idx, v in enumerate(term):
-                        if v != zero:
-                            acc[idx] -= v
-                else:
-                    for idx, v in enumerate(term):
-                        if v != zero:
-                            acc[idx] += v
-            if acc is not None:
-                acc = ring.canon_list(acc)
-                if flat_is_zero(acc, zero):
-                    acc = None
-            cur[mask] = acc
-        prev = cur
-    full = prev[(1 << t) - 1]
-    if full is None:
+            mask = sum(1 << i for i in comb)
+            layer[mask] = _signed_sum(
+                [(lower[mask ^ (1 << i)], x[i], (k - 1 - pos) & 1)
+                 for pos, i in enumerate(comb)], n, ring)
+    if a == b:
+        lower = layer
+    full = (1 << t) - 1
+    pairs = []
+    for comb in combinations(range(t), a):
+        mask = sum(1 << i for i in comb)
+        # s_j, the j-th member of S, exceeds s_j - j members of the complement
+        inv = sum(comb) - a * (a - 1) // 2
+        pairs.append((lower[mask], layer[full ^ mask], inv & 1))
+    value = _signed_sum(pairs, n, ring)
+    if value is None:
         return zero_matrix(ring, n)
-    return Matrix._new(ring, n, n, full)
+    return Matrix._new(ring, n, n, value)
+
+
+def _signed_sum(pairs, n: int, ring: Ring):
+    """Canonical flat sum of (-1)^negate * left * right over the
+    (left, right, negate) triples, skipping None factors; None if zero."""
+    zero = ring.zero
+    acc = None
+    for left, right, negate in pairs:
+        if left is None or right is None:
+            continue
+        term = mul_flat(left, right, n, n, n, ring)
+        if acc is None:
+            acc = [-v for v in term] if negate else list(term)
+        elif negate:
+            for idx, v in enumerate(term):
+                if v != zero:
+                    acc[idx] -= v
+        else:
+            for idx, v in enumerate(term):
+                if v != zero:
+                    acc[idx] += v
+    if acc is None:
+        return None
+    acc = ring.canon_list(acc)
+    return None if flat_is_zero(acc, zero) else acc
 
 
 def consecutive_factor_sum(mats: Sequence[Matrix], offset: int, window: int) -> Matrix:

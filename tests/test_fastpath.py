@@ -1,17 +1,44 @@
+import random
+from math import comb, isqrt
+
 import numpy as np
 import pytest
 
 from matpi import fastpath
-from matpi.matrices import Matrix
-from matpi.rings import GF
-from matpi.standardpoly import _eval_standard_naive_py, eval_standard_dp, perm_sign
+from matpi.blocks import staircase_units
+from matpi.errors import DegreeGuardError
+from matpi.matrices import Matrix, matrix_unit
+from matpi.rings import GF, QQ, is_prime
+from matpi.standardpoly import (
+    NAIVE_MAX_DEGREE,
+    _eval_standard_naive_py,
+    eval_standard_dp,
+    eval_standard_naive,
+    perm_sign,
+)
 
 F = GF(101)
 
 
-def random_mats(rng, t, n):
-    return [Matrix(F, n, n, [int(x) for x in rng.integers(0, 101, n * n)])
+def random_mats(rng, t, n, ring=F):
+    return [Matrix(ring, n, n, [int(x) for x in rng.integers(0, 101, n * n)])
             for _ in range(t)]
+
+
+def perturbed_staircase(ring, t, n, rng):
+    """The first t staircase units of M_n, each plus a multiple of a random
+    strictly upper unit, shuffled: sparse tuples with s_t nonzero."""
+    units = []
+    for x in staircase_units(ring, n)[:t]:
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        units.append(x + rng.randrange(1, 101) * matrix_unit(ring, n, i, j))
+    rng.shuffle(units)
+    return units
+
+
+def dp_batch_matrices(cases, p=101):
+    stack = np.stack([fastpath.mats_to_array(ms) for ms in cases], axis=1)
+    return [fastpath.array_to_matrix(GF(p), v) for v in fastpath.dp_batch(stack, p)]
 
 
 def test_supports_budget():
@@ -111,3 +138,106 @@ def test_coords_to_stack_exact_at_int64_edge():
 def test_suggested_batch_positive():
     assert fastpath.suggested_batch(8, 2) >= 1
     assert fastpath.suggested_batch(16, 4) >= 1
+
+
+# -- the half-depth split: layers to ceil(t/2), then one join ------------------
+
+@pytest.mark.parametrize("t", [1, 2, 5, 7, 9])
+def test_split_edges_match_naive(t):
+    # n > t/2 keeps s_t nonzero on M_n; the permutation sum past its
+    # degree guard runs unguarded, cheap here because zero prefixes prune
+    n = max(2, t // 2 + 1)
+    naive = eval_standard_naive if t <= NAIVE_MAX_DEGREE else _eval_standard_naive_py
+    rng = random.Random(t)
+    for ring in (F, QQ):
+        cases = [perturbed_staircase(ring, t, n, rng) for _ in range(3)]
+        if t <= 2:
+            cases += [random_mats(np.random.default_rng(t), t, n, ring) for _ in range(3)]
+        want = [naive(ms) for ms in cases]
+        assert any(not w.is_zero() for w in want)
+        assert [eval_standard_dp(ms) for ms in cases] == want
+        if ring is F:
+            assert dp_batch_matrices(cases) == want
+
+
+def test_split_t11_dp_batch_matches_pure():
+    rng = random.Random(11)
+    cases = [perturbed_staircase(F, 11, 6, rng), random_mats(np.random.default_rng(11), 11, 6)]
+    want = [eval_standard_dp(ms) for ms in cases]
+    assert all(not w.is_zero() for w in want)
+    assert dp_batch_matrices(cases) == want
+
+
+def test_split_n5_t10_amitsur_levitski():
+    # s_10 vanishes on M_5 while s_9 does not: a wrong join sign would leave
+    # s_10 nonzero
+    rng = np.random.default_rng(510)
+    cases = [random_mats(rng, 10, 5) for _ in range(4)]
+    assert all(v.is_zero() for v in dp_batch_matrices(cases))
+    assert eval_standard_dp(cases[0]).is_zero()
+    shorter = [ms[:9] for ms in cases]
+    want = [eval_standard_dp(ms) for ms in shorter]
+    assert all(not w.is_zero() for w in want)
+    assert dp_batch_matrices(shorter) == want
+
+
+@pytest.mark.parametrize("ring", [F, QQ], ids=["GF(101)", "QQ"])
+@pytest.mark.parametrize("t", [4, 5, 6])
+def test_split_with_zero_half_layer(ring, t):
+    # strictly upper 3x3 arguments: every product of three vanishes, so
+    # layer 3 is all zero while layer 2 is not.  That is the upper half
+    # at t = 5 and both halves at t = 6; at t = 4 the join multiplies
+    # partly nonzero halves to zero
+    e12, e13, e23 = (matrix_unit(ring, 3, i, j) for i, j in ((1, 2), (1, 3), (2, 3)))
+    pool = [e12, e13, e23, e12 + e23, e12 + 2 * e13, e23 + 3 * e13, e12 + 5 * e23]
+    cases = [pool[:t], pool[-t:], pool[1:t + 1]]
+    for ms in cases:
+        assert eval_standard_dp(ms) == eval_standard_naive(ms) == Matrix(ring, 3, 3, [0] * 9)
+    if ring is F:
+        assert all(v.is_zero() for v in dp_batch_matrices(cases))
+
+
+def test_split_at_largest_prime_for_t10():
+    # largest p with 10 * 2 * (p-1)^2 < 2^62; residues within 40 of p
+    p = isqrt(fastpath.INT64_BUDGET // 20) + 1
+    while not (is_prime(p) and fastpath.supports(p, 2, 10)):
+        p -= 1
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    assert not fastpath.supports(q, 2, 10)
+    ring = GF(p)
+    rng = random.Random(p)
+    for t in (3, 10):
+        cases = [[Matrix(ring, 2, 2, [p - rng.randrange(1, 40) for _ in range(4)])
+                  for _ in range(t)] for _ in range(3)]
+        assert dp_batch_matrices(cases, p) == [eval_standard_dp(ms) for ms in cases]
+    # the join sums C(10, 5) = 252 products of size 2 * (p-1)^2, about
+    # 2^66 together: exact only because it reduces after every t products
+    big = np.full((1, 2, 2), p - 1, dtype=np.int64)
+    got = fastpath._signed_sum([(big, big, 0)] * comb(10, 5), p, 10)
+    assert (got == comb(10, 5) * 2 * (p - 1) ** 2 % p).all()
+
+
+def test_dp_batch_rejects_entries_outside_residues():
+    stack = np.ones((4, 1, 2, 2), dtype=np.int64)
+    for bad in (-1, 101):
+        stack[2, 0, 1, 0] = bad
+        with pytest.raises(DegreeGuardError, match="residues"):
+            fastpath.dp_batch(stack, 101)
+
+
+def test_dp_batch_t10_product_count(monkeypatch):
+    # layers 2..5 form 2,550 products and the join 252; all ten layers
+    # would form 10 * 2^9 = 5,120
+    calls = []
+    real = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    stack = np.random.default_rng(10).integers(0, 101, size=(10, 2, 2, 2))
+    fastpath.dp_batch(stack, 101)
+    assert len(calls) <= 2812
