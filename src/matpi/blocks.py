@@ -176,10 +176,6 @@ def first_below_block_violation(x: Matrix, shape: BlockShape) -> Optional[tuple]
     return None
 
 
-def is_block_triangular(x: Matrix, shape: BlockShape) -> bool:
-    return first_below_block_violation(x, shape) is None
-
-
 def diag_block(x: Matrix, shape: BlockShape, i: int) -> Matrix:
     start, stop = shape.row_range(i)
     return x.submatrix(start, stop, start, stop)
@@ -280,19 +276,6 @@ def detect_repetition(a: SubalgebraBasis, shape: BlockShape) -> Optional[tuple]:
             if intertwiner_space(a, shape, i, j):
                 return (i, j)
     return None
-
-
-def is_uniserial(a: SubalgebraBasis, shape: BlockShape) -> bool:
-    """False when some adjacent coupling window projects to a semisimple
-    algebra (the chain of blocks splits there), True otherwise.
-
-    Needs at least two blocks; with none adjacent the question is empty.
-    """
-    if shape.num_blocks < 2:
-        raise DimensionError(
-            f"uniseriality needs at least 2 blocks, got shape {shape}"
-        )
-    return _first_split_coupling(a, shape) is None
 
 
 def _first_split_coupling(a: SubalgebraBasis, shape: BlockShape) -> Optional[int]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import time
 
@@ -42,7 +43,7 @@ from .identities import (
     standard_sign_vector,
     ur_vanishing_check,
 )
-from .matrices import matrix_unit
+from .matrices import Matrix, matrix_unit
 from .rings import GF, QQ, Ring, Zmod, ring_from_params
 from .specfile import build_algebra, load_algebra_spec
 from .standardpoly import (
@@ -327,9 +328,7 @@ def _consecutive_factor_configs(ring, trials, seed):
     """Partial-sum collapse: for odd window length r, the sum of the s_m
     monomials containing the fixed consecutive run equals the lower-degree
     standard polynomial with the windowed product as one argument."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     n = 2
     failures = 0
     checked = 0
@@ -339,13 +338,11 @@ def _consecutive_factor_configs(ring, trials, seed):
             for _k in range(m):
                 entries = [rng.randrange(ring.p) if ring.kind == "prime_field"
                            else rng.randint(-9, 9) for _ in range(n * n)]
-                from .matrices import Matrix
-
                 mats.append(Matrix(ring, n, n, entries))
             offset = rng.randrange(m - r + 1)
             lhs = consecutive_factor_sum(mats, offset, r)
             collapsed = mats[:offset] + [product_of(mats[offset : offset + r])] + mats[offset + r :]
-            rhs = eval_standard_naive(collapsed) if len(collapsed) <= 8 else eval_standard_dp(collapsed)
+            rhs = eval_standard_naive(collapsed)
             checked += 1
             if lhs != rhs:
                 failures += 1

@@ -25,6 +25,7 @@ from .matrices import Matrix
 from .rings import PrimeField
 
 INT64_BUDGET = 2**62
+BATCH_BUDGET_BYTES = 256 * 2**20
 
 
 def supports(p: int, n: int, t: int) -> bool:
@@ -168,11 +169,6 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
     return total % p
 
 
-def naive_to_matrix(mats) -> Matrix:
-    ring = mats[0].ring
-    return array_to_matrix(ring, naive_single(mats_to_array(mats), ring.p))
-
-
 def combos_to_stack(basis_arr: np.ndarray, combo_block, n: int) -> np.ndarray:
     """Gather a (t, B, n, n) stack from basis indices.
 
@@ -204,7 +200,7 @@ def coords_to_stack(basis_arr: np.ndarray, coords, n: int, p: int) -> np.ndarray
     return np.ascontiguousarray(flat.reshape(B, t, n, n).transpose(1, 0, 2, 3))
 
 
-def suggested_batch(t: int, n: int, budget_bytes: int = 256 * 2**20) -> int:
-    """Batch size keeping two DP layers inside the memory budget."""
+def suggested_batch(t: int, n: int) -> int:
+    """Batch size keeping two DP layers inside BATCH_BUDGET_BYTES."""
     per_item = 2 * comb(t, t // 2) * n * n * 8
-    return max(1, min(4096, budget_bytes // max(per_item, 1)))
+    return max(1, min(4096, BATCH_BUDGET_BYTES // max(per_item, 1)))

@@ -344,9 +344,10 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
                 f"randomized mode needs a field; {a.ring.name} descriptors are exhaustive-only"
             )
         total = a.dim**t
-        if total > SPANNING_SWEEP_LIMIT:
+        combos = comb(a.dim, t)
+        if combos > SPANNING_SWEEP_LIMIT:
             raise DegreeGuardError(
-                f"spanning sweep of {total} tuples exceeds the {SPANNING_SWEEP_LIMIT} guard"
+                f"spanning sweep of {combos} combinations exceeds the {SPANNING_SWEEP_LIMIT} guard"
             )
         hit = _first_nonzero(a, t, combinations(range(a.dim), t))
         if hit is None:
@@ -464,7 +465,7 @@ class IdentitySpace:
         }
 
 
-def multilinear_identity_space(a: SubalgebraBasis, t: int, verify: bool = True) -> IdentitySpace:
+def multilinear_identity_space(a: SubalgebraBasis, t: int) -> IdentitySpace:
     """Nullspace of the evaluation map on all multilinear degree-t polynomials.
 
     Builds the matrix with one column per permutation monomial and one row
@@ -472,8 +473,8 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int, verify: bool = True) 
     to general multilinear polynomials, so all dim^t tuples contribute,
     except that tuples zero by weight would give only zero rows and are
     skipped (they still count as swept).  Rows feed an incremental echelon
-    and the sweep stops as soon as the rank hits t! (zero space).  With
-    verify=True each kernel vector is re-checked against every tuple.
+    and the sweep stops as soon as the rank hits t! (zero space).  Each
+    kernel vector is then re-checked against every tuple.
     """
     if not 1 <= t <= IDENTITY_SPACE_MAX_DEGREE:
         raise DegreeGuardError(
@@ -501,7 +502,7 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int, verify: bool = True) 
         if sieve.rank == fact:
             break
     kernel = sieve.nullspace_basis()
-    if verify and kernel:
+    if kernel:
         for tup in filter(feasible, product(range(d), repeat=t)):
             prods = list(word_products([flats[i] for i in tup], n, ring))
             for vec in kernel:
@@ -517,7 +518,7 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int, verify: bool = True) 
                     )
     return IdentitySpace(
         algebra=a.label, ring=ring.name, degree=t, dimension=fact - sieve.rank,
-        basis=tuple(kernel), tuples_swept=swept, verified=bool(verify and kernel),
+        basis=tuple(kernel), tuples_swept=swept, verified=bool(kernel),
     )
 
 

@@ -8,7 +8,7 @@ units, so the skip pays for itself.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, RingMismatchError, UnsupportedRingError
 from .rings import Ring
@@ -77,10 +77,6 @@ class Matrix:
         for i in range(n):
             acc = acc + self.data[i * n + i]
         return ring.canon(acc)
-
-    def transpose(self) -> "Matrix":
-        r, c, d = self.rows, self.cols, self.data
-        return Matrix._new(self.ring, c, r, [d[i * c + j] for j in range(c) for i in range(r)])
 
     def submatrix(self, row_start: int, row_stop: int, col_start: int, col_stop: int) -> "Matrix":
         """0-based half-open row/column window."""
@@ -170,14 +166,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._new(a.ring, a.rows, b.cols, data)
 
 
-def mat_add_scale(a: Matrix, b: Matrix, alpha=None, beta=None) -> Matrix:
-    """alpha*a + beta*b (defaults: alpha = beta = 1)."""
+def mat_add_scale(a: Matrix, b: Matrix, alpha, beta) -> Matrix:
+    """alpha*a + beta*b for canonical scalars alpha and beta."""
     a._check_same_ring(b)
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionError(f"cannot add {a.shape_str()} and {b.shape_str()}")
     ring = a.ring
-    alpha = ring.one if alpha is None else ring.canon(alpha)
-    beta = ring.one if beta is None else ring.canon(beta)
     data = [alpha * x + beta * y for x, y in zip(a.data, b.data)]
     return Matrix._new(ring, a.rows, a.cols, ring.canon_list(data))
 
@@ -203,10 +197,6 @@ def matrix_unit(ring: Ring, n: int, i: int, j: int) -> Matrix:
     data = [ring.zero] * (n * n)
     data[(i - 1) * n + (j - 1)] = ring.one
     return Matrix._new(ring, n, n, data)
-
-
-def scalar_matrix(ring: Ring, n: int, alpha) -> Matrix:
-    return identity_matrix(ring, n).scale(alpha)
 
 
 # -- row reduction ------------------------------------------------------------
@@ -301,26 +291,6 @@ class Echelon:
                     v[piv] = ring.neg(coef)
             out.append(tuple(v))
         return out
-
-
-class RrefResult(NamedTuple):
-    rank: int
-    echelon: Matrix
-    pivots: tuple  # 1-based column indices
-
-
-def rref(a: Matrix) -> RrefResult:
-    """Reduced row echelon form; pivot columns are reported 1-based."""
-    ech = Echelon(a.ring, a.cols)
-    for row in a.row_lists():
-        ech.insert(row)
-    zero_row = [a.ring.zero] * a.cols
-    rows = [list(r) for r in ech.rows]
-    while len(rows) < a.rows:
-        rows.append(list(zero_row))
-    flat = [v for r in rows for v in r]
-    mat = Matrix._new(a.ring, a.rows, a.cols, flat) if a.rows else Matrix._new(a.ring, 0, a.cols, [])
-    return RrefResult(ech.rank, mat, tuple(p + 1 for p in ech.pivots))
 
 
 def nullspace(a: Matrix) -> list[tuple]:

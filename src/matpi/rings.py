@@ -81,9 +81,6 @@ class Ring:
     def inv(self, a):
         raise UnsupportedRingError(f"{self} is not a field; cannot invert")
 
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
     # -- text form --------------------------------------------------------
     def parse(self, text):
         """Turn a scalar literal (int or string) into a canonical value.
@@ -162,9 +159,6 @@ class PrimeField(Ring):
             raise ZeroDivisionError(f"0 is not invertible in {self.name}")
         return pow(a, self.p - 2, self.p)
 
-    def is_unit(self, a) -> bool:
-        return a % self.p != 0
-
     def parse(self, text):
         if isinstance(text, str) and "/" in text:
             raise ValueError(
@@ -215,9 +209,6 @@ class RationalField(Ring):
         if a == 0:
             raise ZeroDivisionError("0 is not invertible in QQ")
         return 1 / self.canon(a)
-
-    def is_unit(self, a) -> bool:
-        return a != 0
 
     def parse(self, text):
         if isinstance(text, bool):
@@ -271,11 +262,6 @@ class IntegerModRing(Ring):
     def canon_list(self, values):
         m = self.m
         return [v % m for v in values]
-
-    def is_unit(self, a) -> bool:
-        from math import gcd
-
-        return gcd(a % self.m, self.m) == 1
 
     def inv(self, a):
         try:

@@ -36,7 +36,7 @@ from .constructions import SpanningSetAlgebra, build_named
 from .errors import MatpiError, SpecFileError
 from .matrices import Matrix, identity_matrix
 from .rings import Ring, ring_from_params
-from .subalgebra import GeneratorSet, close_generators, span_basis
+from .subalgebra import close_generators, span_basis
 
 _TOP_KEYS = {"label", "ring", "n", "source", "include_identity", "shape"}
 
@@ -246,5 +246,5 @@ def build_algebra(spec: AlgebraSpec):
                 label=alg.label,
             )
         return alg
-    gens = GeneratorSet(spec.ring, spec.n, spec.generators, label=spec.label)
-    return close_generators(gens, include_identity=spec.include_identity, label=spec.label)
+    return close_generators(spec.generators, include_identity=spec.include_identity,
+                            label=spec.label)

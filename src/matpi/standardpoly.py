@@ -230,7 +230,8 @@ def eval_standard_naive(mats: Sequence[Matrix]) -> Matrix:
         from . import fastpath
 
         if fastpath.supports(ring.p, n, t):
-            return fastpath.naive_to_matrix(mats)
+            arr = fastpath.naive_single(fastpath.mats_to_array(mats), ring.p)
+            return fastpath.array_to_matrix(ring, arr)
     return _eval_standard_naive_py(mats)
 
 

@@ -8,8 +8,7 @@ came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     CharacteristicError,
@@ -21,23 +20,6 @@ from .matrices import Echelon, Matrix, identity_matrix, mul_flat, nullspace, tra
 from .rings import Ring
 
 MAX_CLOSURE_DIM = 64 * 64
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """A finite list of square generators over one ring."""
-
-    ring: Ring
-    n: int
-    mats: tuple
-    label: str = "A"
-
-    def __post_init__(self):
-        for a in self.mats:
-            if a.ring != self.ring:
-                raise RingMismatchError(f"{a.ring} vs {self.ring}")
-            if not a.is_square or a.rows != self.n:
-                raise DimensionError(f"generator is {a.shape_str()}, expected {self.n}x{self.n}")
 
 
 class SubalgebraBasis:
@@ -73,26 +55,6 @@ class SubalgebraBasis:
             return False
         return self._ech.contains(x.data)
 
-    def coords(self, x: Matrix) -> Optional[tuple]:
-        """Coefficients of x in the canonical basis, or None if outside."""
-        if x.ring != self.ring or not x.is_square or x.rows != self.n:
-            return None
-        ring = self.ring
-        zero = ring.zero
-        residual = list(x.data)
-        out = []
-        for row, piv in zip(self._ech.rows, self._ech.pivots):
-            c = ring.canon(residual[piv])
-            out.append(c)
-            if c != zero:
-                for idx in range(piv, len(residual)):
-                    r = row[idx]
-                    if r != zero:
-                        residual[idx] = residual[idx] - c * r
-        if any(ring.canon(v) != zero for v in residual):
-            return None
-        return tuple(out)
-
     def is_unital(self) -> bool:
         return self.contains(identity_matrix(self.ring, self.n))
 
@@ -126,24 +88,18 @@ def span_basis(ring: Ring, n: int, mats: Sequence[Matrix], label: str = "A") -> 
     return SubalgebraBasis(ring, n, mats, label)
 
 
-def close_generators(gens, include_identity: bool = False, label: Optional[str] = None) -> SubalgebraBasis:
+def close_generators(gens: Sequence[Matrix], include_identity: bool = False,
+                     label: str = "<gens>") -> SubalgebraBasis:
     """Smallest multiplicatively closed span containing the generators.
 
     Round-based: every round multiplies the full current basis against
     itself and absorbs the products; the rank grows on every round that
     continues, so at most n^2 rounds run.  Needs a field (echelonization).
     """
-    if isinstance(gens, GeneratorSet):
-        ring, n, mats = gens.ring, gens.n, list(gens.mats)
-        if label is None:
-            label = f"<{gens.label}>"
-    else:
-        mats = list(gens)
-        if not mats:
-            raise DimensionError("need at least one generator")
-        ring, n = mats[0].ring, mats[0].rows
-        if label is None:
-            label = "<gens>"
+    mats = list(gens)
+    if not mats:
+        raise DimensionError("need at least one generator")
+    ring, n = mats[0].ring, mats[0].rows
     if not ring.is_field:
         raise UnsupportedRingError(
             f"closure needs a field, not {ring.name}; supply a spanning set instead"

@@ -12,8 +12,6 @@ from matpi.blocks import (
     diag_block,
     first_below_block_violation,
     intertwiner_space,
-    is_block_triangular,
-    is_uniserial,
     detect_repetition,
     project,
     staircase_units,
@@ -61,9 +59,7 @@ def test_block_of():
 def test_is_block_triangular_and_violation():
     s = BlockShape((1, 2))
     x = Matrix(F, 3, 3, [1, 2, 3, 0, 4, 5, 0, 6, 7])
-    assert is_block_triangular(x, s)
     y = Matrix(F, 3, 3, [1, 0, 0, 9, 1, 0, 0, 0, 1])
-    assert not is_block_triangular(y, s)
     assert first_below_block_violation(y, s) == (2, 1)
     assert first_below_block_violation(x, s) is None
 
@@ -127,14 +123,6 @@ def test_detect_repetition_needs_full_blocks():
     a = diagonal_algebra(F, 2)  # proper inside the single (2,) block
     with pytest.raises(NotSimpleBlocksError):
         detect_repetition(a, BlockShape((2,)))
-
-
-def test_is_uniserial():
-    s = BlockShape((1, 1))
-    assert is_uniserial(upper_triangular(F, 2), s)
-    assert not is_uniserial(diagonal_embedding(F, 1, 2), s)
-    with pytest.raises(DimensionError):
-        is_uniserial(full_matrix_algebra(F, 2), BlockShape((2,)))
 
 
 def test_staircase_units_shape_and_value():

@@ -204,6 +204,26 @@ def test_spanning_sweep_matches_full_tuple_sweep(n, t):
     assert rep.tuple_space == b.dim ** t
 
 
+def test_spanning_sweep_guard_counts_combinations(monkeypatch):
+    # the guard bounds the C(dim, t) combinations swept, not the dim^t
+    # tuples the report counts
+    b = constrained_triangular(Zmod(4), 4, 2)
+    assert b.dim == 10
+    monkeypatch.setattr(identities, "SPANNING_SWEEP_LIMIT", math.comb(10, 3))
+    assert is_standard_identity(b, 3).tuple_space == 10**3
+    monkeypatch.setattr(identities, "SPANNING_SWEEP_LIMIT", math.comb(10, 3) - 1)
+    with pytest.raises(DegreeGuardError, match="120 combinations"):
+        is_standard_identity(b, 3)
+
+
+def test_min_degree_zmod_past_tuple_count_guard():
+    # 10^7 tuples at t = 7 exceed SPANNING_SWEEP_LIMIT; the 120
+    # combinations swept do not
+    res = min_standard_degree(constrained_triangular(Zmod(4), 4, 2))
+    assert res.degree == 8
+    assert res.reports[5].tuple_space == 10**7 > identities.SPANNING_SWEEP_LIMIT
+
+
 def test_zmod_randomized_rejected():
     b = constrained_triangular(Zmod(4), 2, 2)
     with pytest.raises(UnsupportedRingError):

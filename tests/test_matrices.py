@@ -10,8 +10,6 @@ from matpi.matrices import (
     identity_matrix,
     matrix_unit,
     nullspace,
-    rref,
-    scalar_matrix,
     trace_pair,
     zero_matrix,
 )
@@ -61,7 +59,7 @@ def test_shape_mismatch():
     with pytest.raises(DimensionError):
         a + b
     with pytest.raises(DimensionError):
-        b * a.transpose()  # 2x2 times 3x2
+        b * zero_matrix(F, 3, 2)
 
 
 def test_matrix_unit_is_one_based():
@@ -102,13 +100,6 @@ def test_trace_pair_equals_trace_of_product():
         a = Matrix(F, 3, 3, [rng.randrange(101) for _ in range(9)])
         b = Matrix(F, 3, 3, [rng.randrange(101) for _ in range(9)])
         assert trace_pair(a, b) == (a * b).trace()
-
-
-def test_rref_and_pivots_one_based():
-    a = Matrix(QQ, 3, 3, [1, 2, 3, 2, 4, 6, 0, 0, 5])
-    res = rref(a)
-    assert res.rank == 2
-    assert res.pivots == (1, 3)
 
 
 def test_nullspace():
@@ -162,4 +153,3 @@ def test_identity_and_scalar():
     i3 = identity_matrix(F, 3)
     a = Matrix(F, 3, 3, range(9))
     assert i3 * a == a and a * i3 == a
-    assert scalar_matrix(F, 3, 5) == 5 * i3
