@@ -44,7 +44,7 @@ from .identities import (
     ur_vanishing_check,
 )
 from .matrices import Matrix, matrix_unit
-from .rings import GF, QQ, Ring, Zmod, ring_from_params
+from .rings import GF, QQ, RING_KINDS, Ring, Zmod, ring_from_params
 from .specfile import build_algebra, load_algebra_spec
 from .standardpoly import (
     consecutive_factor_sum,
@@ -72,7 +72,7 @@ def parse_ring_flag(text: str) -> Ring:
             return ring_from_params(kind, int(mod))
         except ValueError:
             raise MatpiError(f"bad ring flag {text!r}; use q, gf:<p>, or zmod:<m>") from None
-    if s in ("q", "qq", "rationals"):
+    if RING_KINDS.get(s) == "q":
         return QQ
     raise MatpiError(f"bad ring flag {text!r}; use q, gf:<p>, or zmod:<m>")
 
@@ -334,11 +334,8 @@ def _consecutive_factor_configs(ring, trials, seed):
     checked = 0
     for (m, r) in ((4, 3), (5, 3), (6, 3), (6, 5)):
         for _ in range(trials):
-            mats = []
-            for _k in range(m):
-                entries = [rng.randrange(ring.p) if ring.kind == "prime_field"
-                           else rng.randint(-9, 9) for _ in range(n * n)]
-                mats.append(Matrix(ring, n, n, entries))
+            mats = [Matrix(ring, n, n, [rng.randrange(ring.p) for _ in range(n * n)])
+                    for _k in range(m)]
             offset = rng.randrange(m - r + 1)
             lhs = consecutive_factor_sum(mats, offset, r)
             collapsed = mats[:offset] + [product_of(mats[offset : offset + r])] + mats[offset + r :]

@@ -1,21 +1,23 @@
-"""Vectorized prime-field kernels for standard-polynomial evaluation.
+"""Vectorized int64 arithmetic for standard-polynomial evaluation over GF(p).
 
-Two int64 numpy kernels re-implement the exact evaluators of
-:mod:`standardpoly`: :func:`dp_batch`, the half-depth subset DP over a
-batch of argument tuples that the sweeps run, and :func:`naive_single`,
-the permutation sum over one tuple that re-checks witnesses.  Both are
-valid only when the overflow bound holds: accumulating t products of
-reduced n x n matrices before reducing again keeps every intermediate
-below t * n * (p-1)^2 plus one residue, which must stay inside int64.
-Callers must check :func:`supports` first; the pure-Python paths remain
-the reference and the fallback.  Results agree entrywise with the exact
-evaluators (the test suite cross-checks both directions).
+This module holds only int64 numpy arithmetic.  :func:`dp_batch` runs the
+half-depth subset DP of :func:`standardpoly.half_depth_dp`, the one copy of
+that recurrence, over a batch of argument tuples with batched matmul; the
+sweeps call it.  :func:`naive_single` sums the t! permutation products of
+one tuple and re-checks witnesses.  Both are valid only when the overflow
+bound holds: accumulating t products of reduced n x n matrices before
+reducing again keeps every intermediate below t * n * (p-1)^2 plus one
+residue, which must stay inside int64.  Callers go through
+:func:`standardpoly.int64_eligible` (or :func:`supports`) first; the
+pure-Python paths remain the reference and the fallback.  Results agree
+entrywise with the exact evaluators (the test suite cross-checks both
+directions).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb, factorial
 
 import numpy as np
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import DegreeGuardError
 from .matrices import Matrix
 from .rings import PrimeField
+from .standardpoly import NAIVE_MAX_DEGREE, half_depth_dp
 
 INT64_BUDGET = 2**62
 BATCH_BUDGET_BYTES = 256 * 2**20
@@ -31,16 +34,6 @@ BATCH_BUDGET_BYTES = 256 * 2**20
 def supports(p: int, n: int, t: int) -> bool:
     """True when the layered accumulation cannot overflow int64."""
     return t >= 1 and t * n * (p - 1) ** 2 < INT64_BUDGET
-
-
-def mats_to_array(mats) -> np.ndarray:
-    """Stack matrices into a (t, n, n) int64 array of residues."""
-    t = len(mats)
-    n = mats[0].rows
-    arr = np.empty((t, n, n), dtype=np.int64)
-    for k, a in enumerate(mats):
-        arr[k] = np.array(a.data, dtype=np.int64).reshape(n, n)
-    return arr
 
 
 def array_to_matrix(ring: PrimeField, arr: np.ndarray) -> Matrix:
@@ -62,55 +55,23 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
     """Evaluate s_t on a batch of argument tuples by the half-depth subset DP.
 
     stack has shape (t, B, n, n) and holds residues in [0, p): argument k
-    of batch item b is stack[k, b].  Returns (B, n, n) residues mod p.
-
-    For a subset S of arguments let g(S) = s_|S| applied to S in index
-    order.  Layer 1 is g({i}) = x_i, and layer k is built from layer k-1 as
-    in :func:`standardpoly.eval_standard_dp`.  The layers stop at
-    b = ceil(t/2), and one join gives the answer: with a = floor(t/2),
-
-        s_t = sum over a-subsets S of (-1)^inv(S) * g(S) * g(complement of S)
-
-    where inv(S) counts the pairs s in S, c not in S with s > c (the sign
-    of the shuffle that puts S first).  This forms 2,802 products at t = 10
-    where building all t layers forms t * 2^(t-1) = 5,120.  Layers are kept
-    two at a time, keyed by subset bitmask, so peak memory is
-    O(C(t, b) * B * n^2).
+    of batch item b is stack[k, b].  Returns (B, n, n) residues mod p.  The
+    recurrence is :func:`standardpoly.half_depth_dp`, with each g(S) a
+    (B, n, n) array, so peak memory is O(C(t, ceil(t/2)) * B * n^2).
 
     int64 bound: arguments are residues and layers are reduced mod p, so
     every product entry is at most n * (p-1)^2 in size, and a layer sums
     k <= t of them, inside the t * n * (p-1)^2 < 2^62 of :func:`supports`.
-    The join sums C(t, a) products, more than t once t >= 4, so it reduces
-    after every t of them: a residue below p plus t products stays below
-    2^63.
+    The join sums C(t, floor(t/2)) products, more than t once t >= 4, so
+    it reduces after every t of them: a residue below p plus t products
+    stays below 2^63.
     """
     t, _, n, _ = stack.shape
     if not supports(p, n, t):
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
     if stack.min() < 0 or stack.max() >= p:
         raise DegreeGuardError(f"int64 bound needs residues in [0, {p})")
-    if t == 1:
-        return stack[0].copy()
-    a, b = t // 2, t - t // 2
-    layer = {1 << i: stack[i] for i in range(t)}
-    lower = layer
-    for k in range(2, b + 1):
-        lower, layer = layer, {}
-        for comb in combinations(range(t), k):
-            mask = sum(1 << i for i in comb)
-            layer[mask] = _signed_sum(
-                [(lower[mask ^ (1 << i)], stack[i], (k - 1 - pos) & 1)
-                 for pos, i in enumerate(comb)], p, t)
-    if a == b:
-        lower = layer
-    full = (1 << t) - 1
-    pairs = []
-    for comb in combinations(range(t), a):
-        mask = sum(1 << i for i in comb)
-        # s_j, the j-th member of S, exceeds s_j - j members of the complement
-        inv = sum(comb) - a * (a - 1) // 2
-        pairs.append((lower[mask], layer[full ^ mask], inv & 1))
-    return _signed_sum(pairs, p, t)
+    return half_depth_dp(stack, lambda pairs: _signed_sum(pairs, p, t))
 
 
 def _signed_sum(pairs, p: int, every: int) -> np.ndarray:
@@ -156,8 +117,8 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
     t! * (p-1) does for t <= 8.
     """
     t, n, _ = arr.shape
-    if t > 8:
-        raise DegreeGuardError(f"naive kernel guarded to degree 8, got {t}")
+    if t > NAIVE_MAX_DEGREE:
+        raise DegreeGuardError(f"naive kernel guarded to degree {NAIVE_MAX_DEGREE}, got {t}")
     if not supports(p, n, t) or factorial(t) * (p - 1) >= INT64_BUDGET:
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
     words, signs = _signed_words(t)

@@ -38,8 +38,9 @@ tuple.  A tuple skipped this way is proved zero, so it counts in
 witnesses stay the lex-first nonzero tuples.
 
 Verdicts of "not an identity" always carry a witness tuple whose arguments
-are checked to lie in the algebra and whose value is re-evaluated with an
-independent evaluator before being reported.
+are checked to lie in the algebra and whose value is re-evaluated before
+being reported, by the naive permutation sum up to degree 8 (see
+:func:`_reverify_witness` for what each re-check shares with the sweep).
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .standardpoly import (
     NAIVE_MAX_DEGREE,
     eval_standard_dp,
     eval_standard_naive,
+    int64_eligible,
     signed_permutations,
     word_products,
 )
@@ -165,14 +167,19 @@ class IdentityReport:
 
 
 def _reverify_witness(mats: Sequence[Matrix], expected: Matrix) -> None:
-    """Witnesses never ship unvalidated: re-evaluate with a second evaluator.
+    """Witnesses never ship unvalidated: re-evaluate them once more.
 
-    Up to its degree guard the re-check is the naive permutation sum: the
-    int64 :func:`fastpath.naive_single` over GF(p) where its overflow bound
-    holds, else the prefix-shared pure-Python sum.  Neither shares code
-    with the subset DP that found the witness.  Past the guard the
-    pure-Python DP re-evaluates, which is independent of the batched int64
-    kernel but not of the pure-Python sweep.
+    Per case, the re-check and what it shares with the sweep:
+    - t <= 8: the naive permutation sum, :func:`fastpath.naive_single` in
+      int64 over GF(p) at t >= 6 inside its bound, else the pure-Python
+      :func:`word_products` sum.  It shares no recurrence with the DP.
+    - t > 8 over GF(p) inside the int64 bound: :func:`eval_standard_dp`.
+      The sweep ran :func:`fastpath.dp_batch`; the two share the
+      recurrence :func:`half_depth_dp` but not its arithmetic.
+    - t > 8 otherwise (QQ, Z/m, a prime past the bound): the very
+      :func:`eval_standard_dp` call the sweep made, so it is not
+      independent; only the `contains` check and the nonzero test add
+      anything.
     """
     if len(mats) <= NAIVE_MAX_DEGREE:
         got = eval_standard_naive(list(mats))
@@ -197,14 +204,6 @@ def _chunked(iterable, size: int):
         if not block:
             return
         yield block
-
-
-def _use_fastpath(ring: Ring, n: int, t: int) -> bool:
-    if ring.kind != "prime_field":
-        return False
-    from . import fastpath
-
-    return fastpath.supports(ring.p, n, t)
 
 
 def _torus_weights(a, t: int) -> Optional[list]:
@@ -262,7 +261,7 @@ def _nonzero_hits(a, t: int, tuples, coords: bool = False, entries=None):
         _reverify_witness(mats, value)
         return pos, Witness(None if coords else tuple(i + 1 for i in tup), mats, value)
 
-    if _use_fastpath(ring, n, t):
+    if int64_eligible(ring, n, t):
         from . import fastpath
 
         basis_arr = fastpath.basis_to_flat(a.mats)
@@ -305,7 +304,7 @@ def _random_rows(a: SubalgebraBasis, t: int, trials: int, seed: int):
     seeded randomized-mode reports have always been computed from.
     """
     ring = a.ring
-    if _use_fastpath(ring, a.n, t):
+    if int64_eligible(ring, a.n, t):
         import numpy as np
 
         rng = np.random.default_rng(seed)

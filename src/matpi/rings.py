@@ -308,21 +308,29 @@ def Zmod(m: int) -> IntegerModRing:
     return IntegerModRing(m)
 
 
+# every spelling of a ring kind that the CLI and spec files accept
+RING_KINDS = {
+    "q": "q", "qq": "q", "rational": "q", "rationals": "q",
+    "gf": "gf", "prime_field": "gf", "fp": "gf",
+    "zmod": "zmod", "integers_mod": "zmod", "zm": "zmod",
+}
+
+
 def ring_from_params(kind: str, modulus=None) -> Ring:
     """Build a ring from CLI/spec-file parameters.
 
-    kind is one of ``gf``, ``q``/``qq``/``rationals``, ``zmod``.
+    kind is any spelling in RING_KINDS of ``q``, ``gf`` or ``zmod``.
     """
-    k = kind.strip().lower()
-    if k in ("q", "qq", "rational", "rationals"):
+    k = RING_KINDS.get(kind.strip().lower())
+    if k == "q":
         if modulus is not None:
             raise UnsupportedRingError("the rationals take no modulus")
         return QQ
-    if k in ("gf", "prime_field", "fp"):
+    if k == "gf":
         if modulus is None:
             raise UnsupportedRingError("ring kind 'gf' needs a prime modulus p")
         return GF(modulus)
-    if k in ("zmod", "integers_mod", "zm"):
+    if k == "zmod":
         if modulus is None:
             raise UnsupportedRingError("ring kind 'zmod' needs a modulus m")
         return Zmod(modulus)

@@ -35,7 +35,7 @@ from .blocks import BlockShape
 from .constructions import SpanningSetAlgebra, build_named
 from .errors import MatpiError, SpecFileError
 from .matrices import Matrix, identity_matrix
-from .rings import Ring, ring_from_params
+from .rings import RING_KINDS, Ring, ring_from_params
 from .subalgebra import close_generators, span_basis
 
 _TOP_KEYS = {"label", "ring", "n", "source", "include_identity", "shape"}
@@ -78,12 +78,12 @@ def _parse_ring(data) -> Ring:
     extra = set(ring) - {"kind", "p", "m"}
     if extra:
         raise SpecFileError("ring", f"unknown keys: {', '.join(sorted(extra))}")
-    k = kind.strip().lower()
-    if k in ("q", "qq", "rationals", "rational"):
+    k = RING_KINDS.get(kind.strip().lower())
+    if k == "q":
         if "p" in ring or "m" in ring:
             raise SpecFileError("ring", "the rationals take no modulus")
         return ring_from_params("q")
-    if k in ("gf", "prime_field", "fp"):
+    if k == "gf":
         if "p" not in ring:
             raise SpecFileError("ring.p", "missing prime modulus")
         p = _require_int(ring["p"], "ring.p", minimum=2)
@@ -91,7 +91,7 @@ def _parse_ring(data) -> Ring:
             return ring_from_params("gf", p)
         except MatpiError as e:
             raise SpecFileError("ring.p", str(e)) from None
-    if k in ("zmod", "integers_mod", "zm"):
+    if k == "zmod":
         if "m" not in ring:
             raise SpecFileError("ring.m", "missing modulus")
         m = _require_int(ring["m"], "ring.m", minimum=2)

@@ -3,13 +3,16 @@
 s_t(x_1, ..., x_t) = sum over all permutations w of {1..t} of
 sign(w) * x_{w(1)} * ... * x_{w(t)}.  Two evaluators are provided: a naive
 sum over all t! permutation products (the oracle, guarded to t <= 8) and a
-subset dynamic program that is exact over any coefficient ring.  The DP
-builds s_k of every k-subset of the arguments for k up to ceil(t/2) and
-joins complementary halves, so it forms about t * 2^(t-2) + C(t, t/2)
-matrix products, half of the t * 2^(t-1) that building all t layers takes.
-The naive sum walks the words depth first
-with :func:`word_products`, so words that share a prefix share its
-product and a zero prefix skips every word that extends it.
+subset dynamic program that is exact over any coefficient ring.  The DP,
+:func:`half_depth_dp`, builds s_k of every k-subset of the arguments for k
+up to ceil(t/2) and joins complementary halves, so it forms about
+t * 2^(t-2) + C(t, t/2) matrix products, half of the t * 2^(t-1) that
+building all t layers takes.  It is written once and takes its arithmetic
+from the caller: flat exact lists in :func:`eval_standard_dp`, int64
+batches in :func:`fastpath.dp_batch`.  :func:`int64_eligible` decides
+which of the two a prime-field input may use.  The naive sum walks the
+words depth first with :func:`word_products`, so words that share a prefix
+share its product and a zero prefix skips every word that extends it.
 
 Permutation words are tuples over {1..t} everywhere in the public API, to
 match the 1-based matrix unit convention.
@@ -226,13 +229,24 @@ def eval_standard_naive(mats: Sequence[Matrix]) -> Matrix:
             f"naive evaluation guarded to degree {NAIVE_MAX_DEGREE}, got {t}"
         )
     ring, n = _check_eval_args(mats)
-    if ring.kind == "prime_field" and t >= FASTPATH_MIN_DEGREE:
+    if t >= FASTPATH_MIN_DEGREE and int64_eligible(ring, n, t):
         from . import fastpath
 
-        if fastpath.supports(ring.p, n, t):
-            arr = fastpath.naive_single(fastpath.mats_to_array(mats), ring.p)
-            return fastpath.array_to_matrix(ring, arr)
+        arr = fastpath.naive_single(fastpath.basis_to_flat(mats).reshape(t, n, n), ring.p)
+        return fastpath.array_to_matrix(ring, arr)
     return _eval_standard_naive_py(mats)
+
+
+def int64_eligible(ring: Ring, n: int, t: int) -> bool:
+    """True when s_t of n x n matrices over ring may run on the int64
+    kernels of :mod:`fastpath`: the ring is a prime field and the overflow
+    bound holds.  Only a prime field imports fastpath, and with it numpy.
+    """
+    if ring.kind != "prime_field":
+        return False
+    from . import fastpath
+
+    return fastpath.supports(ring.p, n, t)
 
 
 def _eval_standard_naive_py(mats: Sequence[Matrix]) -> Matrix:
@@ -256,7 +270,27 @@ def _eval_standard_naive_py(mats: Sequence[Matrix]) -> Matrix:
 
 
 def eval_standard_dp(mats: Sequence[Matrix]) -> Matrix:
-    """s_t by the half-depth subset dynamic program.
+    """s_t by the half-depth subset DP of :func:`half_depth_dp`.
+
+    Exact over any coefficient ring, in pure Python: products are flat
+    lists and None stands for a zero g(S), whose products are skipped.
+    Batched sweeps over GF(p) run the same recurrence in int64 through
+    :func:`fastpath.dp_batch`.
+    """
+    t = len(mats)
+    if t > DP_MAX_DEGREE:
+        raise DegreeGuardError(f"DP evaluation guarded to degree {DP_MAX_DEGREE}, got {t}")
+    ring, n = _check_eval_args(mats)
+    zero = ring.zero
+    x = [None if flat_is_zero(m.data, zero) else m.data for m in mats]
+    value = half_depth_dp(x, lambda pairs: _signed_sum(pairs, n, ring))
+    if value is None:
+        return zero_matrix(ring, n)
+    return Matrix._new(ring, n, n, value)
+
+
+def half_depth_dp(x: Sequence, signed_sum):
+    """s_t of the t factors x by the half-depth subset dynamic program.
 
     For a subset S of arguments let g(S) = s_{|S|} applied to S (in index
     order).  Then g({i}) = x_i and
@@ -272,30 +306,27 @@ def eval_standard_dp(mats: Sequence[Matrix]) -> Matrix:
     where inv(S) counts the pairs s in S, c not in S with s > c: the sign
     of the shuffle that lists S before its complement.  This is
     X^t = X^a * X^b for X = sum of x_i e_i over the Grassmann algebra.  The
-    layers and the join form about t * 2^(t-2) + C(t, a) products, against
-    t * 2^(t-1) for all t layers.  Exact over any coefficient ring, in pure
-    Python; batched sweeps over GF(p) use the int64 twin
-    :func:`fastpath.dp_batch`.
+    layers and the join form sum_{k=2..b} k * C(t, k) + C(t, a) products
+    (2,802 at t = 10), against t * 2^(t-1) = 5,120 for all t layers.
+    Layers are kept two at a time, keyed by subset bitmask.
+
+    The arithmetic is the caller's: signed_sum takes a list of
+    (left, right, negate) triples and returns the sum of
+    (-1)^negate * left * right, which becomes the next g value.
     """
-    t = len(mats)
-    if t > DP_MAX_DEGREE:
-        raise DegreeGuardError(f"DP evaluation guarded to degree {DP_MAX_DEGREE}, got {t}")
-    ring, n = _check_eval_args(mats)
-    zero = ring.zero
+    t = len(x)
     if t == 1:
-        return mats[0]
+        return x[0]
     a, b = t // 2, t - t // 2
-    # g values keyed by subset bitmask; None = zero
-    x = [None if flat_is_zero(m.data, zero) else m.data for m in mats]
     layer = {1 << i: x[i] for i in range(t)}
     lower = layer
     for k in range(2, b + 1):
         lower, layer = layer, {}
         for comb in combinations(range(t), k):
             mask = sum(1 << i for i in comb)
-            layer[mask] = _signed_sum(
+            layer[mask] = signed_sum(
                 [(lower[mask ^ (1 << i)], x[i], (k - 1 - pos) & 1)
-                 for pos, i in enumerate(comb)], n, ring)
+                 for pos, i in enumerate(comb)])
     if a == b:
         lower = layer
     full = (1 << t) - 1
@@ -305,10 +336,7 @@ def eval_standard_dp(mats: Sequence[Matrix]) -> Matrix:
         # s_j, the j-th member of S, exceeds s_j - j members of the complement
         inv = sum(comb) - a * (a - 1) // 2
         pairs.append((lower[mask], layer[full ^ mask], inv & 1))
-    value = _signed_sum(pairs, n, ring)
-    if value is None:
-        return zero_matrix(ring, n)
-    return Matrix._new(ring, n, n, value)
+    return signed_sum(pairs)
 
 
 def _signed_sum(pairs, n: int, ring: Ring):

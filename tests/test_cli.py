@@ -61,6 +61,17 @@ def test_verify_al_qq(capsys):
     assert out.count("[PASS]") == 4
 
 
+def test_ring_flag_aliases_match(capsys):
+    # the CLI reads the same alias table as spec files, where kind
+    # "rational" loads QQ
+    code1, out1, _ = run(capsys, "verify-al", "--n", "2", "--ring", "rational",
+                         "--out", "structured")
+    code2, out2, _ = run(capsys, "verify-al", "--n", "2", "--ring", "q",
+                         "--out", "structured")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_verify_al_exhaustive_guard(capsys):
     code, out, err = run(capsys, "verify-al", "--n", "5", "--mode", "exhaustive")
     assert code == 1

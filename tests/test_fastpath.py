@@ -4,7 +4,7 @@ from math import comb, isqrt
 import numpy as np
 import pytest
 
-from matpi import fastpath
+from matpi import fastpath, standardpoly
 from matpi.blocks import staircase_units
 from matpi.errors import DegreeGuardError
 from matpi.matrices import Matrix, matrix_unit
@@ -36,8 +36,13 @@ def perturbed_staircase(ring, t, n, rng):
     return units
 
 
+def to_array(mats):
+    n = mats[0].rows
+    return fastpath.basis_to_flat(mats).reshape(len(mats), n, n)
+
+
 def dp_batch_matrices(cases, p=101):
-    stack = np.stack([fastpath.mats_to_array(ms) for ms in cases], axis=1)
+    stack = np.stack([to_array(ms) for ms in cases], axis=1)
     return [fastpath.array_to_matrix(GF(p), v) for v in fastpath.dp_batch(stack, p)]
 
 
@@ -51,7 +56,7 @@ def test_supports_budget():
 def test_roundtrip_conversions():
     rng = np.random.default_rng(0)
     mats = random_mats(rng, 3, 2)
-    arr = fastpath.mats_to_array(mats)
+    arr = to_array(mats)
     assert arr.shape == (3, 2, 2)
     back = fastpath.array_to_matrix(F, arr[1])
     assert back == mats[1]
@@ -64,7 +69,7 @@ def test_roundtrip_conversions():
 def test_dp_batch_matches_pure(t, n):
     rng = np.random.default_rng(t * 31 + n)
     cases = [random_mats(rng, t, n) for _ in range(5)]
-    stack = np.stack([fastpath.mats_to_array(ms) for ms in cases], axis=1)
+    stack = np.stack([to_array(ms) for ms in cases], axis=1)
     out = fastpath.dp_batch(stack, 101)
     for b, ms in enumerate(cases):
         want = eval_standard_dp(ms)
@@ -79,7 +84,7 @@ def test_naive_single_matches_pure(t, n):
         ms = random_mats(rng, t, n)
         want = _eval_standard_naive_py(ms)
         assert want.is_zero() == (t >= 2 * n)
-        arr = fastpath.mats_to_array(ms)
+        arr = to_array(ms)
         assert fastpath.array_to_matrix(F, fastpath.naive_single(arr, 101)) == want
 
 
@@ -234,17 +239,31 @@ def test_dp_batch_rejects_entries_outside_residues():
             fastpath.dp_batch(stack, 101)
 
 
-def test_dp_batch_t10_product_count(monkeypatch):
-    # layers 2..5 form 2,550 products and the join 252; all ten layers
-    # would form 10 * 2^9 = 5,120
+@pytest.mark.parametrize("kernel", ["int64", "exact"])
+@pytest.mark.parametrize("t", range(2, 11))
+def test_dp_batch_t10_product_count(monkeypatch, kernel, t):
+    # layers 2..ceil(t/2) form k * C(t, k) products each and the join
+    # C(t, floor(t/2)): 2,802 at t = 10, where all ten layers would form
+    # 10 * 2^9 = 5,120.  Dense 3x3 factors keep every g(S) nonzero, so
+    # the exact kernel skips no product
+    want = sum(k * comb(t, k) for k in range(2, (t + 1) // 2 + 1)) + comb(t, t // 2)
     calls = []
-    real = np.matmul
+    if kernel == "int64":
+        module, name = np, "matmul"
+    else:
+        module, name = standardpoly, "mul_flat"
+    real = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "matmul", counting)
-    stack = np.random.default_rng(10).integers(0, 101, size=(10, 2, 2, 2))
-    fastpath.dp_batch(stack, 101)
-    assert len(calls) <= 2812
+    monkeypatch.setattr(module, name, counting)
+    rng = np.random.default_rng(t)
+    if kernel == "int64":
+        fastpath.dp_batch(rng.integers(0, 101, size=(t, 2, 3, 3)), 101)
+    else:
+        eval_standard_dp(random_mats(rng, t, 3, QQ))
+    assert len(calls) == want
+    if t == 10:
+        assert want == 2802

@@ -358,7 +358,7 @@ def test_counted_hits_agree_across_kernels(monkeypatch):
     fast = hits(4, corner)
     assert fast and len(fast) < len(hits(4, None)) == 40
     assert hits(6, None) == []
-    monkeypatch.setattr(identities, "_use_fastpath", lambda *args: False)
+    monkeypatch.setattr(identities, "int64_eligible", lambda *args: False)
     assert hits(4, corner) == fast
 
 
