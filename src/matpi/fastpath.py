@@ -1,13 +1,18 @@
-"""Vectorized int64 arithmetic for standard-polynomial evaluation over GF(p).
+"""Vectorized numpy arithmetic for standard-polynomial evaluation over GF(p).
 
-This module holds only int64 numpy arithmetic.  :func:`dp_batch` runs the
-half-depth subset DP of :func:`standardpoly.half_depth_dp`, the one copy of
-that recurrence, over a batch of argument tuples with batched matmul; the
-sweeps call it.  :func:`naive_single` sums the t! permutation products of
-one tuple and re-checks witnesses.  Both are valid only when the overflow
-bound holds: accumulating t products of reduced n x n matrices before
-reducing again keeps every intermediate below t * n * (p-1)^2 plus one
-residue, which must stay inside int64.  Callers go through
+This module holds only numpy integer arithmetic.  :func:`dp_batch` runs
+the half-depth subset DP of :func:`standardpoly.half_depth_dp`, the one
+copy of that recurrence, over a batch of argument tuples; the sweeps call
+it.  It works on batch-last (n, n, B) arrays, forms each product with one
+einsum over the contiguous batch axis, and computes in int32 when
+t * n * (p-1)^2 + p < 2^31, in int64 otherwise.  :func:`naive_single`
+sums the t! permutation products of one tuple in int64 and re-checks
+witnesses.  Both are exact only inside proven overflow bounds.  Products
+of residues have entries at most n * (p-1)^2.  The int64 gate,
+t * n * (p-1)^2 < 2^62 (:func:`supports`), decides whether this module
+runs at all.  Inside it, :func:`dp_batch` reduces mod p often enough that
+a residue plus the products summed since keeps below 2^31 or 2^63 (its
+docstring gives the counts).  Callers go through
 :func:`standardpoly.int64_eligible` (or :func:`supports`) first; the
 pure-Python paths remain the reference and the fallback.  Results agree
 entrywise with the exact evaluators (the test suite cross-checks both
@@ -55,31 +60,57 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
     """Evaluate s_t on a batch of argument tuples by the half-depth subset DP.
 
     stack has shape (t, B, n, n) and holds residues in [0, p): argument k
-    of batch item b is stack[k, b].  Returns (B, n, n) residues mod p.  The
-    recurrence is :func:`standardpoly.half_depth_dp`, with each g(S) a
-    (B, n, n) array, so peak memory is O(C(t, ceil(t/2)) * B * n^2).
+    of batch item b is stack[k, b].  Returns C-contiguous int64 (B, n, n)
+    residues mod p.  The recurrence is :func:`standardpoly.half_depth_dp`,
+    and peak memory is O(C(t, ceil(t/2)) * B * n^2).
 
-    int64 bound: arguments are residues and layers are reduced mod p, so
-    every product entry is at most n * (p-1)^2 in size, and a layer sums
-    k <= t of them, inside the t * n * (p-1)^2 < 2^62 of :func:`supports`.
-    The join sums C(t, floor(t/2)) products, more than t once t >= 4, so
-    it reduces after every t of them: a residue below p plus t products
-    stays below 2^63.
+    Layout: the stack is copied once to batch-last (t, n, n, B), so each
+    g(S) is an (n, n, B) array whose batch axis is contiguous, and every
+    product is one einsum over that axis.
+
+    Dtype: int32 when t * n * (p-1)^2 + p < 2^31, else int64
+    (:func:`_dtype_and_every`); the same code runs either way.
+
+    Overflow bounds: arguments are residues and every g(S) is reduced
+    mod p, so a product entry is at most n * (p-1)^2, below 2^31 under
+    the int32 rule.  A signed sum reduces after every `every` products,
+    with every = floor((2^L - p - 1) / (n * (p-1)^2)) for L = 31 (int32)
+    or 63 (int64), so a running sum is at most
+
+        (p - 1) + every * n * (p-1)^2 < 2^L
+
+    in size.  The int32 rule, and the int64 gate t * n * (p-1)^2 < 2^62 of
+    :func:`supports`, both make every >= t, so a layer (k <= t products)
+    reduces only at its end.  The join sums C(t, floor(t/2)) products,
+    252 at t = 10, so it does reduce on the way: at the largest prime the
+    int32 rule admits for t = 10 and n = 2 or 5, every = 10.
     """
     t, _, n, _ = stack.shape
     if not supports(p, n, t):
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
     if stack.min() < 0 or stack.max() >= p:
         raise DegreeGuardError(f"int64 bound needs residues in [0, {p})")
-    return half_depth_dp(stack, lambda pairs: _signed_sum(pairs, p, t))
+    dtype, every = _dtype_and_every(p, n, t)
+    x = np.ascontiguousarray(stack.transpose(0, 2, 3, 1), dtype=dtype)
+    value = half_depth_dp(x, lambda pairs: _signed_sum(pairs, p, every))
+    return np.ascontiguousarray(value.transpose(2, 0, 1), dtype=np.int64)
+
+
+def _dtype_and_every(p: int, n: int, t: int) -> tuple:
+    """The kernel's dtype and how many products it may sum between
+    reductions mod p; see :func:`dp_batch` for the bounds."""
+    size = n * (p - 1) ** 2
+    dtype = np.int32 if t * size + p < 2**31 else np.int64
+    return dtype, (np.iinfo(dtype).max - p) // size
 
 
 def _signed_sum(pairs, p: int, every: int) -> np.ndarray:
-    """Sum of (-1)^negate * left @ right over (left, right, negate),
-    reduced mod p after every `every` products and at the end."""
+    """Sum of (-1)^negate * left @ right over (left, right, negate) of
+    batch-last (n, n, B) arrays, reduced mod p after every `every`
+    products and at the end."""
     acc = None
     for j, (left, right, negate) in enumerate(pairs, 1):
-        term = np.matmul(left, right)
+        term = np.einsum("imb,mjb->ijb", left, right)
         if acc is None:
             acc = np.negative(term, out=term) if negate else term
         elif negate:

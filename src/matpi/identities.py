@@ -15,9 +15,10 @@ ordered source of argument tuples (combinations or coefficient rows) and
 optionally the entries of the value that count.  The identity tests stop
 at its first hit; the block-assembly and corner-vanishing checks count all
 hits over random elements of a span.  The driver picks the kernel once per
-sweep: batched int64 evaluation by :func:`fastpath.dp_batch` over GF(p)
-when the overflow bound allows it, and the exact pure-Python DP otherwise
-(QQ, Z/m, large p), which never imports numpy.
+sweep: batched numpy evaluation by :func:`fastpath.dp_batch` over GF(p)
+when the int64 bound of :func:`int64_eligible` holds (int32 or int64
+inside, whichever its own bound allows), and the exact pure-Python DP
+otherwise (QQ, Z/m, large p), which never imports numpy.
 
 Sweeps over index tuples (the two exhaustive modes and both loops of
 :func:`multilinear_identity_space`) also skip tuples that are zero by the
@@ -299,9 +300,11 @@ def _first_nonzero(a, t: int, tuples, coords: bool = False):
 def _random_rows(a: SubalgebraBasis, t: int, trials: int, seed: int):
     """`trials` seeded t x dim coefficient rows of random elements of a.
 
-    The int64 kernel draws all rows at once from numpy's generator and the
-    exact kernel draws them one by one from random.Random, the streams that
-    seeded randomized-mode reports have always been computed from.
+    The numpy kernel (:func:`fastpath.dp_batch`, taken when
+    :func:`int64_eligible` holds) draws all rows at once as int64 from
+    numpy's generator, and the exact kernel draws them one by one from
+    random.Random: the streams that seeded randomized-mode reports have
+    always been computed from.
     """
     ring = a.ring
     if int64_eligible(ring, a.n, t):
@@ -493,7 +496,7 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int) -> IdentitySpace:
         if not feasible(tup):
             continue
         rows = [[zero] * fact for _ in range(n * n)]
-        for r, prod in word_products([flats[i] for i in tup], n, ring):
+        for r, _, prod in word_products([flats[i] for i in tup], n, ring):
             for e, v in enumerate(prod):
                 rows[e][r] = v
         for row in rows:
@@ -506,7 +509,7 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int) -> IdentitySpace:
             prods = list(word_products([flats[i] for i in tup], n, ring))
             for vec in kernel:
                 acc = [zero] * (n * n)
-                for r, prod in prods:
+                for r, _, prod in prods:
                     c = vec[r]
                     if c != zero:
                         for e, v in enumerate(prod):

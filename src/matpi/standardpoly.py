@@ -8,11 +8,13 @@ subset dynamic program that is exact over any coefficient ring.  The DP,
 up to ceil(t/2) and joins complementary halves, so it forms about
 t * 2^(t-2) + C(t, t/2) matrix products, half of the t * 2^(t-1) that
 building all t layers takes.  It is written once and takes its arithmetic
-from the caller: flat exact lists in :func:`eval_standard_dp`, int64
-batches in :func:`fastpath.dp_batch`.  :func:`int64_eligible` decides
-which of the two a prime-field input may use.  The naive sum walks the
-words depth first with :func:`word_products`, so words that share a prefix
-share its product and a zero prefix skips every word that extends it.
+from the caller: flat exact lists in :func:`eval_standard_dp`, batches of
+numpy int32 or int64 residues in :func:`fastpath.dp_batch`.
+:func:`int64_eligible` decides which of the two a prime-field input may
+use.  The naive sum walks the words depth first with
+:func:`word_products`, so words that share a prefix share its product, a
+zero prefix skips every word that extends it, and each word's sign comes
+with its product.
 
 Permutation words are tuples over {1..t} everywhere in the public API, to
 match the 1-based matrix unit convention.
@@ -21,7 +23,6 @@ match the 1-based matrix unit convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Sequence
@@ -68,12 +69,6 @@ def signed_permutations(t: int):
         flips = 1 + (suffix * (suffix - 1)) // 2
         if flips & 1:
             sign = -sign
-
-
-@lru_cache(maxsize=None)
-def _perm_signs(t: int) -> tuple:
-    """Signs of the t! words in lexicographic order, built once per t."""
-    return tuple(sign for _, sign in signed_permutations(t))
 
 
 def perm_sign(word: Sequence[int]) -> int:
@@ -191,29 +186,33 @@ def eval_multilinear(poly: MultilinearPoly, mats: Sequence[Matrix]) -> Matrix:
 
 
 def word_products(flats: Sequence, n: int, ring: Ring):
-    """Yield (rank, product) for every permutation word of the flat n x n
-    matrices whose product is nonzero, in lexicographic word order.
+    """Yield (rank, sign, product) for every permutation word of the flat
+    n x n matrices whose product is nonzero, in lexicographic word order.
 
     The walk is depth first: each prefix product is formed once and shared
     by every word that extends it, and a zero prefix ends its subtree.
     Ranks are lexicographic among all t! words, as in :func:`perm_rank`.
+    Picking the k-th smallest remaining letter (k from 0) puts it before k
+    smaller letters, adding k inversions, so the sign of the word, as in
+    :func:`perm_sign`, is carried along the prefix.
     """
     if not flats:
         raise DimensionError("need at least one matrix")
     zero = ring.zero
 
-    def walk(prod, rest, rank):
+    def walk(prod, rest, rank, sign):
         step = factorial(len(rest) - 1)
         for k, i in enumerate(rest):
             nxt = flats[i] if prod is None else mul_flat(prod, flats[i], n, n, n, ring)
             if flat_is_zero(nxt, zero):
                 continue
+            word_sign = -sign if k & 1 else sign
             if len(rest) == 1:
-                yield rank, nxt
+                yield rank, word_sign, nxt
             else:
-                yield from walk(nxt, rest[:k] + rest[k + 1:], rank + k * step)
+                yield from walk(nxt, rest[:k] + rest[k + 1:], rank + k * step, word_sign)
 
-    return walk(None, tuple(range(len(flats))), 0)
+    return walk(None, tuple(range(len(flats))), 0, 1)
 
 
 def eval_standard_naive(mats: Sequence[Matrix]) -> Matrix:
@@ -238,9 +237,12 @@ def eval_standard_naive(mats: Sequence[Matrix]) -> Matrix:
 
 
 def int64_eligible(ring: Ring, n: int, t: int) -> bool:
-    """True when s_t of n x n matrices over ring may run on the int64
-    kernels of :mod:`fastpath`: the ring is a prime field and the overflow
-    bound holds.  Only a prime field imports fastpath, and with it numpy.
+    """True when s_t of n x n matrices over ring may run on the numpy
+    kernels of :mod:`fastpath`: the ring is a prime field and the int64
+    overflow bound of :func:`fastpath.supports` holds.  The name stays
+    because that int64 bound decides whether fastpath runs at all;
+    :func:`fastpath.dp_batch` then picks int32 or int64 inside it.  Only
+    a prime field imports fastpath, and with it numpy.
     """
     if ring.kind != "prime_field":
         return False
@@ -255,10 +257,9 @@ def _eval_standard_naive_py(mats: Sequence[Matrix]) -> Matrix:
     # alternation: a repeated argument forces s_t = 0
     if len({a.data for a in mats}) < len(mats):
         return zero_matrix(ring, n)
-    signs = _perm_signs(len(mats))
     acc = [zero] * (n * n)
-    for rank, prod in word_products([a.data for a in mats], n, ring):
-        if signs[rank] > 0:
+    for _, sign, prod in word_products([a.data for a in mats], n, ring):
+        if sign > 0:
             for idx, v in enumerate(prod):
                 if v != zero:
                     acc[idx] += v
@@ -274,8 +275,8 @@ def eval_standard_dp(mats: Sequence[Matrix]) -> Matrix:
 
     Exact over any coefficient ring, in pure Python: products are flat
     lists and None stands for a zero g(S), whose products are skipped.
-    Batched sweeps over GF(p) run the same recurrence in int64 through
-    :func:`fastpath.dp_batch`.
+    Batched sweeps over GF(p) run the same recurrence on numpy integer
+    batches through :func:`fastpath.dp_batch`.
     """
     t = len(mats)
     if t > DP_MAX_DEGREE:

@@ -225,10 +225,68 @@ def test_split_at_largest_prime_for_t10():
                   for _ in range(t)] for _ in range(3)]
         assert dp_batch_matrices(cases, p) == [eval_standard_dp(ms) for ms in cases]
     # the join sums C(10, 5) = 252 products of size 2 * (p-1)^2, about
-    # 2^66 together: exact only because it reduces after every t products
-    big = np.full((1, 2, 2), p - 1, dtype=np.int64)
-    got = fastpath._signed_sum([(big, big, 0)] * comb(10, 5), p, 10)
+    # 2^66 together: exact only because it reduces every `every` products
+    dtype, every = fastpath._dtype_and_every(p, 2, 10)
+    assert dtype is np.int64 and every >= 10
+    big = np.full((2, 2, 1), p - 1, dtype=np.int64)   # batch-last (n, n, B)
+    got = fastpath._signed_sum([(big, big, 0)] * comb(10, 5), p, every)
     assert (got == comb(10, 5) * 2 * (p - 1) ** 2 % p).all()
+
+
+def int32_boundary_primes(t, n):
+    """The largest prime the int32 rule t * n * (p-1)^2 + p < 2^31 admits
+    and the next prime, which runs int64."""
+    p = isqrt(2**31 // (t * n)) + 1
+    while not (is_prime(p) and t * n * (p - 1) ** 2 + p < 2**31):
+        p -= 1
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    return p, q
+
+
+# s_9 is nonzero on M_5; s_10 vanishes on M_2 and M_5, where a wrapped
+# int32 sum would show as a nonzero entry
+@pytest.mark.parametrize("t,n", [(10, 2), (10, 5), (9, 5)])
+def test_dp_batch_int32_boundary_matches_pure(t, n):
+    p, q = int32_boundary_primes(t, n)
+    assert fastpath._dtype_and_every(p, n, t) == (np.int32, t)
+    assert fastpath._dtype_and_every(q, n, t)[0] is np.int64
+    rng = random.Random(p * t + n)
+    for prime in (p, q):
+        ring = GF(prime)
+        cases = [[Matrix(ring, n, n, [prime - rng.randrange(1, 40) for _ in range(n * n)])
+                  for _ in range(t)] for _ in range(2)]
+        want = [eval_standard_dp(ms) for ms in cases]
+        assert all(w.is_zero() == (t >= 2 * n) for w in want)
+        assert dp_batch_matrices(cases, prime) == want
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_int32_join_exact_at_boundary_prime(n):
+    # C(10, 5) = 252 products of all-(p-1) factors: each entry is
+    # n * (p-1)^2, near 2^31 / 10, and 252 of them wrap int32 many times
+    # over unless the sum reduces every `every` products
+    p, _ = int32_boundary_primes(10, n)
+    dtype, every = fastpath._dtype_and_every(p, n, 10)
+    assert dtype is np.int32
+    big = np.full((n, n, 3), p - 1, dtype=np.int32)
+    got = fastpath._signed_sum([(big, big, 0)] * comb(10, 5), p, every)
+    assert got.dtype == np.int32
+    assert (got == comb(10, 5) * n * (p - 1) ** 2 % p).all()
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("t", [1, 4, 7])
+def test_dp_batch_returns_int64_batch_first(t, B):
+    n = 3
+    stack = np.random.default_rng(t * 10 + B).integers(0, 101, size=(t, B, n, n))
+    out = fastpath.dp_batch(stack, 101)
+    assert out.dtype == np.int64 and out.shape == (B, n, n) and out.flags.c_contiguous
+    assert out.min() >= 0 and out.max() < 101
+    want = [eval_standard_dp([Matrix(F, n, n, [int(v) for v in stack[k, b].ravel()])
+                              for k in range(t)]) for b in range(B)]
+    assert [fastpath.array_to_matrix(F, v) for v in out] == want
 
 
 def test_dp_batch_rejects_entries_outside_residues():
@@ -244,12 +302,13 @@ def test_dp_batch_rejects_entries_outside_residues():
 def test_dp_batch_t10_product_count(monkeypatch, kernel, t):
     # layers 2..ceil(t/2) form k * C(t, k) products each and the join
     # C(t, floor(t/2)): 2,802 at t = 10, where all ten layers would form
-    # 10 * 2^9 = 5,120.  Dense 3x3 factors keep every g(S) nonzero, so
-    # the exact kernel skips no product
+    # 10 * 2^9 = 5,120.  The numpy kernel forms each product with one
+    # einsum.  Dense 3x3 factors keep every g(S) nonzero, so the exact
+    # kernel skips no product
     want = sum(k * comb(t, k) for k in range(2, (t + 1) // 2 + 1)) + comb(t, t // 2)
     calls = []
     if kernel == "int64":
-        module, name = np, "matmul"
+        module, name = np, "einsum"
     else:
         module, name = standardpoly, "mul_flat"
     real = getattr(module, name)

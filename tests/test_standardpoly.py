@@ -63,13 +63,15 @@ def test_perm_rank_unrank_roundtrip():
 
 
 def _brute_word_products(mats):
-    """(rank, product data) of every nonzero word product, word by word."""
+    """(rank, sign, product data) of every nonzero word product, word by
+    word."""
     t = len(mats)
     out = []
     for rank in range(math.factorial(t)):
-        prod = product_of([mats[w - 1] for w in perm_unrank(t, rank)])
+        word = perm_unrank(t, rank)
+        prod = product_of([mats[w - 1] for w in word])
         if not prod.is_zero():
-            out.append((rank, prod.data))
+            out.append((rank, perm_sign(word), prod.data))
     return out
 
 
@@ -90,7 +92,16 @@ def test_word_products_matches_brute_force(ring):
     ]
     for mats in cases:
         got = list(word_products([a.data for a in mats], 3, ring))
-        assert [(r, tuple(p)) for r, p in got] == _brute_word_products(mats)
+        assert [(r, s, tuple(p)) for r, s, p in got] == _brute_word_products(mats)
+
+
+@pytest.mark.parametrize("t", range(1, 8))
+def test_word_products_signs_match_perm_sign(t):
+    # 1 x 1 ones: every product is nonzero, so the walk visits all t! words
+    ones = [(1,)] * t
+    got = [(r, s) for r, s, _ in word_products(ones, 1, F)]
+    assert [r for r, _ in got] == list(range(math.factorial(t)))
+    assert [s for _, s in got] == [perm_sign(perm_unrank(t, r)) for r, _ in got]
 
 
 def test_eval_standard_dp_leaves_numpy_unimported():
