@@ -12,7 +12,10 @@ of residues have entries at most n * (p-1)^2.  The int64 gate,
 t * n * (p-1)^2 < 2^62 (:func:`supports`), decides whether this module
 runs at all.  Inside it, :func:`dp_batch` reduces mod p often enough that
 a residue plus the products summed since keeps below 2^31 or 2^63 (its
-docstring gives the counts).  Callers go through
+docstring gives the counts).  Every reduction mod p on arrays here is a
+floor-division one, acc - (acc // p) * p (:func:`_reduce`): on int32 and
+int64 arrays numpy's `%` costs several times as much, and the result is
+the same.  Callers go through
 :func:`standardpoly.int64_eligible` (or :func:`supports`) first; the
 pure-Python paths remain the reference and the fallback.  Results agree
 entrywise with the exact evaluators (the test suite cross-checks both
@@ -84,6 +87,14 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
     reduces only at its end.  The join sums C(t, floor(t/2)) products,
     252 at t = 10, so it does reduce on the way: at the largest prime the
     int32 rule admits for t = 10 and n = 2 or 5, every = 10.
+
+    Reduction: each one computes acc - (acc // p) * p in place, through
+    one scratch buffer per g(S) that also receives the products
+    (:func:`_reduce`).  A running sum lies in
+    [-every * size, (p-1) + every * size] with size = n * (p-1)^2, and
+    floor division puts (acc // p) * p in [acc - (p-1), acc].  Its least
+    value is at least -every * size - (p-1) >= -2^L + 2 by the choice of
+    every, so the floor-division form needs no bound beyond the one above.
     """
     t, _, n, _ = stack.shape
     if not supports(p, n, t):
@@ -107,19 +118,36 @@ def _dtype_and_every(p: int, n: int, t: int) -> tuple:
 def _signed_sum(pairs, p: int, every: int) -> np.ndarray:
     """Sum of (-1)^negate * left @ right over (left, right, negate) of
     batch-last (n, n, B) arrays, reduced mod p after every `every`
-    products and at the end."""
-    acc = None
+    products and at the end.  Every product after the first is formed in
+    one scratch buffer, which the reductions reuse."""
+    acc = scratch = None
     for j, (left, right, negate) in enumerate(pairs, 1):
-        term = np.einsum("imb,mjb->ijb", left, right)
         if acc is None:
-            acc = np.negative(term, out=term) if negate else term
-        elif negate:
-            acc -= term
+            acc = np.einsum("imb,mjb->ijb", left, right)
+            if negate:
+                np.negative(acc, out=acc)
+            scratch = np.empty_like(acc)
         else:
-            acc += term
+            np.einsum("imb,mjb->ijb", left, right, out=scratch)
+            if negate:
+                acc -= scratch
+            else:
+                acc += scratch
         if j % every == 0:
-            acc %= p
-    acc %= p
+            _reduce(acc, p, scratch)
+    return _reduce(acc, p, scratch)
+
+
+def _reduce(acc: np.ndarray, p: int, scratch=None) -> np.ndarray:
+    """acc mod p in place, as acc - (acc // p) * p through scratch (an
+    array shaped and typed like acc, allocated when None); returns acc.
+    Equal to acc % p wherever acc - (p-1) does not wrap (:func:`dp_batch`
+    shows that it does not)."""
+    if scratch is None:
+        scratch = np.empty_like(acc)
+    np.floor_divide(acc, p, out=scratch)
+    scratch *= p
+    acc -= scratch
     return acc
 
 
@@ -144,8 +172,8 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
 
     arr has shape (t, n, n).  The t! permutation words come from a table
     cached per t; products are chained with batched matmul and reduced
-    mod p after every step, and the signed sum fits int64 because
-    t! * (p-1) does for t <= 8.
+    mod p after every step (:func:`_reduce`), and the signed sum fits
+    int64 because t! * (p-1) does for t <= 8.
     """
     t, n, _ = arr.shape
     if t > NAIVE_MAX_DEGREE:
@@ -154,11 +182,10 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
     words, signs = _signed_words(t)
     prod = arr[words[:, 0]]
+    scratch = np.empty_like(prod)
     for k in range(1, t):
-        prod = np.matmul(prod, arr[words[:, k]])
-        prod %= p
-    total = (signs[:, None, None] * prod).sum(axis=0)
-    return total % p
+        prod = _reduce(np.matmul(prod, arr[words[:, k]]), p, scratch)
+    return _reduce((signs[:, None, None] * prod).sum(axis=0), p)
 
 
 def combos_to_stack(basis_arr: np.ndarray, combo_block, n: int) -> np.ndarray:
@@ -180,19 +207,26 @@ def coords_to_stack(basis_arr: np.ndarray, coords, n: int, p: int) -> np.ndarray
     A single matmul would sum d products of size up to (p-1)^2, which can
     wrap int64 even where :func:`supports` holds, so the combination is
     summed over column chunks short enough that each partial sum stays
-    below 2^63.
+    below 2^63.  Partial sums and the running total reduce by
+    :func:`_reduce`.
     """
     coords = np.asarray(coords, dtype=np.int64)
     B, t, d = coords.shape
     step = (2**63 - 1) // (p - 1) ** 2
     flat = np.zeros((B, t, basis_arr.shape[1]), dtype=np.int64)
+    scratch = np.empty_like(flat)
     for lo in range(0, d, step):
-        flat += coords[..., lo : lo + step] @ basis_arr[lo : lo + step] % p
-        flat %= p
+        flat += _reduce(coords[..., lo : lo + step] @ basis_arr[lo : lo + step], p, scratch)
+        _reduce(flat, p, scratch)
     return np.ascontiguousarray(flat.reshape(B, t, n, n).transpose(1, 0, 2, 3))
 
 
 def suggested_batch(t: int, n: int) -> int:
-    """Batch size keeping two DP layers inside BATCH_BUDGET_BYTES."""
+    """Batch size keeping two DP layers inside BATCH_BUDGET_BYTES.
+
+    It sizes layers of 8-byte entries.  Where :func:`dp_batch` computes in
+    int32 its layers take half that.  The size is kept as it is rather
+    than doubled there, because the sweeps' peak memory follows it.
+    """
     per_item = 2 * comb(t, t // 2) * n * n * 8
     return max(1, min(4096, BATCH_BUDGET_BYTES // max(per_item, 1)))

@@ -50,7 +50,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product, repeat
 from math import comb, factorial
 from typing import Optional, Sequence
 
@@ -77,6 +77,8 @@ from .subalgebra import SubalgebraBasis, _linear_combination, close_generators
 QQ_RANDOM_BOUND = 100
 SPANNING_SWEEP_LIMIT = 5_000_000
 IDENTITY_SPACE_MAX_DEGREE = 6
+# the numpy sweep's first block is 1/PROBE_SHARE of a batch (_nonzero_hits)
+PROBE_SHARE = 64
 
 PRUNING_NOTE = (
     "exhaustive over strictly increasing basis combinations: s_t is "
@@ -198,9 +200,11 @@ def _random_coords(ring: Ring, d: int, rng: random.Random) -> list:
     return [rng.randint(-QQ_RANDOM_BOUND, QQ_RANDOM_BOUND) for _ in range(d)]
 
 
-def _chunked(iterable, size: int):
+def _chunked(iterable, sizes):
+    """Consecutive lists of items of iterable, sized by the iterable sizes,
+    until the items run out."""
     it = iter(iterable)
-    while True:
+    for size in sizes:
         block = list(islice(it, size))
         if not block:
             return
@@ -249,6 +253,15 @@ def _nonzero_hits(a, t: int, tuples, coords: bool = False, entries=None):
     that are zero by weight are dropped unevaluated.  Yields the 1-based
     position of each hit in `tuples` and its witness, which is checked to
     lie in the algebra and re-verified first.
+
+    The numpy kernel evaluates tuples in blocks.  The first, the probe
+    block, holds max(1, batch // PROBE_SHARE) tuples, where batch is
+    :func:`fastpath.suggested_batch`; full batches follow.  A large DP's
+    cost grows with its batch, so a sweep whose witness comes early stops
+    after one small DP instead of a whole batch, while a sweep of up to
+    batch // PROBE_SHARE tuples (64 when batch is 4096) still runs as one
+    block.  The blocks change neither the order of the tuples nor the
+    hits.
     """
     ring, n = a.ring, a.n
     numbered = enumerate(tuples, 1)
@@ -270,7 +283,9 @@ def _nonzero_hits(a, t: int, tuples, coords: bool = False, entries=None):
             make = partial(fastpath.coords_to_stack, basis_arr, n=n, p=ring.p)
         else:
             make = partial(fastpath.combos_to_stack, basis_arr, n=n)
-        for block in _chunked(numbered, fastpath.suggested_batch(t, n)):
+        batch = fastpath.suggested_batch(t, n)
+        sizes = chain([max(1, batch // PROBE_SHARE)], repeat(batch))
+        for block in _chunked(numbered, sizes):
             stack = make([tup for _, tup in block])
             vals = fastpath.dp_batch(stack, ring.p)
             flat = vals.reshape(len(block), -1)

@@ -145,6 +145,16 @@ def test_coords_to_stack_exact_at_int64_edge():
     coords = np.full((1, t, d), p - 1, dtype=np.int64)
     stack = fastpath.coords_to_stack(basis_arr, coords, n, p)
     assert (stack == d).all()
+    # random entries near p - 1 against Python's own sums mod p
+    rng = np.random.default_rng(p)
+    basis_arr = p - rng.integers(1, 40, size=(d, n * n))
+    coords = p - rng.integers(1, 40, size=(2, t, d))
+    stack = fastpath.coords_to_stack(basis_arr, coords, n, p)
+    for b in range(2):
+        for slot in range(t):
+            want = [sum(int(coords[b, slot, k]) * int(basis_arr[k, e]) for k in range(d)) % p
+                    for e in range(n * n)]
+            assert stack[slot, b].ravel().tolist() == want
 
 
 def test_suggested_batch_positive():
@@ -326,3 +336,49 @@ def test_dp_batch_t10_product_count(monkeypatch, kernel, t):
     assert len(calls) == want
     if t == 10:
         assert want == 2802
+
+
+# -- reduction mod p by floor division ------------------------------------------
+
+def largest_supported_prime(t, n):
+    """The largest prime p with t * n * (p-1)^2 < 2^62 (int64 only)."""
+    p = isqrt(fastpath.INT64_BUDGET // (t * n)) + 1
+    while not (is_prime(p) and fastpath.supports(p, n, t)):
+        p -= 1
+    return p
+
+
+@pytest.mark.parametrize("kind", ["int32", "int64"])
+def test_reduce_matches_python_mod_at_the_extremes_every_admits(kind):
+    # the running sums of _signed_sum lie in [-every * size,
+    # (p-1) + every * size]; check both ends, the multiples of p nearest
+    # them and 0, p, -p, each with its neighbours
+    t, n = 10, 5
+    p = int32_boundary_primes(t, n)[0] if kind == "int32" else largest_supported_prime(t, n)
+    dtype, every = fastpath._dtype_and_every(p, n, t)
+    assert dtype is getattr(np, kind)
+    size = n * (p - 1) ** 2
+    low, high = -every * size, (p - 1) + every * size
+    centres = [low, high, -(low // -p) * p, high // p * p, 0, p, -p]
+    values = [c + e for c in centres for e in (-1, 0, 1)]
+    info = np.iinfo(dtype)
+    assert info.min < min(values) and max(values) <= info.max
+    for scratch in (None, np.empty(len(values), dtype=dtype)):
+        acc = np.array(values, dtype=dtype)
+        out = fastpath._reduce(acc, p, scratch)
+        assert out is acc and out.dtype == dtype
+        assert out.tolist() == [v % p for v in values]
+
+
+def test_naive_single_exact_at_int64_edge():
+    # the prime of test_coords_to_stack_exact_at_int64_edge, with factors
+    # near p - 1, where t * n * (p-1)^2 is just below 2^62
+    p, n, t = 536870909, 8, 2
+    assert fastpath.supports(p, n, t)
+    ring = GF(p)
+    rng = random.Random(p)
+    for _ in range(3):
+        ms = [Matrix(ring, n, n, [p - rng.randrange(1, 40) for _ in range(n * n)])
+              for _ in range(t)]
+        got = fastpath.naive_single(to_array(ms), p)
+        assert fastpath.array_to_matrix(ring, got) == _eval_standard_naive_py(ms)

@@ -131,10 +131,13 @@ def test_randomized_deterministic_per_seed(monkeypatch, t, trials):
     r2 = is_standard_identity(a, t, mode="randomized", trials=trials, seed=7)
     assert r1.to_dict() == r2.to_dict()
     if t == 6:
-        # s_6 vanishes on M_3, so all 5000 trials run, in two int64 batches
+        # s_6 vanishes on M_3, so all 5000 trials run: a probe block of
+        # batch // 64, one full batch, and the rest
         assert r1.is_identity and r1.tuples_checked == 5000
         batch = fastpath.suggested_batch(6, 3)
-        assert batch < 5000 and sizes == [batch, 5000 - batch] * 2
+        probe = batch // 64
+        assert probe + batch < 5000
+        assert sizes == [probe, batch, 5000 - probe - batch] * 2
 
 
 @pytest.mark.parametrize("mode,builder", [("exhaustive", "combos_to_stack"),
@@ -419,6 +422,43 @@ def _count_dp_items(monkeypatch) -> list:
 
     monkeypatch.setattr(fastpath, "dp_batch", counting)
     return sizes
+
+
+# -- the probe block: a sweep's first numpy block is batch // 64 tuples -------------
+
+def _unprobed(monkeypatch):
+    """Make the first block a whole batch: no probe block."""
+    monkeypatch.setattr(identities, "PROBE_SHARE", 1)
+
+
+def test_randomized_witness_at_first_trial_evaluates_only_the_probe(monkeypatch):
+    # s_4 is nonzero on almost every random 4-tuple of M_3
+    a = full_matrix_algebra(F, 3)
+    batch = fastpath.suggested_batch(4, 3)
+    sizes = _count_dp_items(monkeypatch)
+    rep = is_standard_identity(a, 4, mode="randomized", trials=5000, seed=7)
+    assert not rep.is_identity and rep.tuples_checked == 1
+    assert sizes == [batch // 64]
+    _unprobed(monkeypatch)
+    sizes.clear()
+    assert is_standard_identity(a, 4, mode="randomized", trials=5000, seed=7).to_dict() \
+        == rep.to_dict()
+    assert sizes == [batch]
+
+
+def test_exhaustive_m4_s6_evaluates_only_the_probe(monkeypatch):
+    a = full_matrix_algebra(F, 4)
+    batch = fastpath.suggested_batch(6, 4)
+    feasible_check = identities._weight_feasible(a, 6)
+    feasible = sum(1 for c in combinations(range(a.dim), 6) if feasible_check(c))
+    sizes = _count_dp_items(monkeypatch)
+    rep = is_standard_identity(a, 6)
+    assert not rep.is_identity and rep.tuples_checked == 4
+    assert sizes == [min(feasible, batch // 64)]
+    _unprobed(monkeypatch)
+    sizes.clear()
+    assert is_standard_identity(a, 6).to_dict() == rep.to_dict()
+    assert sizes == [min(feasible, batch)]
 
 
 PRUNING_CASES = [
