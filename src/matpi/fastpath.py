@@ -6,16 +6,21 @@ copy of that recurrence, over a batch of argument tuples; the sweeps call
 it.  It works on batch-last (n, n, B) arrays, forms each product with one
 einsum over the contiguous batch axis, and computes in int32 when
 t * n * (p-1)^2 + p < 2^31, in int64 otherwise.  :func:`naive_single`
-sums the t! permutation products of one tuple in int64 and re-checks
-witnesses.  Both are exact only inside proven overflow bounds.  Products
-of residues have entries at most n * (p-1)^2.  The int64 gate,
-t * n * (p-1)^2 < 2^62 (:func:`supports`), decides whether this module
-runs at all.  Inside it, :func:`dp_batch` reduces mod p often enough that
-a residue plus the products summed since keeps below 2^31 or 2^63 (its
-docstring gives the counts).  Every reduction mod p on arrays here is a
-floor-division one, acc - (acc // p) * p (:func:`_reduce`): on int32 and
-int64 arrays numpy's `%` costs several times as much, and the result is
-the same.  Callers go through
+sums the t! signed permutation products of one tuple in int64 and
+re-checks witnesses.  It shares nothing with the DP: it walks the words
+prefix by prefix, one batched matmul per prefix length, so words share
+their prefixes' products, a zero prefix drops every word that extends it,
+and each word's sign rides along as a parity (the batched form of
+:func:`standardpoly.word_products`).  Both are exact only inside proven
+overflow bounds.  Products of residues have entries at most
+n * (p-1)^2.  The int64 gate, t * n * (p-1)^2 < 2^62 (:func:`supports`),
+decides whether this module runs at all.  Inside it, :func:`dp_batch`
+reduces mod p often enough that a residue plus the products summed since
+keeps below 2^31 or 2^63, and :func:`naive_single` whenever its next step
+could pass 2^62 (each docstring gives the counts).  Every reduction
+mod p on arrays here is a floor-division one, acc - (acc // p) * p
+(:func:`_reduce`): on int32 and int64 arrays numpy's `%` costs several
+times as much, and the result is the same.  Callers go through
 :func:`standardpoly.int64_eligible` (or :func:`supports`) first; the
 pure-Python paths remain the reference and the fallback.  Results agree
 entrywise with the exact evaluators (the test suite cross-checks both
@@ -25,8 +30,7 @@ directions).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -142,7 +146,7 @@ def _reduce(acc: np.ndarray, p: int, scratch=None) -> np.ndarray:
     """acc mod p in place, as acc - (acc // p) * p through scratch (an
     array shaped and typed like acc, allocated when None); returns acc.
     Equal to acc % p wherever acc - (p-1) does not wrap (:func:`dp_batch`
-    shows that it does not)."""
+    and :func:`naive_single` show that it does not)."""
     if scratch is None:
         scratch = np.empty_like(acc)
     np.floor_divide(acc, p, out=scratch)
@@ -152,40 +156,128 @@ def _reduce(acc: np.ndarray, p: int, scratch=None) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _signed_words(t: int) -> tuple:
-    """The t! permutation words of range(t) as a read-only (t!, t) uint8
-    array, with their signs as a read-only int8 array; built once per t."""
-    words = np.array(list(permutations(range(t))), dtype=np.uint8)
-    # sign by inversion count
-    inv = np.zeros(len(words), dtype=np.int8)
-    for i in range(t):
-        for j in range(i + 1, t):
-            inv ^= words[:, i] > words[:, j]
-    signs = np.where(inv, -1, 1).astype(np.int8)
-    words.setflags(write=False)
-    signs.setflags(write=False)
-    return words, signs
+def _walk_tables(t: int) -> tuple:
+    """The permutation-prefix tables of :func:`naive_single`, built once
+    per t >= 2 and read-only.
+
+    Returns (levels, missing).  levels[k - 1], for k = 1 .. t-1, is a pair
+    (parent, factor) of intp arrays with one row per k-letter prefix of a
+    word over range(t): parent is the row of its (k-1)-letter prefix in
+    levels[k - 2] (0 at k = 1), and factor is the letter appended, plus t
+    when that letter is the odd-ranked one among the free letters (it is
+    then read from -x).  Levels below t-1 list their prefixes in
+    lexicographic order; the last level is sorted stably by the one letter
+    its prefixes miss, which missing[r] gives for its row r.
+    """
+    letters = np.arange(t)[None, :]  # free letters of each prefix, sorted
+    levels = []
+    for _ in range(1, t):
+        rows, m = letters.shape
+        parent = np.repeat(np.arange(rows), m)
+        factor = (letters + t * (np.arange(m) & 1)).ravel()
+        rest = np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)
+        letters = letters[:, rest].reshape(rows * m, m - 1)
+        levels.append((parent, factor))
+    missing = letters.ravel()
+    order = np.argsort(missing, kind="stable")
+    levels[-1] = tuple(a[order] for a in levels[-1])
+    missing = missing[order]
+    for a in (missing, *(a for level in levels for a in level)):
+        a.setflags(write=False)
+    return tuple(levels), missing
 
 
 def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate s_t on one argument tuple by summing all t! products.
+    """Evaluate s_t on one argument tuple as the sum of its t! signed
+    permutation products, walked prefix by prefix.
 
-    arr has shape (t, n, n).  The t! permutation words come from a table
-    cached per t; products are chained with batched matmul and reduced
-    mod p after every step (:func:`_reduce`), and the signed sum fits
-    int64 because t! * (p-1) does for t <= 8.
+    arr has shape (t, n, n) and holds residues in [0, p); the result is
+    an (n, n) int64 array of residues mod p.  The walk is the batched twin
+    of :func:`standardpoly.word_products` over the tables of
+    :func:`_walk_tables`: level k forms every k-letter prefix product at
+    once, as one gather of the parent products and one batched matmul
+    with the appended factors.  Prefixes share their parent's product,
+    and a zero product drops its prefix and every prefix that extends it,
+    so sparse tuples form few products; while no row has died the tables
+    are used as they are, and after that the parent indices are remapped.
+
+    Sign: picking the k-th smallest free letter (k from 0) puts it before
+    k smaller letters, adding k inversions, so a word's sign is the parity
+    carried along its prefix.  The walk carries it in the products: an
+    odd-ranked letter is appended as -x.  The last letter is collected:
+
+        s_t = sum over j of (sum of the signed products of the
+              (t-1)-letter prefixes missing j) * x_j
+
+    (the last letter is the only free one, rank 0, so it keeps the
+    prefix's sign).  The last level is sorted by missing letter, so the
+    inner sums are one reshape-sum, or np.add.reduceat after pruning.
+    Each word's product up to its last letter is still formed, and a
+    dense tuple forms sum over k = 2..t-1 of t!/(t-k)! products plus t:
+    69,280 at t = 8, against 7 * 8! = 282,240 for the words one by one.
+
+    Overflow: the walk reduces mod p only when the next step could pass
+    2^62 = INT64_BUDGET.  It tracks a bound b on the size of every entry:
+    b = p - 1 for the arguments, their negatives and reduced values, and
+    a product of factors of sizes b and p - 1 has entries of size at most
+    n * b * (p-1), its partial sums included.  Before a product, when
+    n * b * (p-1) >= 2^62, the prefixes are reduced to [0, p), and then
+    n * (p-1)^2 < 2^62 by :func:`supports`.  A group sum adds at most
+    (t-1)! rows, so it is formed unreduced when (t-1)! * b < 2^62, and
+    after a reduction (t-1)! * (p-1) < 5040 * 2^31 < 2^62, because t <= 8
+    and :func:`supports` gives p - 1 < 2^31.  With group entries of size
+    g, the result sums t products, of entries of size at most
+    t * n * g * (p-1); when that reaches 2^62 the groups are reduced
+    first, and t * n * (p-1)^2 < 2^62 by :func:`supports`.  Every value
+    therefore stays below 2^62 in size, so the floor-division reductions
+    (:func:`_reduce`) never wrap.  A prefix whose entries are multiples
+    of p but not 0 is not pruned; it only costs products that sum to 0
+    mod p.  At p = 101 and n <= 5 no product is preceded by a reduction.
     """
     t, n, _ = arr.shape
     if t > NAIVE_MAX_DEGREE:
         raise DegreeGuardError(f"naive kernel guarded to degree {NAIVE_MAX_DEGREE}, got {t}")
-    if not supports(p, n, t) or factorial(t) * (p - 1) >= INT64_BUDGET:
+    if not supports(p, n, t):
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
-    words, signs = _signed_words(t)
-    prod = arr[words[:, 0]]
-    scratch = np.empty_like(prod)
-    for k in range(1, t):
-        prod = _reduce(np.matmul(prod, arr[words[:, k]]), p, scratch)
-    return _reduce((signs[:, None, None] * prod).sum(axis=0), p)
+    if t == 1:
+        return _reduce(arr[0].astype(np.int64), p)
+    levels, missing = _walk_tables(t)
+    signed = np.concatenate([arr, -arr]).astype(np.int64, copy=False)
+    prod, bound, alive = None, p - 1, None  # alive: surviving table rows
+    for k, (parent, factor) in enumerate(levels, 1):
+        if alive is not None:
+            local = np.full(len(levels[k - 2][0]), -1)
+            local[alive] = np.arange(len(alive))
+            local = local[parent]
+            alive = np.flatnonzero(local >= 0)
+            parent, factor = local[alive], factor[alive]
+        if prod is None:
+            prod = signed.take(factor, axis=0)
+        else:
+            if n * bound * (p - 1) >= INT64_BUDGET:
+                prod, bound = _reduce(prod, p), p - 1
+            prod = np.matmul(prod.take(parent, axis=0), signed.take(factor, axis=0))
+            bound *= n * (p - 1)
+        if k < t - 1:
+            nonzero = prod.any(axis=(1, 2))
+            if not nonzero.all():
+                keep = np.flatnonzero(nonzero)
+                if not len(keep):
+                    return np.zeros((n, n), dtype=np.int64)
+                prod = prod[keep]
+                alive = keep if alive is None else alive[keep]
+    size = len(missing) // t
+    if size * bound >= INT64_BUDGET:
+        prod, bound = _reduce(prod, p), p - 1
+    if alive is None:
+        groups, last = prod.reshape(t, size, n, n).sum(axis=1), np.arange(t)
+    else:
+        missed = missing[alive]
+        starts = np.flatnonzero(np.r_[True, missed[1:] != missed[:-1]])
+        groups, last = np.add.reduceat(prod, starts, axis=0), missed[starts]
+    if t * n * size * bound * (p - 1) >= INT64_BUDGET:
+        _reduce(groups, p)
+    return _reduce(np.matmul(groups, arr[last]).sum(axis=0), p)
 
 
 def combos_to_stack(basis_arr: np.ndarray, combo_block, n: int) -> np.ndarray:

@@ -175,7 +175,10 @@ def _reverify_witness(mats: Sequence[Matrix], expected: Matrix) -> None:
     Per case, the re-check and what it shares with the sweep:
     - t <= 8: the naive permutation sum, :func:`fastpath.naive_single` in
       int64 over GF(p) at t >= 6 inside its bound, else the pure-Python
-      :func:`word_products` sum.  It shares no recurrence with the DP.
+      :func:`word_products` sum.  Both walk the words prefix by prefix,
+      sharing prefix products and dropping zero prefixes, and call
+      nothing of :func:`half_depth_dp`, so neither shares a recurrence
+      with the DP.
     - t > 8 over GF(p) inside the int64 bound: :func:`eval_standard_dp`.
       The sweep ran :func:`fastpath.dp_batch`; the two share the
       recurrence :func:`half_depth_dp` but not its arithmetic.

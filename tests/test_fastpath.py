@@ -1,12 +1,15 @@
 import random
-from math import comb, isqrt
+from itertools import permutations
+from math import comb, isqrt, perm
 
 import numpy as np
 import pytest
 
 from matpi import fastpath, standardpoly
 from matpi.blocks import staircase_units
-from matpi.errors import DegreeGuardError
+from matpi.constructions import full_matrix_algebra, upper_triangular
+from matpi.errors import ContractViolationError, DegreeGuardError
+from matpi.identities import _reverify_witness, is_standard_identity
 from matpi.matrices import Matrix, matrix_unit
 from matpi.rings import GF, QQ, is_prime
 from matpi.standardpoly import (
@@ -77,26 +80,52 @@ def test_dp_batch_matches_pure(t, n):
         assert fastpath.array_to_matrix(F, out[b]) == want
 
 
-@pytest.mark.parametrize("t,n", [(2, 2), (4, 2), (5, 3), (8, 2), (6, 4), (7, 4)])
+@pytest.mark.parametrize("t,n", [(1, 3), (2, 2), (3, 2), (4, 2), (5, 3), (8, 2), (6, 4),
+                                 (7, 4), (8, 5)])
 def test_naive_single_matches_pure(t, n):
     rng = np.random.default_rng(t * 17 + n)
-    for _ in range(3):
-        ms = random_mats(rng, t, n)
-        want = _eval_standard_naive_py(ms)
-        assert want.is_zero() == (t >= 2 * n)
-        arr = to_array(ms)
-        assert fastpath.array_to_matrix(F, fastpath.naive_single(arr, 101)) == want
+    prng = random.Random(t * 17 + n)
+    # dense tuples; at (8, 5) the pure-Python sum of a dense tuple takes
+    # seconds, and test_naive_single_exact_at_largest_prime covers it
+    dense = [random_mats(rng, t, n) for _ in range(3 if (t, n) != (8, 5) else 0)]
+    # matrix units of U_n, whose prefixes die mid-walk, and perturbed
+    # staircases, sparse with s_t nonzero while t < 2n
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    sparse = [[matrix_unit(F, n, *prng.choice(upper)) for _ in range(t)] for _ in range(3)]
+    if t < 2 * n:
+        sparse += [perturbed_staircase(F, t, n, prng) for _ in range(3)]
+    base = (dense + sparse)[-1]
+    zero_arg = base[:t // 2] + [Matrix(F, n, n, [0] * (n * n))] + base[t // 2 + 1:]
+    repeated = [base[:-1] + base[:1]] if t > 1 else []
+    cases = dense + sparse + [zero_arg] + repeated
+    want = [_eval_standard_naive_py(ms) for ms in cases]
+    assert [w.is_zero() for w in want[:len(dense)]] == [t >= 2 * n] * len(dense)
+    assert want[len(dense + sparse) - 1].is_zero() == (t >= 2 * n)
+    got = [fastpath.array_to_matrix(F, fastpath.naive_single(to_array(ms), 101)) for ms in cases]
+    assert got == want
 
 
-def test_signed_words_cached_and_read_only():
-    words, signs = fastpath._signed_words(5)
-    assert fastpath._signed_words(5)[0] is words
-    assert words.dtype == np.uint8 and words.shape == (120, 5)
-    assert not words.flags.writeable and not signs.flags.writeable
-    for word, sign in zip(words, signs):
-        assert sign == perm_sign(tuple(int(i) for i in word))
-    words8, _ = fastpath._signed_words(8)
-    assert words8.nbytes == 40320 * 8
+@pytest.mark.parametrize("t", range(2, 8))
+def test_walk_tables_cached_and_read_only(t):
+    levels, missing = fastpath._walk_tables(t)
+    assert fastpath._walk_tables(t)[0] is levels
+    assert not any(a.flags.writeable for a in [missing, *(a for lv in levels for a in lv)])
+    assert [len(parent) for parent, _ in levels] == [perm(t, k) for k in range(1, t)]
+    assert (np.diff(missing) >= 0).all()
+    # follow each last-level row up its parents: with the missing letter
+    # appended the words are all t! permutations, and the parity of the
+    # odd-ranked letters (factor >= t) is the sign perm_sign gives
+    words = []
+    for r, last in enumerate(missing):
+        letters, odd = [int(last)], 0
+        for parent, factor in reversed(levels):
+            letters.append(int(factor[r]) % t)
+            odd ^= int(factor[r]) >= t
+            r = parent[r]
+        word = tuple(reversed(letters))
+        words.append(word)
+        assert (-1 if odd else 1) == perm_sign(tuple(i + 1 for i in word))
+    assert sorted(words) == list(permutations(range(t)))
 
 
 def test_naive_vs_dp_cross_check():
@@ -382,3 +411,89 @@ def test_naive_single_exact_at_int64_edge():
               for _ in range(t)]
         got = fastpath.naive_single(to_array(ms), p)
         assert fastpath.array_to_matrix(ring, got) == _eval_standard_naive_py(ms)
+
+
+@pytest.mark.parametrize("t", [6, 7, 8])
+def test_naive_single_exact_at_largest_prime(t):
+    # the largest p that supports admits at n = 5, with factors near p - 1:
+    # the walk then reduces before every product past the first and before
+    # its group sums.  The pure-Python sum of a dense t = 8 tuple takes
+    # seconds, so t = 8 is checked against the exact pure-Python DP
+    n = 5
+    p = largest_supported_prime(t, n)
+    ring = GF(p)
+    rng = random.Random(p)
+    ms = [Matrix(ring, n, n, [p - rng.randrange(1, 40) for _ in range(n * n)])
+          for _ in range(t)]
+    want = _eval_standard_naive_py(ms) if t < 8 else eval_standard_dp(ms)
+    assert not want.is_zero()
+    assert fastpath.array_to_matrix(ring, fastpath.naive_single(to_array(ms), p)) == want
+
+
+# -- the naive walk: independent of the DP, and pruned ---------------------------
+
+def _sweep_witnesses():
+    """The s_8 witnesses of the randomized M_5 sweep and the exhaustive
+    U_5 sweep over GF(101), as the sweeps' DP found them."""
+    dense = is_standard_identity(full_matrix_algebra(F, 5), 8, mode="randomized",
+                                 trials=2000, seed=1).witness
+    sparse = is_standard_identity(upper_triangular(F, 5), 8).witness
+    return dense, sparse
+
+
+def test_witness_recheck_runs_without_the_dp(monkeypatch):
+    witnesses = _sweep_witnesses()
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the naive re-check reached the DP")
+
+    for module, name in ((standardpoly, "half_depth_dp"), (fastpath, "half_depth_dp"),
+                         (fastpath, "dp_batch")):
+        monkeypatch.setattr(module, name, unused)
+    for w in witnesses:
+        _reverify_witness(w.mats, w.value)
+        with pytest.raises(ContractViolationError):
+            _reverify_witness(w.mats, w.value + w.value)
+
+
+def _nonzero_prefixes(mats) -> list:
+    """Letter tuples of the nonzero prefixes of length <= t - 2, walked in
+    pure Python."""
+    t, found = len(mats), []
+
+    def walk(prod, word):
+        for i in range(t):
+            if i not in word:
+                nxt = mats[i] if prod is None else prod * mats[i]
+                if not nxt.is_zero():
+                    found.append(word + (i,))
+                    if len(word) + 1 < t - 2:
+                        walk(nxt, word + (i,))
+
+    walk(None, ())
+    return found
+
+
+def test_naive_single_product_counts(monkeypatch):
+    dense, sparse = _sweep_witnesses()
+    formed = []  # matrix products per np.matmul call
+    matmul = np.matmul
+
+    def counting(a, b):
+        out = matmul(a, b)
+        formed.append(1 if out.ndim == 2 else len(out))
+        return out
+
+    monkeypatch.setattr(np, "matmul", counting)
+    fastpath.naive_single(to_array(dense.mats), 101)
+    # sum over k = 2..7 of 8!/(8-k)!, plus one product per last letter
+    assert sum(formed) == 69280 == sum(perm(8, k) for k in range(2, 8)) + 8
+    # sparse: one product per child of a nonzero prefix of length <= t - 2,
+    # plus one per letter left free by a nonzero (t-2)-prefix
+    formed.clear()
+    fastpath.naive_single(to_array(sparse.mats), 101)
+    t = len(sparse.mats)
+    prefixes = _nonzero_prefixes(sparse.mats)
+    last = {i for w in prefixes if len(w) == t - 2 for i in range(t) if i not in w}
+    assert sum(formed) == sum(t - len(w) for w in prefixes) + len(last)
+    assert sum(formed) == 314
