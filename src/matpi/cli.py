@@ -163,9 +163,9 @@ def cmd_verify_al(args) -> int:
     if n < 1:
         raise MatpiError(f"need n >= 1, got {n}")
     mode = args.mode or ("exhaustive" if n <= 4 else "randomized")
-    if mode == "exhaustive" and n > 4:
+    if mode == "exhaustive" and n > 5:
         raise MatpiError(
-            f"exhaustive sweeps are guarded to n <= 4 (C(n^2, 2n) grows too fast); "
+            f"exhaustive sweeps are guarded to n <= 5 (C(n^2, 2n) grows too fast); "
             f"use --mode randomized for n = {n}"
         )
     params = {"n": n, "ring": ring.name, "mode": mode}
@@ -437,7 +437,8 @@ def build_parser() -> _Parser:
                         "(witnessed non-identities), and the exact staircase value.")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--mode", choices=("exhaustive", "randomized"), default=None,
-                    help="default: exhaustive for n <= 4, randomized beyond")
+                    help="default: exhaustive for n <= 4, randomized beyond; "
+                    "exhaustive is allowed up to n = 5")
     _add_common(sp)
     sp.set_defaults(fn=cmd_verify_al)
 

@@ -15,10 +15,17 @@ ordered source of argument tuples (combinations or coefficient rows) and
 optionally the entries of the value that count.  The identity tests stop
 at its first hit; the block-assembly and corner-vanishing checks count all
 hits over random elements of a span.  The driver picks the kernel once per
-sweep: batched numpy evaluation by :func:`fastpath.dp_batch` over GF(p)
-when the int64 bound of :func:`int64_eligible` holds (int32 or int64
-inside, whichever its own bound allows), and the exact pure-Python DP
-otherwise (QQ, Z/m, large p), which never imports numpy.
+sweep: batched numpy evaluation over GF(p) when the int64 bound of
+:func:`int64_eligible` holds, and the exact pure-Python DP otherwise (QQ,
+Z/m, large p), which never imports numpy.  Over GF(p),
+:func:`fastpath.dp_batch` evaluates coefficient rows and the first block
+of combinations (int32 or int64 inside, whichever its own bound allows).
+The rest of a sweep over combinations shares one set of layers: s_k of
+every basis subset of size k <= ceil(t/2), built once
+(:func:`fastpath.subset_layers`), so each combination costs only the join
+of its halves (:func:`fastpath.join_batch`).  When those tables would
+exceed fastpath.BATCH_BUDGET_BYTES (M_6 at t = 12, for one), every block
+runs :func:`fastpath.dp_batch`.
 
 Sweeps over index tuples (the two exhaustive modes and both loops of
 :func:`multilinear_identity_space`) also skip tuples that are zero by the
@@ -40,8 +47,9 @@ witnesses stay the lex-first nonzero tuples.
 
 Verdicts of "not an identity" always carry a witness tuple whose arguments
 are checked to lie in the algebra and whose value is re-evaluated before
-being reported, by the naive permutation sum up to degree 8 (see
-:func:`_reverify_witness` for what each re-check shares with the sweep).
+being reported, by the naive permutation sum at any degree within a budget
+of products formed (see :func:`_reverify_witness` for the cases and what
+each re-check shares with the sweep).
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, islice, product, repeat
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Optional, Sequence
 
 from .constructions import SpanningSetAlgebra, repetition_units
@@ -63,9 +71,11 @@ from .errors import (
     UnsupportedRingError,
 )
 from .matrices import Echelon, Matrix, matrix_unit
-from .rings import Ring
+from .rings import GF, Ring
 from .standardpoly import (
+    FASTPATH_MIN_DEGREE,
     NAIVE_MAX_DEGREE,
+    _eval_standard_naive_py,
     eval_standard_dp,
     eval_standard_naive,
     int64_eligible,
@@ -79,6 +89,9 @@ SPANNING_SWEEP_LIMIT = 5_000_000
 IDENTITY_SPACE_MAX_DEGREE = 6
 # the numpy sweep's first block is 1/PROBE_SHARE of a batch (_nonzero_hits)
 PROBE_SHARE = 64
+# products the witness re-check's naive walk may form (_reverify_witness)
+WALK_BUDGET = 2**15
+SUPPORT_FIELD = GF(2**61 - 1)
 
 PRUNING_NOTE = (
     "exhaustive over strictly increasing basis combinations: s_t is "
@@ -173,28 +186,62 @@ def _reverify_witness(mats: Sequence[Matrix], expected: Matrix) -> None:
     """Witnesses never ship unvalidated: re-evaluate them once more.
 
     Per case, the re-check and what it shares with the sweep:
-    - t <= 8: the naive permutation sum, :func:`fastpath.naive_single` in
-      int64 over GF(p) at t >= 6 inside its bound, else the pure-Python
-      :func:`word_products` sum.  Both walk the words prefix by prefix,
-      sharing prefix products and dropping zero prefixes, and call
+    - 6 <= t <= 8 over GF(p) inside the int64 bound: the naive
+      permutation sum :func:`fastpath.naive_single`, whose vectorized walk
+      suits the dense witnesses of randomized sweeps.
+    - otherwise, at any t: the pure-Python naive sum over the
+      :func:`word_products` walk, when it forms at most WALK_BUDGET
+      products (:func:`_walk_fits`).  That holds for every walk up to
+      t = 7, which forms at most 13,692, and for the sparse witnesses of
+      sweeps (the largest measured, M_6 s_11, forms 20,450); a dense walk
+      at t = 8 forms 109,592.
+      Both walks share prefix products and drop zero prefixes, and call
       nothing of :func:`half_depth_dp`, so neither shares a recurrence
       with the DP.
-    - t > 8 over GF(p) inside the int64 bound: :func:`eval_standard_dp`.
-      The sweep ran :func:`fastpath.dp_batch`; the two share the
-      recurrence :func:`half_depth_dp` but not its arithmetic.
-    - t > 8 otherwise (QQ, Z/m, a prime past the bound): the very
-      :func:`eval_standard_dp` call the sweep made, so it is not
-      independent; only the `contains` check and the nonzero test add
-      anything.
+    - past the budget: :func:`eval_standard_dp`.  This is not independent:
+      over GF(p) it shares the recurrence :func:`half_depth_dp` with the
+      sweep's numpy kernels, and over QQ, Z/m or a prime past the int64
+      bound it repeats the very call the sweep made, so only the
+      `contains` check and the nonzero test add anything.
     """
-    if len(mats) <= NAIVE_MAX_DEGREE:
-        got = eval_standard_naive(list(mats))
+    mats = list(mats)
+    t, ring, n = len(mats), expected.ring, expected.rows
+    if FASTPATH_MIN_DEGREE <= t <= NAIVE_MAX_DEGREE and int64_eligible(ring, n, t):
+        got = eval_standard_naive(mats)
+    elif _walk_fits(mats):
+        got = _eval_standard_naive_py(mats)
     else:
-        got = eval_standard_dp(list(mats))
+        got = eval_standard_dp(mats)
     if got != expected or got.is_zero():
         raise ContractViolationError(
             "witness failed re-verification; evaluators disagree"
         )
+
+
+def _walk_fits(mats: Sequence[Matrix]) -> bool:
+    """True when the word walk of mats forms at most WALK_BUDGET products.
+
+    A walk of t factors forms at most sum over k = 2..t of t!/(t-k)!
+    products, 13,692 at t = 7, so up to there it always fits.  Past that
+    it is decided by the same walk over their supports, 0/1 matrices in
+    GF(2^61 - 1), whose products cost about what products over GF(101)
+    cost, whatever the ring of mats (a dense 5 x 5 product of the
+    Fractions of a randomized QQ sweep costs about 20 times as much).  An
+    entry of a product of supports counts the paths behind the real entry,
+    so it is nonzero wherever the real entry is while that count, at most
+    n^(t-1), stays below the prime; the support walk then forms at least
+    as many products as the real one.
+    """
+    t, n = len(mats), mats[0].rows
+    if sum(perm(t, k) for k in range(2, t + 1)) <= WALK_BUDGET:
+        return True
+    supports = [[1 if v else 0 for v in x.data] for x in mats]
+    try:
+        for _ in word_products(supports, n, SUPPORT_FIELD, WALK_BUDGET):
+            pass
+    except DegreeGuardError:
+        return False
+    return True
 
 
 def _random_coords(ring: Ring, d: int, rng: random.Random) -> list:
@@ -263,8 +310,11 @@ def _nonzero_hits(a, t: int, tuples, coords: bool = False, entries=None):
     cost grows with its batch, so a sweep whose witness comes early stops
     after one small DP instead of a whole batch, while a sweep of up to
     batch // PROBE_SHARE tuples (64 when batch is 4096) still runs as one
-    block.  The blocks change neither the order of the tuples nor the
-    hits.
+    block.  Index tuples, which must then be strictly increasing, are
+    evaluated after the probe block by :func:`fastpath.join_batch` over
+    layers built when the first such block comes, so a sweep that stops in
+    its probe builds none.  The blocks change neither the order of the
+    tuples nor the hits.
     """
     ring, n = a.ring, a.n
     numbered = enumerate(tuples, 1)
@@ -288,14 +338,28 @@ def _nonzero_hits(a, t: int, tuples, coords: bool = False, entries=None):
             make = partial(fastpath.combos_to_stack, basis_arr, n=n)
         batch = fastpath.suggested_batch(t, n)
         sizes = chain([max(1, batch // PROBE_SHARE)], repeat(batch))
+        shared = not coords and (fastpath.layer_table_bytes(a.dim, n, t)
+                                 <= fastpath.BATCH_BUDGET_BYTES)
+        layers, probed = None, False
         for block in _chunked(numbered, sizes):
-            stack = make([tup for _, tup in block])
-            vals = fastpath.dp_batch(stack, ring.p)
+            tuples = [tup for _, tup in block]
+            joined = shared and probed
+            if joined:
+                if layers is None:
+                    layers = fastpath.subset_layers(basis_arr, n, ring.p, t - t // 2)
+                vals = fastpath.join_batch(layers, tuples)
+            else:
+                stack = make(tuples)
+                vals = fastpath.dp_batch(stack, ring.p)
+            probed = True
             flat = vals.reshape(len(block), -1)
             if entries is not None:
                 flat = flat[:, entries]
             for b in flat.any(axis=1).nonzero()[0].tolist():
-                mats = tuple(fastpath.array_to_matrix(ring, stack[k, b]) for k in range(t))
+                if joined:
+                    mats = tuple(a.mats[i] for i in tuples[b])
+                else:
+                    mats = tuple(fastpath.array_to_matrix(ring, stack[k, b]) for k in range(t))
                 yield hit(*block[b], mats, fastpath.array_to_matrix(ring, vals[b]))
         return
     zero = ring.zero

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DegreeGuardError, DimensionError, RingMismatchError
 from .matrices import Matrix, flat_is_zero, mul_flat, zero_matrix
@@ -185,7 +185,7 @@ def eval_multilinear(poly: MultilinearPoly, mats: Sequence[Matrix]) -> Matrix:
     return Matrix._new(ring, n, n, ring.canon_list(acc))
 
 
-def word_products(flats: Sequence, n: int, ring: Ring):
+def word_products(flats: Sequence, n: int, ring: Ring, budget: Optional[int] = None):
     """Yield (rank, sign, product) for every permutation word of the flat
     n x n matrices whose product is nonzero, in lexicographic word order.
 
@@ -194,13 +194,23 @@ def word_products(flats: Sequence, n: int, ring: Ring):
     Ranks are lexicographic among all t! words, as in :func:`perm_rank`.
     Picking the k-th smallest remaining letter (k from 0) puts it before k
     smaller letters, adding k inversions, so the sign of the word, as in
-    :func:`perm_sign`, is carried along the prefix.
+    :func:`perm_sign`, is carried along the prefix.  A walk of t dense
+    factors forms sum over k = 2..t of t!/(t-k)! products.  With `budget`,
+    it raises DegreeGuardError instead of forming more than budget
+    products: a nonzero prefix forms one product per free letter, so the
+    count is kept per prefix.
     """
     if not flats:
         raise DimensionError("need at least one matrix")
     zero = ring.zero
+    formed = 0
 
     def walk(prod, rest, rank, sign):
+        nonlocal formed
+        if budget is not None and prod is not None:
+            formed += len(rest)
+            if formed > budget:
+                raise DegreeGuardError(f"word walk exceeds its budget of {budget} products")
         step = factorial(len(rest) - 1)
         for k, i in enumerate(rest):
             nxt = flats[i] if prod is None else mul_flat(prod, flats[i], n, n, n, ring)
@@ -252,6 +262,7 @@ def int64_eligible(ring: Ring, n: int, t: int) -> bool:
 
 
 def _eval_standard_naive_py(mats: Sequence[Matrix]) -> Matrix:
+    """The naive sum as a fold over :func:`word_products`, at any t."""
     ring, n = _check_eval_args(mats)
     zero = ring.zero
     # alternation: a repeated argument forces s_t = 0
@@ -323,21 +334,37 @@ def half_depth_dp(x: Sequence, signed_sum):
     lower = layer
     for k in range(2, b + 1):
         lower, layer = layer, {}
+        negates = [term_negate(k, pos) for pos in range(k)]
         for comb in combinations(range(t), k):
             mask = sum(1 << i for i in comb)
             layer[mask] = signed_sum(
-                [(lower[mask ^ (1 << i)], x[i], (k - 1 - pos) & 1)
+                [(lower[mask ^ (1 << i)], x[i], negates[pos])
                  for pos, i in enumerate(comb)])
     if a == b:
         lower = layer
     full = (1 << t) - 1
     pairs = []
-    for comb in combinations(range(t), a):
+    for comb, negate in join_splits(t):
         mask = sum(1 << i for i in comb)
-        # s_j, the j-th member of S, exceeds s_j - j members of the complement
-        inv = sum(comb) - a * (a - 1) // 2
-        pairs.append((lower[mask], layer[full ^ mask], inv & 1))
+        pairs.append((lower[mask], layer[full ^ mask], negate))
     return signed_sum(pairs)
+
+
+def term_negate(k: int, pos: int) -> int:
+    """1 when the term g(S - {i}) * x_i of the recurrence of
+    :func:`half_depth_dp` is negated, for i the pos-th member (from 0) of a
+    k-subset S, else 0: the parity of |S| - pos_S(i) = k - 1 - pos."""
+    return (k - 1 - pos) & 1
+
+
+def join_splits(t: int):
+    """Yield (S, negate) for the floor(t/2)-subsets S of range(t) in
+    lexicographic order: the splits of the join of :func:`half_depth_dp`,
+    with negate the parity of inv(S)."""
+    a = t // 2
+    for comb in combinations(range(t), a):
+        # s_j, the j-th member of S, exceeds s_j - j members of the complement
+        yield comb, (sum(comb) - a * (a - 1) // 2) & 1
 
 
 def _signed_sum(pairs, n: int, ring: Ring):

@@ -73,9 +73,9 @@ def test_ring_flag_aliases_match(capsys):
 
 
 def test_verify_al_exhaustive_guard(capsys):
-    code, out, err = run(capsys, "verify-al", "--n", "5", "--mode", "exhaustive")
+    code, out, err = run(capsys, "verify-al", "--n", "6", "--mode", "exhaustive")
     assert code == 1
-    assert "randomized" in err
+    assert "n <= 5" in err and "randomized" in err
 
 
 def test_classify_full_block(tmp_path, capsys):

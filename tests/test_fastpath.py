@@ -1,16 +1,16 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, isqrt, perm
 
 import numpy as np
 import pytest
 
-from matpi import fastpath, standardpoly
-from matpi.blocks import staircase_units
-from matpi.constructions import full_matrix_algebra, upper_triangular
-from matpi.errors import ContractViolationError, DegreeGuardError
-from matpi.identities import _reverify_witness, is_standard_identity
-from matpi.matrices import Matrix, matrix_unit
+from matpi import fastpath, identities, standardpoly
+from matpi.blocks import BlockShape, staircase_units
+from matpi.constructions import full_block_algebra, full_matrix_algebra, upper_triangular
+from matpi.errors import ContractViolationError, DegreeGuardError, DimensionError
+from matpi.identities import _reverify_witness, is_standard_identity, random_triangular_closures
+from matpi.matrices import Matrix, identity_matrix, matrix_unit
 from matpi.rings import GF, QQ, is_prime
 from matpi.standardpoly import (
     NAIVE_MAX_DEGREE,
@@ -19,6 +19,7 @@ from matpi.standardpoly import (
     eval_standard_naive,
     perm_sign,
 )
+from matpi.subalgebra import span_basis
 
 F = GF(101)
 
@@ -497,3 +498,98 @@ def test_naive_single_product_counts(monkeypatch):
     last = {i for w in prefixes if len(w) == t - 2 for i in range(t) if i not in w}
     assert sum(formed) == sum(t - len(w) for w in prefixes) + len(last)
     assert sum(formed) == 314
+
+
+# -- the join over subset layers shared by all basis combinations ----------------
+
+def conjugated_closure():
+    """A seeded closure in U_4 conjugated by a product of elementary
+    matrices: its echelon basis has elements that are not weight vectors."""
+    a = next(c for c in random_triangular_closures(F, 4, 6, seed=11) if c.dim >= 6)
+    n = a.n
+    p = q = identity_matrix(F, n)
+    for i, j, c in ((1, 2, 3), (3, 4, 5), (4, 1, 7), (2, 3, 2)):
+        p = p * (identity_matrix(F, n) + c * matrix_unit(F, n, i, j))
+        q = (identity_matrix(F, n) - c * matrix_unit(F, n, i, j)) * q
+    assert (p * q).data == identity_matrix(F, n).data
+    return span_basis(F, n, [p * x * q for x in a.mats], label=f"conj {a.label}")
+
+
+JOIN_CASES = [full_matrix_algebra(F, 3), upper_triangular(F, 4),
+              full_block_algebra(F, BlockShape((1, 2))), conjugated_closure()]
+
+
+@pytest.mark.parametrize("a", JOIN_CASES, ids=lambda a: a.label)
+def test_join_matches_dp_batch_on_every_combination(a):
+    basis_arr = fastpath.basis_to_flat(a.mats)
+    layers = fastpath.subset_layers(basis_arr, a.n, 101, 4)
+    for t in range(2, min(8, a.dim) + 1):
+        block = np.array(list(combinations(range(a.dim), t)))
+        want = fastpath.dp_batch(fastpath.combos_to_stack(basis_arr, block, a.n), 101)
+        got = fastpath.join_batch(layers, block)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert (got == want).all(), t
+
+
+def test_conjugated_closure_is_ungraded():
+    assert identities._torus_weights(conjugated_closure(), 2) is None
+
+
+@pytest.mark.parametrize("a", [upper_triangular(F, 3), conjugated_closure()],
+                         ids=lambda a: a.label)
+def test_subset_layers_rows_are_colex_ranked(a):
+    layers = fastpath.subset_layers(fastpath.basis_to_flat(a.mats), a.n, 101, 3)
+    for k in range(1, 4):
+        assert len(layers.values[k - 1]) == comb(a.dim, k)
+        for subset in combinations(range(a.dim), k):
+            row = sum(comb(c, j + 1) for j, c in enumerate(subset))
+            want = eval_standard_dp([a.mats[i] for i in subset])
+            got = fastpath.array_to_matrix(F, layers.values[k - 1][row])
+            assert got == want
+            assert layers.nonzero[k - 1][row] == (not want.is_zero())
+
+
+def join_boundary_primes(t, n):
+    """The largest prime whose join sums its products unreduced, and the
+    largest prime that supports admits, whose join reduces them first."""
+    size = comb(t, t // 2) * n
+    p = isqrt(fastpath.INT64_BUDGET // size) + 1
+    while not (is_prime(p) and size * (p - 1) ** 2 < fastpath.INT64_BUDGET):
+        p -= 1
+    return p, largest_supported_prime(t, n)
+
+
+@pytest.mark.parametrize("t,n", [(6, 4), (8, 5)])
+def test_join_exact_at_boundary_primes(t, n):
+    # t < 2n, so s_t of dense factors near p - 1 is not zero
+    unreduced, largest = join_boundary_primes(t, n)
+    assert unreduced < largest
+    for p in (unreduced, largest):
+        ring = GF(p)
+        rng = random.Random(p)
+        mats = [Matrix(ring, n, n, [p - rng.randrange(1, 40) for _ in range(n * n)])
+                for _ in range(t + 1)]
+        basis_arr = fastpath.basis_to_flat(mats)
+        layers = fastpath.subset_layers(basis_arr, n, p, t - t // 2)
+        block = np.array(list(combinations(range(t + 1), t)))
+        got = fastpath.join_batch(layers, block)
+        want = fastpath.dp_batch(fastpath.combos_to_stack(basis_arr, block, n), p)
+        assert (got == want).all()
+        exact = [eval_standard_dp([mats[i] for i in c]) for c in block[:2].tolist()]
+        assert [fastpath.array_to_matrix(ring, v) for v in got[:2]] == exact
+        assert not all(v.is_zero() for v in exact)
+
+
+def test_join_rejects_rows_that_do_not_increase():
+    a = full_matrix_algebra(F, 2)
+    layers = fastpath.subset_layers(fastpath.basis_to_flat(a.mats), 2, 101, 2)
+    for block in ([[0, 2, 1]], [[0, 1, 1]], [[3]]):
+        with pytest.raises(DimensionError):
+            fastpath.join_batch(layers, np.array(block))
+
+
+def test_layer_tables_fit_the_budget_up_to_m5():
+    budget = fastpath.BATCH_BUDGET_BYTES
+    assert fastpath.layer_table_bytes(25, 5, 10) <= budget < fastpath.layer_table_bytes(36, 6, 12)
+    # M_4 at t = 8: subsets of sizes 1..4 of 16 elements, 16 int64 entries each
+    assert fastpath.layer_table_bytes(16, 4, 8) == (16 + 120 + 560 + 1820) * 16 * 8

@@ -13,7 +13,7 @@ from matpi.constructions import (
     repetition_algebra,
     upper_triangular,
 )
-from matpi import fastpath, identities
+from matpi import fastpath, identities, standardpoly
 from matpi.errors import ContractViolationError, DegreeGuardError, UnsupportedRingError
 from matpi.identities import (
     block_assembly_check,
@@ -24,7 +24,7 @@ from matpi.identities import (
     standard_sign_vector,
     ur_vanishing_check,
 )
-from matpi.matrices import Matrix, matrix_unit
+from matpi.matrices import Matrix, matrix_unit, mul_flat
 from matpi.rings import GF, QQ, Zmod
 from matpi.standardpoly import eval_multilinear, eval_standard_naive
 from matpi.subalgebra import span_basis
@@ -412,15 +412,21 @@ def _unpruned(monkeypatch):
 
 
 def _count_dp_items(monkeypatch) -> list:
-    """Record the batch size of every fastpath.dp_batch call."""
+    """Record the batch size of every call of either numpy kernel,
+    fastpath.dp_batch or fastpath.join_batch."""
     sizes = []
-    real = fastpath.dp_batch
+    dp_batch, join_batch = fastpath.dp_batch, fastpath.join_batch
 
-    def counting(stack, p):
+    def counting_dp(stack, p):
         sizes.append(stack.shape[1])
-        return real(stack, p)
+        return dp_batch(stack, p)
 
-    monkeypatch.setattr(fastpath, "dp_batch", counting)
+    def counting_join(layers, block):
+        sizes.append(len(block))
+        return join_batch(layers, block)
+
+    monkeypatch.setattr(fastpath, "dp_batch", counting_dp)
+    monkeypatch.setattr(fastpath, "join_batch", counting_join)
     return sizes
 
 
@@ -549,3 +555,158 @@ def test_torus_weights_decline_on_mixed_support(mats):
     a = span_basis(F, 3, mats)
     assert identities._torus_weights(a, 4) is None
     assert identities._weight_feasible(a, 4) is None
+
+
+# -- the join over shared subset layers -------------------------------------------
+
+def _no_shared_layers(monkeypatch):
+    """Make the layer tables of every sweep exceed the budget."""
+    monkeypatch.setattr(fastpath, "layer_table_bytes",
+                        lambda d, n, t: fastpath.BATCH_BUDGET_BYTES + 1)
+
+
+def _count_layer_builds(monkeypatch) -> list:
+    """Record the depth of every fastpath.subset_layers call."""
+    depths = []
+    subset_layers = fastpath.subset_layers
+    monkeypatch.setattr(fastpath, "subset_layers",
+                        lambda *args: depths.append(args[-1]) or subset_layers(*args))
+    return depths
+
+
+def _forbid(monkeypatch, *names):
+    def unused(*args, **kwargs):
+        raise AssertionError("unexpected kernel call")
+
+    for name in names:
+        monkeypatch.setattr(fastpath, name, unused)
+
+
+JOIN_SWEEPS = [
+    (full_matrix_algebra(F, 3), (4, 5, 6)),
+    (full_matrix_algebra(F, 4), (6, 7, 8)),
+    (upper_triangular(F, 4), (6, 7, 8)),
+    (full_block_algebra(F, BlockShape((2, 3))), (7, 8)),
+]
+
+
+@pytest.mark.parametrize("share", [identities.PROBE_SHARE, 4096],
+                         ids=["default-probe", "one-tuple-probe"])
+def test_join_on_and_off_agree(monkeypatch, share):
+    # the join proves M_4 s_8; with a one-tuple probe it also finds the
+    # M_3 s_5, M_4 s_7 and E(2,3) witnesses.  Reports, witnesses and counts
+    # are byte-equal with the join forced off
+    one_tuple_probe = share > identities.PROBE_SHARE
+    monkeypatch.setattr(identities, "PROBE_SHARE", share)
+    sizes = _count_dp_items(monkeypatch)
+    built = _count_layer_builds(monkeypatch)
+    reports = [is_standard_identity(a, t).to_dict() for a, degrees in JOIN_SWEEPS for t in degrees]
+    assert len(built) == (6 if one_tuple_probe else 1)
+    joined = list(sizes)
+    sizes.clear()
+    _no_shared_layers(monkeypatch)
+    _forbid(monkeypatch, "subset_layers", "join_batch")
+    assert [is_standard_identity(a, t).to_dict() for a, degrees in JOIN_SWEEPS
+            for t in degrees] == reports
+    # the same blocks, all through dp_batch now
+    assert sizes == joined
+
+
+def test_join_on_and_off_agree_on_closures(monkeypatch):
+    monkeypatch.setattr(identities, "PROBE_SHARE", 4096)
+    algs = random_triangular_closures(F, 4, 6, seed=5)
+    algs += random_triangular_closures(F, 3, 6, seed=5, include_identity=True)
+    reports = [min_standard_degree(a).to_dict() for a in algs]
+    _no_shared_layers(monkeypatch)
+    assert [min_standard_degree(a).to_dict() for a in algs] == reports
+
+
+@pytest.mark.parametrize("a,t,checked", [
+    (full_matrix_algebra(F, 4), 6, 4),
+    (full_matrix_algebra(F, 5), 8, 71),
+    (upper_triangular(F, 5), 9, 1650),
+], ids=["M_4 s_6", "M_5 s_8", "U_5 s_9"])
+def test_witness_in_the_probe_never_builds_layers(monkeypatch, a, t, checked):
+    _forbid(monkeypatch, "subset_layers", "join_batch")
+    rep = is_standard_identity(a, t)
+    assert not rep.is_identity and rep.tuples_checked == checked
+
+
+def test_tables_over_budget_fall_back_to_dp_batch(monkeypatch):
+    a = full_matrix_algebra(F, 4)
+    sizes = _count_dp_items(monkeypatch)
+    built = _count_layer_builds(monkeypatch)
+    joined, joined_sizes = is_standard_identity(a, 8).to_dict(), list(sizes)
+    assert built == [4] and joined_sizes == [64, 3978 - 64]
+    sizes.clear()
+    _no_shared_layers(monkeypatch)
+    _forbid(monkeypatch, "subset_layers")
+    assert is_standard_identity(a, 8).to_dict() == joined
+    assert sizes == joined_sizes
+
+
+# -- the witness re-check at every degree ------------------------------------------
+
+@pytest.mark.parametrize("a,t", [(upper_triangular(F, 5), 9), (upper_triangular(F, 6), 11)],
+                         ids=["U_5 s_9", "U_6 s_11"])
+def test_high_degree_witnesses_recheck_without_the_dp(monkeypatch, a, t):
+    def unused(mats):
+        raise AssertionError("the re-check fell back to the DP")
+
+    monkeypatch.setattr(identities, "eval_standard_dp", unused)
+    rep = is_standard_identity(a, t)
+    assert not rep.is_identity
+    with pytest.raises(ContractViolationError):
+        identities._reverify_witness(rep.witness.mats, rep.witness.value + rep.witness.value)
+
+
+def test_recheck_past_the_walk_budget_falls_back_to_the_dp(monkeypatch):
+    witness = is_standard_identity(upper_triangular(F, 5), 9).witness
+    calls = []
+    dp = identities.eval_standard_dp
+    monkeypatch.setattr(identities, "eval_standard_dp", lambda mats: calls.append(1) or dp(mats))
+    identities._reverify_witness(witness.mats, witness.value)
+    assert calls == []
+    monkeypatch.setattr(identities, "WALK_BUDGET", 491)
+    identities._reverify_witness(witness.mats, witness.value)
+    assert calls == [1]
+
+
+def test_dense_witness_past_the_budget_skips_the_walk(monkeypatch):
+    # a dense s_9 witness: its walk would form about 986,000 products
+    rng = random.Random(9)
+    mats = [Matrix(F, 5, 5, [rng.randrange(101) for _ in range(25)]) for _ in range(9)]
+    value = identities.eval_standard_dp(mats)
+    assert not value.is_zero()
+
+    def unused(mats):
+        raise AssertionError("the re-check walked a dense degree-9 witness")
+
+    monkeypatch.setattr(identities, "_eval_standard_naive_py", unused)
+    identities._reverify_witness(mats, value)
+
+
+def test_walk_budget_covers_every_walk_up_to_degree_7():
+    def walk_size(mats):
+        formed = 0
+
+        def counting(*args):
+            nonlocal formed
+            formed += 1
+            return mul_flat(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(standardpoly, "mul_flat", counting)
+            list(standardpoly.word_products([x.data for x in mats], mats[0].rows, mats[0].ring))
+        return formed
+
+    dense = [Matrix(F, 2, 2, [1, 2, 3, 4]) for _ in range(7)]
+    assert walk_size(dense) == sum(math.perm(7, k) for k in range(2, 8)) == 13692
+    assert identities._walk_fits(dense)
+    assert not identities._walk_fits(dense + dense[:1])  # 109,592 products at t = 8
+    # a sparse t = 8 tuple is judged by its support walk: a chain of units
+    chain = [matrix_unit(F, 9, i, i + 1) for i in range(1, 9)]
+    assert walk_size(chain) == 168 and identities._walk_fits(chain)
+    # the walk of the U_5 s_9 witness forms 492 products
+    witness = is_standard_identity(upper_triangular(F, 5), 9).witness
+    assert walk_size(witness.mats) == 492
