@@ -5,7 +5,9 @@ shape, a subalgebra of block upper triangular matrices is sorted into one of
 two buckets: either it is the full block upper triangular algebra of that
 shape (and then it does not satisfy the standard identity of degree 2n-2,
 witnessed explicitly), or it falls into one of three structural cases that
-each force the identity to hold at degree 2n-2.
+each force the identity to hold at degree 2n-2.  Presentations outside the
+hypotheses of that dichotomy, with a zero or non-semisimple proper
+diagonal block, are reported as such.
 """
 
 from __future__ import annotations
@@ -142,6 +144,38 @@ class SatisfiesLowDegree:
 
 
 @dataclass(frozen=True)
+class ZeroDiagonalBlock:
+    """The projection onto diagonal block i is zero."""
+
+    block_index: int  # 1-based
+
+    def describe(self) -> str:
+        return f"zero-diagonal-block[{self.block_index}]"
+
+
+@dataclass(frozen=True)
+class NonSemisimpleBlock:
+    """The projection onto diagonal block i has a nonzero radical."""
+
+    block_index: int  # 1-based
+
+    def describe(self) -> str:
+        return f"non-semisimple-block[{self.block_index}]"
+
+
+@dataclass(frozen=True)
+class OutsideHypotheses:
+    """The presentation is outside the hypotheses of the theorem: a proper
+    diagonal block projection is zero or not semisimple, so no verdict on
+    s_(2n-2) follows from the shape."""
+
+    reason: Union[ZeroDiagonalBlock, NonSemisimpleBlock]
+
+    def describe(self) -> str:
+        return f"outside-hypotheses({self.reason.describe()})"
+
+
+@dataclass(frozen=True)
 class NotCanonical:
     """A basis element breaks block upper triangularity for the shape."""
 
@@ -153,7 +187,8 @@ class NotCanonical:
         return f"not-canonical(basis {self.basis_index} entry ({self.row},{self.col}))"
 
 
-ClassificationVerdict = Union[FullBlockTriangular, SatisfiesLowDegree, NotCanonical]
+ClassificationVerdict = Union[FullBlockTriangular, SatisfiesLowDegree, OutsideHypotheses,
+                              NotCanonical]
 
 
 def first_below_block_violation(x: Matrix, shape: BlockShape) -> Optional[tuple]:
@@ -342,15 +377,21 @@ def classify(a: SubalgebraBasis, shape: BlockShape) -> ClassificationVerdict:
 
     Reading a SatisfiesLowDegree verdict as "s_(2n-2) vanishes on the
     algebra" is a theorem when every diagonal projection that step (2)
-    inspects is either the full block or a (nonzero) simple algebra, which
-    holds in particular for unital algebras presented against a shape
-    refining their composition series.  A presentation with an identically
-    ZERO diagonal projection still classifies as ProperSimpleBlock per the
-    pipeline, but such non-unital algebras can escape the low-degree
-    conclusion: span{e11, e12, e13, e22, e23} in the 3x3 upper triangular
-    matrices has zero (3,3) projection and s_4(e11, e12, e22, e23) = e13.
-    Callers wanting the theorem's guarantee should adjoin the identity
-    before closing (see close_generators / random_triangular_closures).
+    inspects is either the full block or a nonzero semisimple algebra,
+    which holds in particular for unital algebras presented against a
+    shape refining their composition series.  Step (2) therefore checks
+    each projection it inspects, in block order, before reasoning with
+    it.  A zero projection (a non-unital algebra) gives
+    OutsideHypotheses(ZeroDiagonalBlock(i)): span{e11, e12, e13, e22, e23}
+    against (3) has zero (3,3) projection, yet s_4(e11, e12, e22, e23) =
+    e13.  A proper projection with a nonzero radical (a shape that does
+    not refine the composition series) gives
+    OutsideHypotheses(NonSemisimpleBlock(i)): U_2 against (2) projects
+    onto all of U_2, and s_2(e11, e12) = e12.  Neither verdict claims
+    anything about s_(2n-2); callers wanting a verdict should adjoin the
+    identity before closing (see close_generators /
+    random_triangular_closures) and present the algebra against a shape
+    refining its composition series.
     """
     ring = a.ring
     if not ring.is_field:
@@ -367,7 +408,12 @@ def classify(a: SubalgebraBasis, shape: BlockShape) -> ClassificationVerdict:
             return NotCanonical(idx, viol[0], viol[1])
     for i in range(1, shape.num_blocks + 1):
         li = shape.parts[i - 1]
-        if project(a, shape, i, i).dim < li * li:
+        block = project(a, shape, i, i)
+        if block.dim < li * li:
+            if block.dim == 0:
+                return OutsideHypotheses(ZeroDiagonalBlock(i))
+            if not is_semisimple(block):
+                return OutsideHypotheses(NonSemisimpleBlock(i))
             return SatisfiesLowDegree(ProperSimpleBlock(i))
     pair = detect_repetition(a, shape)
     if pair is not None:

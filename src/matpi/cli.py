@@ -22,6 +22,7 @@ from . import __version__
 from .blocks import (
     FullBlockTriangular,
     NotCanonical,
+    OutsideHypotheses,
     SatisfiesLowDegree,
     classify,
     staircase_units,
@@ -101,7 +102,9 @@ def verdict_to_dict(v) -> dict:
             },
         }
     if isinstance(v, SatisfiesLowDegree):
-        r = v.reason
+        out = {"kind": "satisfies-low-degree"}
+    elif isinstance(v, OutsideHypotheses):
+        out = {"kind": "outside-hypotheses"}
     elif isinstance(v, NotCanonical):
         return {
             "kind": "not-canonical",
@@ -111,7 +114,8 @@ def verdict_to_dict(v) -> dict:
         }
     else:
         raise TypeError(f"not a classification verdict: {v!r}")
-    out = {"kind": "satisfies-low-degree", "reason": type(r).__name__}
+    r = v.reason
+    out["reason"] = type(r).__name__
     for field in ("block_index", "first", "second", "coupling_index"):
         if hasattr(r, field):
             out[field] = getattr(r, field)
@@ -253,12 +257,15 @@ def cmd_classify(args) -> int:
     else:
         rep = is_standard_identity(alg, 2 * n - 2, mode=args.mode, trials=args.trials,
                                    seed=args.seed)
-        full = isinstance(verdict, FullBlockTriangular)
-        consistent = full == (not rep.is_identity)
+        if isinstance(verdict, OutsideHypotheses):
+            status, claim = "info", "the verdict makes no claim on it"
+        else:
+            consistent = isinstance(verdict, FullBlockTriangular) == (not rep.is_identity)
+            status = "pass" if consistent else "fail"
+            claim = "consistent" if consistent else "THEOREM CONTRADICTION"
         report["checks"].append(_check(
-            "identity-cross-check", "pass" if consistent else "fail",
-            f"s_{2 * n - 2} {rep.verdict} vs verdict {verdict.describe()}: "
-            + ("consistent" if consistent else "THEOREM CONTRADICTION"),
+            "identity-cross-check", status,
+            f"s_{2 * n - 2} {rep.verdict} vs verdict {verdict.describe()}: {claim}",
             rep.to_dict(timing),
         ))
     return finish(report, args, started)

@@ -5,53 +5,50 @@ the half-depth subset DP of :func:`standardpoly.half_depth_dp`, the one
 copy of that recurrence, over a batch of argument tuples; the sweeps call
 it.  It works on batch-last (n, n, B) arrays, forms each product with one
 einsum over the contiguous batch axis, and computes in int32 when
-t * n * (p-1)^2 + p < 2^31, in int64 otherwise.  Exhaustive sweeps share
-the DP's lower layers across all basis combinations instead:
-:func:`subset_layers` builds s_k of every basis subset of size
-k <= ceil(t/2) once, by the same recurrence and signs
-(:func:`standardpoly.term_negate`), with rows indexed by colex rank, and
-:func:`join_batch` evaluates a block of combinations by the DP's join
-alone (:func:`standardpoly.join_splits`), multiplying only the pairs of
-halves that are both nonzero.  :func:`naive_single`
-sums the t! signed permutation products of one tuple in int64 and
-re-checks witnesses.  It shares nothing with the DP: it walks the words
-prefix by prefix, one batched matmul per prefix length, so words share
-their prefixes' products, a zero prefix drops every word that extends it,
-and each word's sign rides along as a parity (the batched form of
-:func:`standardpoly.word_products`).  Both are exact only inside proven
-overflow bounds.  Products of residues have entries at most
-n * (p-1)^2.  The int64 gate, t * n * (p-1)^2 < 2^62 (:func:`supports`),
-decides whether this module runs at all.  Inside it, :func:`dp_batch`
-reduces mod p often enough that a residue plus the products summed since
-keeps below 2^31 or 2^63, :func:`subset_layers` and :func:`join_batch`
-keep their int64 sums below 2^62, and :func:`naive_single` reduces
-whenever its next step could pass 2^62 (each docstring gives the
-counts).  Every reduction
-mod p on arrays here is a floor-division one, acc - (acc // p) * p
-(:func:`_reduce`): on int32 and int64 arrays numpy's `%` costs several
-times as much, and the result is the same.  Callers go through
-:func:`standardpoly.int64_eligible` (or :func:`supports`) first; the
-pure-Python paths remain the reference and the fallback.  Results agree
-entrywise with the exact evaluators (the test suite cross-checks both
-directions).
+t * n * (p-1)^2 + p < 2^31, in int64 otherwise.  Exhaustive sweeps
+decide all basis combinations at once instead: :func:`sparse_layer` runs
+the DP's recurrence and signs (:func:`standardpoly.term_negate`) forward
+over basis subsets, keeping only the subsets whose s_k is nonzero, so the
+last layer holds exactly the combinations on which s_t does not vanish.
+:func:`naive_single` sums the t! signed permutation products of one tuple
+in int64 and re-checks witnesses.  It shares nothing with the DP: it
+walks the words prefix by prefix, one batched matmul per prefix length,
+so words share their prefixes' products, a zero prefix drops every word
+that extends it, and each word's sign rides along as a parity (the
+batched form of :func:`standardpoly.word_products`).  All three are exact
+only inside proven overflow bounds.  Products of residues have entries at
+most n * (p-1)^2.  The int64 gate, t * n * (p-1)^2 < 2^62
+(:func:`supports`), decides whether this module runs at all.  Inside it,
+:func:`dp_batch` reduces mod p often enough that a residue plus the
+products summed since keeps below 2^31 or 2^63, :func:`sparse_layer`
+keeps its sums below 2^31 - p or 2^62, and :func:`naive_single` reduces
+whenever its next step could pass 2^62 (each docstring gives the counts).
+Every reduction mod p on arrays here is a floor-division one,
+acc - (acc // p) * p (:func:`_reduce`): on int32 and int64 arrays numpy's
+`%` costs several times as much, and the result is the same.  Callers go
+through :func:`standardpoly.int64_eligible` (or :func:`supports`) first;
+the pure-Python paths remain the reference and the fallback.  Results
+agree entrywise with the exact evaluators (the test suite cross-checks
+both directions).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .errors import DegreeGuardError, DimensionError
+from .errors import DegreeGuardError
 from .matrices import Matrix
 from .rings import PrimeField
-from .standardpoly import NAIVE_MAX_DEGREE, half_depth_dp, join_splits, term_negate
+from .standardpoly import NAIVE_MAX_DEGREE, half_depth_dp, term_negate
 
 INT64_BUDGET = 2**62
 BATCH_BUDGET_BYTES = 256 * 2**20
+# sparse_layer: basis sizes whose subset bitmasks fit int64, and products per chunk
+KEY_BITS = 63
+SPARSE_CHUNK = 4096
 
 
 def supports(p: int, n: int, t: int) -> bool:
@@ -291,142 +288,102 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
     return _reduce(np.matmul(groups, arr[last]).sum(axis=0), p)
 
 
-def layer_table_bytes(d: int, n: int, t: int) -> int:
-    """Bytes of the tables :func:`subset_layers` builds for s_t over d basis
-    elements of M_n: one int64 n x n value per subset of size 1 ..
-    ceil(t/2)."""
-    return sum(comb(d, k) for k in range(1, t - t // 2 + 1)) * n * n * 8
+def sparse_layer(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
+                 targets=None):
+    """The t-combinations C of the basis with s_t(b_C) nonzero, and those
+    values, by one sparse pass over basis subsets; None when the pass would
+    not fit BATCH_BUDGET_BYTES or the basis has more than KEY_BITS elements.
 
+    basis_arr is the (d, n*n) residue array of the basis.  Returns
+    (combos, values): an (R, t) intp array of strictly increasing index
+    tuples in lexicographic order, and the (R, n, n) int64 residues mod p
+    of s_t on them, none of them zero.  Every other t-combination has
+    value 0, so s_t is an identity of the span exactly when R = 0.
 
-@dataclass(frozen=True)
-class SubsetLayers:
-    """g(A) = s_|A| of the basis elements in A, in index order, mod p, for
-    every subset A of the basis with 1 <= |A| <= depth.
+    Layer k holds g(A) = s_k(b_A) mod p for the k-subsets A of the basis
+    where it is nonzero, keyed by an int64 bitmask with bit d-1-c for
+    member c, so that lexicographic order is descending key order.  Layer
+    k+1 follows by the recurrence of :func:`standardpoly.half_depth_dp`,
+    read from the parents' side: each row A and each c not in A
+    contribute (-1)^negate * g(A) * b_c to g(A + {c}), with negate
+    :func:`standardpoly.term_negate` of c's position in A + {c}.  A zero
+    g(A) would contribute nothing, so its row is dropped.  Given the torus
+    weights of a graded basis (weights, the packed weight of each element
+    as in identities._torus_weights, and targets, the packed weights a
+    nonzero product can have; all sums of up to t weights must fit int64),
+    a candidate whose weight is not a target is zero and is not formed:
+    one vectorized np.isin per layer.
 
-    values[k - 1] is a C(d, k) x n x n int64 array of residues whose row r
-    holds g(A) for the k-subset A = {c_1 < ... < c_k} of colex rank
-    r = C(c_1, 1) + C(c_2, 2) + ... + C(c_k, k), which is also
-    weights[0][c_1] + ... + weights[k-1][c_k]; nonzero[k - 1] flags the
-    rows that are not zero.
-    """
+    Memory: the candidates (row, c) of a layer are sorted by child key,
+    and their products are formed SPARSE_CHUNK at a time and summed per
+    child with np.add.reduceat.  The arrays a layer holds are counted,
+    at 8 bytes an entry, before they are made: per row its value and
+    d-wide masks and weight sums, 40 bytes of indices, keys and sort
+    order per candidate, one chunk's three product-sized arrays, and,
+    once the sort has found them, the children's sums.  When the count
+    passes BATCH_BUDGET_BYTES the pass returns None, and so it does for
+    d > KEY_BITS, where keys would not fit int64.
 
-    p: int
-    weights: np.ndarray
-    values: tuple
-    nonzero: tuple
-
-
-def subset_layers(basis_arr: np.ndarray, n: int, p: int, depth: int) -> SubsetLayers:
-    """Build the :class:`SubsetLayers` of the (d, n*n) residue array
-    basis_arr up to subsets of size depth.
-
-    Layer k follows from layer k - 1 by the recurrence of
-    :func:`standardpoly.half_depth_dp`, applied to every k-subset A of the
-    basis at once: g(A) = sum over the members c_j of A of
-    (-1)^negate * g(A - {c_j}) * b_(c_j), with negate from
-    :func:`standardpoly.term_negate`.  Only terms whose g(A - {c_j}) is
-    nonzero are formed, so subsets that are zero by weight cost nothing
-    past the layer in which they first vanish.  Peak memory is the tables,
-    :func:`layer_table_bytes`, plus a few arrays the size of one layer.
-
-    Overflow: every g is reduced to [0, p), so a term has entries of size
-    at most n * (p-1)^2, and g(A) sums k <= depth <= t of them before its
-    one reduction: at most t * n * (p-1)^2 < 2^62 by :func:`supports`.
+    Dtype and overflow: the layers are int32 when t * n * (p-1)^2 + p
+    < 2^31 and int64 otherwise, the rule of :func:`dp_batch`.  Every g(A)
+    and basis entry is a residue in [0, p), so a product has entries of
+    size at most n * (p-1)^2.  A child A + {c} receives one term per
+    member c, from the parent A, so its sum, partial ones included, has at
+    most k + 1 <= t terms before its one reduction: at most
+    t * n * (p-1)^2, below 2^31 - p under the int32 rule and below 2^62 by
+    :func:`supports`, so neither the sums nor the floor-division reduction
+    (:func:`_reduce`) can wrap.
     """
     d = basis_arr.shape[0]
-    weights = np.array([[comb(v, j + 1) for v in range(d)] for j in range(depth)],
-                       dtype=np.intp).reshape(depth, d)
-    basis = basis_arr.reshape(d, n, n)
-    values, nonzero = [basis], [basis.reshape(d, -1).any(axis=1)]
-    for k in range(2, depth + 1):
-        lex = np.array(list(combinations(range(d), k)), dtype=np.intp).reshape(-1, k)
-        subsets = np.empty_like(lex)
-        subsets[sum(weights[j, lex[:, j]] for j in range(k))] = lex
-        acc = np.zeros((len(subsets), n, n), dtype=np.int64)
-        for j in range(k):
-            # the parent drops member j; the members after it move down a place
-            parent = sum(weights[i - (i > j), subsets[:, i]] for i in range(k) if i != j)
-            live = np.flatnonzero(nonzero[-1][parent])
-            prod = np.matmul(values[-1][parent[live]], basis[subsets[live, j]])
-            if term_negate(k, j):
-                acc[live] -= prod
-            else:
-                acc[live] += prod
-        values.append(_reduce(acc, p))
-        nonzero.append(acc.reshape(len(acc), -1).any(axis=1))
-    return SubsetLayers(p, weights, tuple(values), tuple(nonzero))
-
-
-@lru_cache(maxsize=None)
-def _split_tables(t: int) -> tuple:
-    """The splits of :func:`standardpoly.join_splits` as read-only arrays:
-    the positions in S (rows of floor(t/2)), in its complement (rows of
-    ceil(t/2)), and whether each split's product is negated."""
-    splits = list(join_splits(t))
-    left = np.array([s for s, _ in splits], dtype=np.intp).reshape(len(splits), t // 2)
-    right = np.array([[i for i in range(t) if i not in s] for s, _ in splits],
-                     dtype=np.intp).reshape(len(splits), t - t // 2)
-    negate = np.array([neg for _, neg in splits], dtype=bool)
-    for a in (left, right, negate):
-        a.setflags(write=False)
-    return left, right, negate
-
-
-def join_batch(layers: SubsetLayers, block) -> np.ndarray:
-    """s_t on a batch of basis combinations by one join over shared layers.
-
-    block is a (B, t) array of strictly increasing basis indices with
-    t >= 2, and layers reach depth ceil(t/2).  Returns C-contiguous int64
-    (B, n, n) residues mod p, equal to :func:`dp_batch` on the gathered
-    stack.  The join of :func:`standardpoly.half_depth_dp`, with the
-    arguments a combination C of the basis, reads
-    s_t(b_C) = sum over the floor(t/2)-subsets P of positions of
-    (-1)^inv(P) * g(C_P) * g(C_(P^c)), where C_P is the set of basis
-    elements of C at the positions P (in index order, as C increases).  The
-    rows of C_P and C_(P^c) in the tables are sums of the weights of their
-    members, and only the pairs whose halves are both nonzero are
-    multiplied.
-
-    Overflow: the factors are residues, or their negatives, so a product
-    has entries of size at most n * (p-1)^2 < 2^62 (:func:`supports`).  An
-    item sums at most C(t, floor(t/2)) products.  When
-    C(t, floor(t/2)) * n * (p-1)^2 < 2^62 they are summed as they are;
-    otherwise each is reduced to [0, p) first, and their sum stays below
-    C(t, floor(t/2)) * (p-1) < 2^62, which is checked on entry.  Tables
-    within BATCH_BUDGET_BYTES = 2^28 always pass: the last one has at
-    least C(t, ceil(t/2)) rows of 8 bytes or more, so
-    C(t, floor(t/2)) < 2^25, and p - 1 < 2^31 by :func:`supports`.
-    """
-    block = np.asarray(block, dtype=np.intp)
-    B, t = block.shape
-    if t < 2 or (block[:, 1:] <= block[:, :-1]).any():
-        raise DimensionError("the join needs t >= 2 strictly increasing basis indices")
-    a, b = t // 2, t - t // 2
-    p, n = layers.p, layers.values[0].shape[1]
-    if comb(t, a) * (p - 1) >= INT64_BUDGET:
-        raise DegreeGuardError(f"int64 budget exceeded by the join at p={p}, t={t}")
-    left, right, negate = _split_tables(t)
-    # weight j of the member at each position, laid out (t, B)
-    member = [w[block.T] for w in layers.weights[:b]]
-
-    def rows(positions):  # (splits, B) table rows of the halves
-        return sum(member[j].take(positions[:, j], axis=0) for j in range(positions.shape[1]))
-
-    lrow, rrow = rows(left), rows(right)
-    splits, items = np.nonzero(layers.nonzero[a - 1][lrow] & layers.nonzero[b - 1][rrow])
-    out = np.zeros((B, n, n), dtype=np.int64)
-    if not len(items):
-        return out
-    order = np.argsort(items, kind="stable")
-    splits, items = splits[order], items[order]
-    lhs = layers.values[a - 1][lrow[splits, items]]
-    np.negative(lhs, out=lhs, where=negate[splits][:, None, None])
-    prod = np.matmul(lhs, layers.values[b - 1][rrow[splits, items]])
-    if comb(t, a) * n * (p - 1) ** 2 >= INT64_BUDGET:
-        _reduce(prod, p)
-    starts = np.flatnonzero(np.r_[True, items[1:] != items[:-1]])
-    out[items[starts]] = np.add.reduceat(prod, starts, axis=0)
-    return _reduce(out, p)
+    if not supports(p, n, t):
+        raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
+    if d > KEY_BITS:
+        return None
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.int64)
+        targets = np.fromiter(targets, dtype=np.int64)
+    dtype = _dtype_and_every(p, n, t)[0]
+    bits = np.left_shift(1, np.arange(d - 1, -1, -1, dtype=np.int64))
+    basis = basis_arr.reshape(d, n, n).astype(dtype)
+    live = np.flatnonzero(basis.reshape(d, -1).any(axis=1))[::-1]  # ascending keys
+    keys, values = bits[live], basis[live]
+    for k in range(1, t):
+        member = (keys[:, None] & bits) != 0
+        free = ~member
+        if weights is not None:
+            free &= np.isin((member @ weights)[:, None] + weights, targets)
+        count = np.count_nonzero(free)
+        held = (len(keys) * (n * n * 8 + d * 16) + count * 40
+                + 3 * SPARSE_CHUNK * n * n * 8)
+        if held > BATCH_BUDGET_BYTES:
+            return None
+        cand = np.flatnonzero(free)
+        child = keys[cand // d] | bits[cand % d]
+        order = np.argsort(child)
+        cand, child = cand[order], child[order]
+        first = np.diff(child, prepend=-1) != 0
+        children = np.count_nonzero(first)
+        if held + children * n * n * 8 > BATCH_BUDGET_BYTES:
+            return None
+        # the members of row r below c, for each c not in row r
+        below = np.cumsum(member, axis=1, dtype=np.int8).ravel()
+        group = np.cumsum(first) - 1
+        acc = np.zeros((children, n, n), dtype=dtype)
+        for lo in range(0, len(cand), SPARSE_CHUNK):
+            part, g = cand[lo:lo + SPARSE_CHUNK], group[lo:lo + SPARSE_CHUNK]
+            prod = np.matmul(values[part // d], basis[part % d])
+            negate = term_negate(k + 1, below[part]).astype(bool)
+            np.negative(prod, out=prod, where=negate[:, None, None])
+            starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+            acc[g[starts]] += np.add.reduceat(prod, starts, axis=0)
+        _reduce(acc, p)
+        nonzero = acc.any(axis=(1, 2))
+        keys, values = child[first][nonzero], acc[nonzero]
+        if not len(keys):
+            break
+    keys, values = keys[::-1], values[::-1]
+    combos = np.nonzero((keys[:, None] & bits) != 0)[1].reshape(len(keys), t)
+    return combos, np.ascontiguousarray(values, dtype=np.int64)
 
 
 def combos_to_stack(basis_arr: np.ndarray, combo_block, n: int) -> np.ndarray:

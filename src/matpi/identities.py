@@ -10,22 +10,21 @@ so over Z/m the same combinations of the spanning set are swept, while the
 counts refer to all tuples from it.  Randomized mode evaluates seeded
 random linear combinations of the basis instead.
 
-Every s_t sweep goes through one driver, :func:`_nonzero_hits`, fed an
-ordered source of argument tuples (combinations or coefficient rows) and
-optionally the entries of the value that count.  The identity tests stop
-at its first hit; the block-assembly and corner-vanishing checks count all
-hits over random elements of a span.  The driver picks the kernel once per
-sweep: batched numpy evaluation over GF(p) when the int64 bound of
-:func:`int64_eligible` holds, and the exact pure-Python DP otherwise (QQ,
-Z/m, large p), which never imports numpy.  Over GF(p),
-:func:`fastpath.dp_batch` evaluates coefficient rows and the first block
-of combinations (int32 or int64 inside, whichever its own bound allows).
-The rest of a sweep over combinations shares one set of layers: s_k of
-every basis subset of size k <= ceil(t/2), built once
-(:func:`fastpath.subset_layers`), so each combination costs only the join
-of its halves (:func:`fastpath.join_batch`).  When those tables would
-exceed fastpath.BATCH_BUDGET_BYTES (M_6 at t = 12, for one), every block
-runs :func:`fastpath.dp_batch`.
+Every s_t sweep goes through one function, :func:`_nonzero_hits`, fed either
+the basis combinations or seeded coefficient rows, and optionally the
+entries of the value that count.  The identity tests stop at its first
+hit; the block-assembly and corner-vanishing checks count all hits over
+random elements of a span.  It picks the kernel once per sweep:
+numpy over GF(p) when the int64 bound of :func:`int64_eligible` holds, and
+the exact pure-Python DP otherwise (QQ, Z/m, large p), which never imports
+numpy.  Over GF(p), :func:`fastpath.dp_batch` evaluates coefficient rows
+and a first, small probe block of combinations, where early witnesses
+are found.  Past the probe, one sparse pass decides every remaining
+combination at once (:func:`fastpath.sparse_layer`): it builds s_k of
+the basis subsets layer by layer from the nonzero ones alone, and the
+nonzero rows of layer t are the hits, in lexicographic order.  When the
+pass would exceed fastpath.BATCH_BUDGET_BYTES, or the basis has more
+than fastpath.KEY_BITS elements, the sweep goes on in dp_batch blocks.
 
 Sweeps over index tuples (the two exhaustive modes and both loops of
 :func:`multilinear_identity_space`) also skip tuples that are zero by the
@@ -43,7 +42,8 @@ as the block triangular and full block algebras.  When some element of the
 basis or spanning set is not a weight vector the sweep evaluates every
 tuple.  A tuple skipped this way is proved zero, so it counts in
 `tuples_checked` and `tuples_swept` as an evaluated one would, and
-witnesses stay the lex-first nonzero tuples.
+witnesses stay the lex-first nonzero tuples.  The sparse pass applies the
+same test to every basis subset before it forms it.
 
 Verdicts of "not an identity" always carry a witness tuple whose arguments
 are checked to lie in the algebra and whose value is re-evaluated before
@@ -222,8 +222,14 @@ def _walk_fits(mats: Sequence[Matrix]) -> bool:
     """True when the word walk of mats forms at most WALK_BUDGET products.
 
     A walk of t factors forms at most sum over k = 2..t of t!/(t-k)!
-    products, 13,692 at t = 7, so up to there it always fits.  Past that
-    it is decided by the same walk over their supports, 0/1 matrices in
+    products, 13,692 at t = 7, so up to there it always fits.  When no
+    factor has a zero row or column, as for the dense witnesses of
+    randomized sweeps, no product of them has one either (row i of A has
+    some A[i, j] != 0, and row j of B some B[j, k] != 0, so (AB)[i, k] is
+    a sum of nonnegative support counts, one of them positive), so no
+    prefix is zero: the walk forms exactly that many products and,
+    past the budget, does not fit.  Otherwise it is decided by the same
+    walk over their supports, 0/1 matrices in
     GF(2^61 - 1), whose products cost about what products over GF(101)
     cost, whatever the ring of mats (a dense 5 x 5 product of the
     Fractions of a randomized QQ sweep costs about 20 times as much).  An
@@ -236,6 +242,8 @@ def _walk_fits(mats: Sequence[Matrix]) -> bool:
     if sum(perm(t, k) for k in range(2, t + 1)) <= WALK_BUDGET:
         return True
     supports = [[1 if v else 0 for v in x.data] for x in mats]
+    if all(any(s[i * n:(i + 1) * n]) and any(s[i::n]) for s in supports for i in range(n)):
+        return False
     try:
         for _ in word_products(supports, n, SUPPORT_FIELD, WALK_BUDGET):
             pass
@@ -283,40 +291,68 @@ def _torus_weights(a, t: int) -> Optional[list]:
     return weights
 
 
-def _weight_feasible(a, t: int):
-    """Predicate on index t-tuples into a.mats that is False only where
-    every product of the tuple is zero by weight; None for ungraded a."""
+def _weight_targets(a, t: int) -> Optional[tuple]:
+    """(weights, targets), None for ungraded a: the packed torus weights
+    of a.mats (:func:`_torus_weights`) and those of nonzero n x n weight
+    vectors, 0 and every eps_i - eps_j."""
     weights = _torus_weights(a, t)
     if weights is None:
         return None
     base = 2 * t + 1
-    targets = frozenset(base**i - base**j for i in range(a.n) for j in range(a.n))
+    return weights, frozenset(base**i - base**j for i in range(a.n) for j in range(a.n))
+
+
+def _weight_feasible(a, t: int):
+    """Predicate on index t-tuples into a.mats that is False only where
+    every product of the tuple is zero by weight; None for ungraded a."""
+    graded = _weight_targets(a, t)
+    if graded is None:
+        return None
+    weights, targets = graded
     return lambda tup: sum(map(weights.__getitem__, tup)) in targets
 
 
-def _nonzero_hits(a, t: int, tuples, coords: bool = False, entries=None):
+def _lex_rank(combo, d: int) -> int:
+    """Rank from 0 of the increasing tuple combo in the lexicographic order
+    of combinations(range(d), len(combo)).  The tuples before it that first
+    differ at position i hold some prev < v < combo[i] there and then any
+    larger indices: C(d-1-prev, t-i) - C(d-combo[i], t-i) of them."""
+    t, rank, prev = len(combo), 0, -1
+    for i, c in enumerate(combo):
+        rank += comb(d - 1 - prev, t - i) - comb(d - c, t - i)
+        prev = c
+    return rank
+
+
+def _nonzero_hits(a, t: int, rows=None, entries=None):
     """Evaluate s_t on argument tuples in order and yield every nonzero one.
 
-    Each tuple is t indices into a.mats, or with coords=True a t x dim row
-    of coefficients in a.mats.  With `entries`, a list of flat indices into
-    the n x n value, only those entries count toward a hit.  Index tuples
-    that are zero by weight are dropped unevaluated.  Yields the 1-based
-    position of each hit in `tuples` and its witness, which is checked to
-    lie in the algebra and re-verified first.
+    With rows None the tuples are combinations(range(a.dim), t), indices
+    into a.mats; otherwise each row is a t x dim row of coefficients in
+    a.mats.  With `entries`, a list of flat indices into the n x n value,
+    only those entries count toward a hit.  Index tuples that are zero by
+    weight are dropped unevaluated.  Yields the 1-based position of each
+    hit among the tuples and its witness, which is checked to lie in the
+    algebra and re-verified first.
 
-    The numpy kernel evaluates tuples in blocks.  The first, the probe
-    block, holds max(1, batch // PROBE_SHARE) tuples, where batch is
-    :func:`fastpath.suggested_batch`; full batches follow.  A large DP's
-    cost grows with its batch, so a sweep whose witness comes early stops
-    after one small DP instead of a whole batch, while a sweep of up to
-    batch // PROBE_SHARE tuples (64 when batch is 4096) still runs as one
-    block.  Index tuples, which must then be strictly increasing, are
-    evaluated after the probe block by :func:`fastpath.join_batch` over
-    layers built when the first such block comes, so a sweep that stops in
-    its probe builds none.  The blocks change neither the order of the
-    tuples nor the hits.
+    The numpy kernel evaluates tuples in blocks by :func:`fastpath.dp_batch`.
+    The first, the probe block, holds max(1, batch // PROBE_SHARE) tuples,
+    where batch is :func:`fastpath.suggested_batch`; full batches follow.
+    A large DP's cost grows with its batch, so a sweep whose witness comes
+    early stops after one small DP instead of a whole batch, while a sweep
+    of up to batch // PROBE_SHARE tuples (64 when batch is 4096) still runs
+    as one block.  A sweep over combinations that goes on past a full probe
+    block decides all the rest at once by :func:`fastpath.sparse_layer`,
+    whose rows are the nonzero combinations in lexicographic order; the
+    ones past the probe are the hits, each at its lexicographic rank plus
+    1 (:func:`_lex_rank`).  When that pass declines (over its memory
+    budget, or more than fastpath.KEY_BITS basis elements), the sweep goes
+    on in dp_batch blocks.  Neither changes the order of the tuples or the
+    hits.
     """
     ring, n = a.ring, a.n
+    coords = rows is not None
+    tuples = rows if coords else combinations(range(a.dim), t)
     numbered = enumerate(tuples, 1)
     feasible = None if coords else _weight_feasible(a, t)
     if feasible is not None:
@@ -336,31 +372,38 @@ def _nonzero_hits(a, t: int, tuples, coords: bool = False, entries=None):
             make = partial(fastpath.coords_to_stack, basis_arr, n=n, p=ring.p)
         else:
             make = partial(fastpath.combos_to_stack, basis_arr, n=n)
-        batch = fastpath.suggested_batch(t, n)
-        sizes = chain([max(1, batch // PROBE_SHARE)], repeat(batch))
-        shared = not coords and (fastpath.layer_table_bytes(a.dim, n, t)
-                                 <= fastpath.BATCH_BUDGET_BYTES)
-        layers, probed = None, False
-        for block in _chunked(numbered, sizes):
-            tuples = [tup for _, tup in block]
-            joined = shared and probed
-            if joined:
-                if layers is None:
-                    layers = fastpath.subset_layers(basis_arr, n, ring.p, t - t // 2)
-                vals = fastpath.join_batch(layers, tuples)
-            else:
-                stack = make(tuples)
-                vals = fastpath.dp_batch(stack, ring.p)
-            probed = True
+
+        def evaluate(block):
+            stack = make([tup for _, tup in block])
+            vals = fastpath.dp_batch(stack, ring.p)
             flat = vals.reshape(len(block), -1)
             if entries is not None:
                 flat = flat[:, entries]
             for b in flat.any(axis=1).nonzero()[0].tolist():
-                if joined:
-                    mats = tuple(a.mats[i] for i in tuples[b])
-                else:
-                    mats = tuple(fastpath.array_to_matrix(ring, stack[k, b]) for k in range(t))
+                mats = tuple(fastpath.array_to_matrix(ring, stack[k, b]) for k in range(t))
                 yield hit(*block[b], mats, fastpath.array_to_matrix(ring, vals[b]))
+
+        batch = fastpath.suggested_batch(t, n)
+        probe_size = max(1, batch // PROBE_SHARE)
+        blocks = _chunked(numbered, chain([probe_size], repeat(batch)))
+        probe = next(blocks, [])
+        if probe:
+            yield from evaluate(probe)
+        if not coords and len(probe) == probe_size:
+            # sums of up to t packed weights are below (2t+1)^n / 2 in size
+            graded = _weight_targets(a, t) if (2 * t + 1) ** n < 2**63 else None
+            pruning = graded or (None, None)
+            layer = fastpath.sparse_layer(basis_arr, n, ring.p, t, *pruning)
+            if layer is not None:
+                for combo, value in zip(*layer):
+                    tup = tuple(combo.tolist())
+                    pos = _lex_rank(tup, a.dim) + 1
+                    if pos > probe[-1][0]:
+                        yield hit(pos, tup, tuple(a.mats[i] for i in tup),
+                                  fastpath.array_to_matrix(ring, value))
+                return
+        for block in blocks:
+            yield from evaluate(block)
         return
     zero = ring.zero
     counted = range(n * n) if entries is None else entries
@@ -374,9 +417,9 @@ def _nonzero_hits(a, t: int, tuples, coords: bool = False, entries=None):
             yield hit(pos, tup, mats, value)
 
 
-def _first_nonzero(a, t: int, tuples, coords: bool = False):
+def _first_nonzero(a, t: int, rows=None):
     """(pos, witness) of the first nonzero tuple, or None if all vanish."""
-    return next(_nonzero_hits(a, t, tuples, coords), None)
+    return next(_nonzero_hits(a, t, rows), None)
 
 
 def _random_rows(a: SubalgebraBasis, t: int, trials: int, seed: int):
@@ -433,7 +476,7 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
             raise DegreeGuardError(
                 f"spanning sweep of {combos} combinations exceeds the {SPANNING_SWEEP_LIMIT} guard"
             )
-        hit = _first_nonzero(a, t, combinations(range(a.dim), t))
+        hit = _first_nonzero(a, t)
         if hit is None:
             return _report(a, t, "exhaustive", started, total, None, total, SPANNING_NOTE)
         witness = hit[1]
@@ -452,15 +495,15 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
         total = comb(a.dim, t)
         if t > a.dim:
             return _report(a, t, mode, started, 0, None, total, VACUOUS_NOTE)
-        checked, witness = _first_nonzero(a, t, combinations(range(a.dim), t)) or (total, None)
+        checked, witness = _first_nonzero(a, t) or (total, None)
         return _report(a, t, mode, started, checked, witness, total, PRUNING_NOTE)
     if mode == "randomized":
         if trials < 1:
             raise DimensionError(f"need trials >= 1, got {trials}")
         if a.dim == 0:
             return _report(a, t, mode, started, 0, None, trials, VACUOUS_NOTE, trials, seed)
-        checked, witness = _first_nonzero(a, t, _random_rows(a, t, trials, seed),
-                                          coords=True) or (trials, None)
+        hit = _first_nonzero(a, t, _random_rows(a, t, trials, seed))
+        checked, witness = hit or (trials, None)
         return _report(a, t, mode, started, checked, witness, trials, RANDOM_NOTE,
                        trials, seed, probabilistic=witness is None)
     raise DimensionError(f"unknown mode {mode!r}")
@@ -701,8 +744,7 @@ def block_assembly_check(a_top: SubalgebraBasis, a_bot: SubalgebraBasis,
     span = SubalgebraBasis(ring, n, parts, label=f"{a_top.label}+{a_bot.label}")
     violations = 0
     first: Optional[Witness] = None
-    for _, witness in _nonzero_hits(span, q + r, _random_rows(span, q + r, trials, seed),
-                                    coords=True):
+    for _, witness in _nonzero_hits(span, q + r, _random_rows(span, q + r, trials, seed)):
         violations += 1
         first = first or witness
     return BlockAssemblyReport(
@@ -759,7 +801,7 @@ def ur_vanishing_check(ring: Ring, l: int, m: int, trials: int = 200, seed: int 
     n = 2 * l + m
     corner = [i * n + j for i in range(l) for j in range(l + m, n)]
     violations = sum(1 for _ in _nonzero_hits(span, t, _random_rows(span, t, trials, seed),
-                                              coords=True, entries=corner))
+                                              entries=corner))
     return CornerVanishingReport(
         ring=ring.name, l=l, m=m, degree=t, trials=trials, seed=seed,
         status="ok" if violations == 0 else "violation", violations=violations,

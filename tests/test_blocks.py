@@ -1,13 +1,18 @@
+from itertools import combinations
+
 import pytest
 
 from matpi.blocks import (
     BlockShape,
     FullBlockTriangular,
+    NonSemisimpleBlock,
     NotCanonical,
     NotUniserial,
+    OutsideHypotheses,
     ProperSimpleBlock,
     Repetition,
     SatisfiesLowDegree,
+    ZeroDiagonalBlock,
     classify,
     diag_block,
     first_below_block_violation,
@@ -31,6 +36,7 @@ from matpi.errors import (
     NotBlockTriangularError,
     NotSimpleBlocksError,
 )
+from matpi.identities import is_standard_identity
 from matpi.matrices import Matrix, matrix_unit
 from matpi.rings import GF, QQ
 from matpi.standardpoly import eval_standard_dp, eval_standard_naive
@@ -167,6 +173,62 @@ def test_classify_proper_simple_block():
     assert isinstance(v, SatisfiesLowDegree)
     assert isinstance(v.reason, ProperSimpleBlock)
     assert v.reason.block_index == 1
+
+
+@pytest.mark.parametrize("a,shape,reason", [
+    (upper_triangular(F, 2), (2,), NonSemisimpleBlock(1)),
+    (upper_triangular(F, 3), (1, 2), NonSemisimpleBlock(2)),
+    (span_basis(F, 3, [matrix_unit(F, 3, i, j) for i, j in
+                       ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))]), (3,), NonSemisimpleBlock(1)),
+    (span_basis(F, 3, [matrix_unit(F, 3, i, j) for i, j in
+                       ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))]), (1, 1, 1), ZeroDiagonalBlock(3)),
+], ids=["U_2 (2)", "U_3 (1,2)", "no e33 (3)", "no e33 (1,1,1)"])
+def test_classify_outside_hypotheses(a, shape, reason):
+    # each fails s_(2n-2), which a SatisfiesLowDegree verdict would deny
+    assert not is_standard_identity(a, 2 * a.n - 2).is_identity
+    assert classify(a, BlockShape(shape)) == OutsideHypotheses(reason)
+
+
+def compositions(n):
+    """Every ordered composition of n."""
+    for cuts in range(n):
+        for inner in combinations(range(1, n), cuts):
+            bounds = (0, *inner, n)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def transitive_relations(n):
+    """Every nonempty transitive relation inside {(i, j) : i <= j} on 1..n:
+    the spans of their matrix units are exactly the subalgebras of U_n
+    spanned by matrix units, unital or not."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    for k in range(1, len(cells) + 1):
+        for rel in combinations(cells, k):
+            held = set(rel)
+            if all((i, l) in held for i, j in rel for jj, l in rel if j == jj):
+                yield rel
+
+
+@pytest.mark.parametrize("n,pairs,outside", [(2, 14, 9), (3, 220, 170), (4, 5112, 4064)])
+def test_classify_has_no_false_verdict_on_matrix_unit_subalgebras(n, pairs, outside):
+    # every subalgebra of U_n spanned by matrix units against every shape:
+    # SatisfiesLowDegree only where s_(2n-2) vanishes, FullBlockTriangular
+    # only where it does not, and the rest outside the hypotheses
+    seen = moved = 0
+    for rel in transitive_relations(n):
+        a = span_basis(F, n, [matrix_unit(F, n, i, j) for i, j in rel])
+        identity = is_standard_identity(a, 2 * n - 2).is_identity
+        for shape in compositions(n):
+            verdict = classify(a, BlockShape(shape))
+            if isinstance(verdict, NotCanonical):
+                continue
+            seen += 1
+            moved += isinstance(verdict, OutsideHypotheses)
+            if isinstance(verdict, SatisfiesLowDegree):
+                assert identity, (rel, shape, verdict.describe())
+            if isinstance(verdict, FullBlockTriangular):
+                assert not identity, (rel, shape)
+    assert (seen, moved) == (pairs, outside)
 
 
 def test_classify_repetition():

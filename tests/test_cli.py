@@ -119,6 +119,27 @@ def test_classify_not_canonical_skips_cross_check(tmp_path, capsys):
     assert "not-canonical" in out or "NotCanonical" in out or "not block upper" in out
 
 
+def test_classify_outside_hypotheses_reports_the_sweep(tmp_path, capsys):
+    # U_2 against (2): the projection is U_2 itself, not semisimple, and
+    # s_2 is not an identity; the cross-check reports it and exits 0
+    path = spec_file(tmp_path, """
+        ring: {kind: gf, p: 101}
+        n: 2
+        shape: [2]
+        source:
+          construction: {kind: upper_triangular}
+    """)
+    code, out, _ = run(capsys, "classify", "--spec", path)
+    assert code == 0
+    assert "outside-hypotheses(non-semisimple-block[1])" in out
+    assert "[INFO] identity-cross-check: s_2 not-identity" in out
+    code, out, _ = run(capsys, "classify", "--spec", path, "--out", "structured")
+    checks = json.loads(out)["checks"]
+    assert checks[0]["detail"] == {"kind": "outside-hypotheses",
+                                   "reason": "NonSemisimpleBlock", "block_index": 1}
+    assert checks[1]["status"] == "info"
+
+
 def test_classify_requires_shape(tmp_path, capsys):
     path = spec_file(tmp_path, """
         ring: {kind: gf, p: 101}

@@ -8,7 +8,7 @@ import pytest
 from matpi import fastpath, identities, standardpoly
 from matpi.blocks import BlockShape, staircase_units
 from matpi.constructions import full_block_algebra, full_matrix_algebra, upper_triangular
-from matpi.errors import ContractViolationError, DegreeGuardError, DimensionError
+from matpi.errors import ContractViolationError, DegreeGuardError
 from matpi.identities import _reverify_witness, is_standard_identity, random_triangular_closures
 from matpi.matrices import Matrix, identity_matrix, matrix_unit
 from matpi.rings import GF, QQ, is_prime
@@ -500,7 +500,7 @@ def test_naive_single_product_counts(monkeypatch):
     assert sum(formed) == 314
 
 
-# -- the join over subset layers shared by all basis combinations ----------------
+# -- the sparse layer pass over basis subsets ------------------------------------
 
 def conjugated_closure():
     """A seeded closure in U_4 conjugated by a product of elementary
@@ -515,81 +515,86 @@ def conjugated_closure():
     return span_basis(F, n, [p * x * q for x in a.mats], label=f"conj {a.label}")
 
 
-JOIN_CASES = [full_matrix_algebra(F, 3), upper_triangular(F, 4),
-              full_block_algebra(F, BlockShape((1, 2))), conjugated_closure()]
+SPARSE_CASES = [full_matrix_algebra(F, 3), upper_triangular(F, 4),
+                full_block_algebra(F, BlockShape((1, 2))), conjugated_closure()]
 
 
-@pytest.mark.parametrize("a", JOIN_CASES, ids=lambda a: a.label)
-def test_join_matches_dp_batch_on_every_combination(a):
+def nonzero_rows(basis_arr, n, t, p=101):
+    """dp_batch on every t-combination of the basis: the nonzero ones, in
+    lexicographic order, and their values."""
+    block = np.array(list(combinations(range(len(basis_arr)), t)))
+    values = fastpath.dp_batch(fastpath.combos_to_stack(basis_arr, block, n), p)
+    keep = values.reshape(len(block), -1).any(axis=1)
+    return block[keep], values[keep]
+
+
+@pytest.mark.parametrize("a", SPARSE_CASES, ids=lambda a: a.label)
+def test_sparse_layer_matches_dp_batch_on_every_combination(a):
     basis_arr = fastpath.basis_to_flat(a.mats)
-    layers = fastpath.subset_layers(basis_arr, a.n, 101, 4)
-    for t in range(2, min(8, a.dim) + 1):
-        block = np.array(list(combinations(range(a.dim), t)))
-        want = fastpath.dp_batch(fastpath.combos_to_stack(basis_arr, block, a.n), 101)
-        got = fastpath.join_batch(layers, block)
-        assert got.dtype == np.int64 and got.flags.c_contiguous
-        assert (got == want).all(), t
+    for t in range(1, min(8, a.dim) + 1):
+        graded = identities._weight_targets(a, t)
+        for pruning in [(None, None)] + ([graded] if graded else []):
+            combos, values = fastpath.sparse_layer(basis_arr, a.n, 101, t, *pruning)
+            want_combos, want_values = nonzero_rows(basis_arr, a.n, t)
+            assert combos.shape == (len(want_combos), t) and values.dtype == np.int64
+            assert (combos == want_combos).all() and (values == want_values).all(), t
+            assert values.any(axis=(1, 2)).all()  # no zero row
 
 
 def test_conjugated_closure_is_ungraded():
     assert identities._torus_weights(conjugated_closure(), 2) is None
 
 
-@pytest.mark.parametrize("a", [upper_triangular(F, 3), conjugated_closure()],
-                         ids=lambda a: a.label)
-def test_subset_layers_rows_are_colex_ranked(a):
-    layers = fastpath.subset_layers(fastpath.basis_to_flat(a.mats), a.n, 101, 3)
-    for k in range(1, 4):
-        assert len(layers.values[k - 1]) == comb(a.dim, k)
-        for subset in combinations(range(a.dim), k):
-            row = sum(comb(c, j + 1) for j, c in enumerate(subset))
-            want = eval_standard_dp([a.mats[i] for i in subset])
-            got = fastpath.array_to_matrix(F, layers.values[k - 1][row])
-            assert got == want
-            assert layers.nonzero[k - 1][row] == (not want.is_zero())
-
-
 def join_boundary_primes(t, n):
-    """The largest prime whose join sums its products unreduced, and the
-    largest prime that supports admits, whose join reduces them first."""
+    """The largest prime at which dp_batch's int64 join sums all its
+    C(t, floor(t/2)) products before reducing, and the largest prime that
+    supports admits, at which it reduces on the way."""
     size = comb(t, t // 2) * n
-    p = isqrt(fastpath.INT64_BUDGET // size) + 1
-    while not (is_prime(p) and size * (p - 1) ** 2 < fastpath.INT64_BUDGET):
+    p = isqrt((2**63 - 1) // size) + 1
+    while not (is_prime(p) and fastpath._dtype_and_every(p, n, t)[1] >= comb(t, t // 2)):
         p -= 1
     return p, largest_supported_prime(t, n)
 
 
 @pytest.mark.parametrize("t,n", [(6, 4), (8, 5)])
 def test_join_exact_at_boundary_primes(t, n):
-    # t < 2n, so s_t of dense factors near p - 1 is not zero
+    # t < 2n, so s_t of dense factors near p - 1 is not zero; dp_batch's
+    # join and the sparse pass, whose children sum all k + 1 terms of size
+    # up to n * (p-1)^2, agree with the exact DP at the largest primes of
+    # the int32 rule and of the int64 one, with and without reductions
     unreduced, largest = join_boundary_primes(t, n)
-    assert unreduced < largest
-    for p in (unreduced, largest):
+    assert int32_boundary_primes(t, n)[0] < unreduced < largest
+    for p in (int32_boundary_primes(t, n)[0], unreduced, largest):
         ring = GF(p)
         rng = random.Random(p)
         mats = [Matrix(ring, n, n, [p - rng.randrange(1, 40) for _ in range(n * n)])
                 for _ in range(t + 1)]
         basis_arr = fastpath.basis_to_flat(mats)
-        layers = fastpath.subset_layers(basis_arr, n, p, t - t // 2)
-        block = np.array(list(combinations(range(t + 1), t)))
-        got = fastpath.join_batch(layers, block)
-        want = fastpath.dp_batch(fastpath.combos_to_stack(basis_arr, block, n), p)
-        assert (got == want).all()
-        exact = [eval_standard_dp([mats[i] for i in c]) for c in block[:2].tolist()]
-        assert [fastpath.array_to_matrix(ring, v) for v in got[:2]] == exact
-        assert not all(v.is_zero() for v in exact)
-
-
-def test_join_rejects_rows_that_do_not_increase():
-    a = full_matrix_algebra(F, 2)
-    layers = fastpath.subset_layers(fastpath.basis_to_flat(a.mats), 2, 101, 2)
-    for block in ([[0, 2, 1]], [[0, 1, 1]], [[3]]):
-        with pytest.raises(DimensionError):
-            fastpath.join_batch(layers, np.array(block))
+        combos, values = fastpath.sparse_layer(basis_arr, n, p, t)
+        want_combos, want_values = nonzero_rows(basis_arr, n, t, p)
+        assert len(combos) == t + 1
+        assert (combos == want_combos).all() and (values == want_values).all()
+        exact = [eval_standard_dp([mats[i] for i in c]) for c in combos[:2].tolist()]
+        assert [fastpath.array_to_matrix(ring, v) for v in values[:2]] == exact
 
 
 def test_layer_tables_fit_the_budget_up_to_m5():
-    budget = fastpath.BATCH_BUDGET_BYTES
-    assert fastpath.layer_table_bytes(25, 5, 10) <= budget < fastpath.layer_table_bytes(36, 6, 12)
-    # M_4 at t = 8: subsets of sizes 1..4 of 16 elements, 16 int64 entries each
-    assert fastpath.layer_table_bytes(16, 4, 8) == (16 + 120 + 560 + 1820) * 16 * 8
+    # the sparse pass proves s_10 on M_5 inside BATCH_BUDGET_BYTES: its
+    # largest layer, 9, holds 96,365 rows
+    m5 = fastpath.basis_to_flat(full_matrix_algebra(F, 5).mats)
+    weights, targets = identities._weight_targets(full_matrix_algebra(F, 5), 10)
+    combos, values = fastpath.sparse_layer(m5, 5, 101, 10, weights, targets)
+    assert combos.shape == (0, 10) and values.shape == (0, 5, 5)
+
+
+def test_sparse_layer_declines_past_its_budget(monkeypatch):
+    m4 = fastpath.basis_to_flat(full_matrix_algebra(F, 4).mats)
+    assert fastpath.sparse_layer(m4, 4, 101, 8)[0].shape == (0, 8)
+    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 2**20)
+    assert fastpath.sparse_layer(m4, 4, 101, 8) is None
+
+
+def test_sparse_layer_rejects_unsupported_bounds():
+    m2 = fastpath.basis_to_flat(full_matrix_algebra(F, 2).mats)
+    with pytest.raises(DegreeGuardError):
+        fastpath.sparse_layer(m2, 2, 2**31 + 11, 8)

@@ -356,7 +356,7 @@ def test_counted_hits_agree_across_kernels(monkeypatch):
         rows = [[[rng.randrange(101) for _ in range(a.dim)] for _ in range(t)]
                 for _ in range(40)]
         return [(pos, w.mats, w.value) for pos, w in
-                identities._nonzero_hits(a, t, rows, coords=True, entries=entries)]
+                identities._nonzero_hits(a, t, rows, entries=entries)]
 
     fast = hits(4, corner)
     assert fast and len(fast) < len(hits(4, None)) == 40
@@ -412,21 +412,15 @@ def _unpruned(monkeypatch):
 
 
 def _count_dp_items(monkeypatch) -> list:
-    """Record the batch size of every call of either numpy kernel,
-    fastpath.dp_batch or fastpath.join_batch."""
+    """Record the batch size of every fastpath.dp_batch call."""
     sizes = []
-    dp_batch, join_batch = fastpath.dp_batch, fastpath.join_batch
+    dp_batch = fastpath.dp_batch
 
     def counting_dp(stack, p):
         sizes.append(stack.shape[1])
         return dp_batch(stack, p)
 
-    def counting_join(layers, block):
-        sizes.append(len(block))
-        return join_batch(layers, block)
-
     monkeypatch.setattr(fastpath, "dp_batch", counting_dp)
-    monkeypatch.setattr(fastpath, "join_batch", counting_join)
     return sizes
 
 
@@ -517,11 +511,28 @@ def test_u5_top_degrees_send_nothing_to_the_kernel(monkeypatch, t, space):
 
 
 def test_m4_s8_evaluates_only_weight_feasible_combinations(monkeypatch):
+    a = full_matrix_algebra(F, 4)
     sizes = _count_dp_items(monkeypatch)
-    rep = is_standard_identity(full_matrix_algebra(F, 4), 8)
+    rep = is_standard_identity(a, 8)
     assert rep.is_identity
     assert rep.tuples_checked == rep.tuple_space == 12870
-    assert sum(sizes) == 3978
+    # the probe takes the first 64 weight-feasible combinations, and the
+    # sparse pass the rest
+    assert sizes == [64]
+    # the pass forms only subsets of feasible weight, so every row of every
+    # layer has one, and it forms fewer children than the unpruned pass
+    weights, targets = identities._weight_targets(a, 8)
+    basis_arr = fastpath.basis_to_flat(a.mats)
+    for k in range(1, 9):
+        combos, _ = fastpath.sparse_layer(basis_arr, 4, 101, k, weights, targets)
+        assert all(sum(weights[i] for i in c) in targets for c in combos.tolist())
+    formed = _count_sparse_children(monkeypatch)
+    assert len(fastpath.sparse_layer(basis_arr, 4, 101, 8, weights, targets)[0]) == 0
+    pruned = list(formed)
+    formed.clear()
+    assert len(fastpath.sparse_layer(basis_arr, 4, 101, 8)[0]) == 0
+    assert len(pruned) == len(formed) == 7
+    assert all(p <= u for p, u in zip(pruned, formed)) and sum(pruned) < sum(formed)
 
 
 def test_infeasible_tuples_have_only_zero_products():
@@ -557,21 +568,31 @@ def test_torus_weights_decline_on_mixed_support(mats):
     assert identities._weight_feasible(a, 4) is None
 
 
-# -- the join over shared subset layers -------------------------------------------
+# -- the sparse layer pass past the probe ------------------------------------------
 
-def _no_shared_layers(monkeypatch):
-    """Make the layer tables of every sweep exceed the budget."""
-    monkeypatch.setattr(fastpath, "layer_table_bytes",
-                        lambda d, n, t: fastpath.BATCH_BUDGET_BYTES + 1)
+def _over_budget(monkeypatch):
+    """Make every sparse pass exceed its memory budget, by a product chunk
+    larger than the budget itself, so that sweeps go on in dp_batch blocks."""
+    monkeypatch.setattr(fastpath, "SPARSE_CHUNK", fastpath.BATCH_BUDGET_BYTES)
 
 
-def _count_layer_builds(monkeypatch) -> list:
-    """Record the depth of every fastpath.subset_layers call."""
-    depths = []
-    subset_layers = fastpath.subset_layers
-    monkeypatch.setattr(fastpath, "subset_layers",
-                        lambda *args: depths.append(args[-1]) or subset_layers(*args))
-    return depths
+def _count_sparse_passes(monkeypatch) -> list:
+    """Record the degree of every fastpath.sparse_layer call."""
+    degrees = []
+    sparse_layer = fastpath.sparse_layer
+    monkeypatch.setattr(fastpath, "sparse_layer",
+                        lambda *args: degrees.append(args[3]) or sparse_layer(*args))
+    return degrees
+
+
+def _count_sparse_children(monkeypatch) -> list:
+    """Record how many children each layer of a sparse pass forms: the
+    rows of the sums it reduces mod p."""
+    formed = []
+    reduce = fastpath._reduce
+    monkeypatch.setattr(fastpath, "_reduce",
+                        lambda acc, p, *rest: formed.append(len(acc)) or reduce(acc, p, *rest))
+    return formed
 
 
 def _forbid(monkeypatch, *names):
@@ -582,7 +603,7 @@ def _forbid(monkeypatch, *names):
         monkeypatch.setattr(fastpath, name, unused)
 
 
-JOIN_SWEEPS = [
+SPARSE_SWEEPS = [
     (full_matrix_algebra(F, 3), (4, 5, 6)),
     (full_matrix_algebra(F, 4), (6, 7, 8)),
     (upper_triangular(F, 4), (6, 7, 8)),
@@ -592,32 +613,35 @@ JOIN_SWEEPS = [
 
 @pytest.mark.parametrize("share", [identities.PROBE_SHARE, 4096],
                          ids=["default-probe", "one-tuple-probe"])
-def test_join_on_and_off_agree(monkeypatch, share):
-    # the join proves M_4 s_8; with a one-tuple probe it also finds the
+def test_sparse_pass_on_and_off_agree(monkeypatch, share):
+    # the pass proves M_4 s_8; with a one-tuple probe it also finds the
     # M_3 s_5, M_4 s_7 and E(2,3) witnesses.  Reports, witnesses and counts
-    # are byte-equal with the join forced off
+    # are byte-equal with the pass over its budget, where dp_batch runs on
     one_tuple_probe = share > identities.PROBE_SHARE
     monkeypatch.setattr(identities, "PROBE_SHARE", share)
     sizes = _count_dp_items(monkeypatch)
-    built = _count_layer_builds(monkeypatch)
-    reports = [is_standard_identity(a, t).to_dict() for a, degrees in JOIN_SWEEPS for t in degrees]
-    assert len(built) == (6 if one_tuple_probe else 1)
-    joined = list(sizes)
+    passes = _count_sparse_passes(monkeypatch)
+    reports = [is_standard_identity(a, t).to_dict() for a, degrees in SPARSE_SWEEPS for t in degrees]
+    assert passes == ([5, 6, 7, 8, 7, 8] if one_tuple_probe else [8])
+    probes = list(sizes)
     sizes.clear()
-    _no_shared_layers(monkeypatch)
-    _forbid(monkeypatch, "subset_layers", "join_batch")
-    assert [is_standard_identity(a, t).to_dict() for a, degrees in JOIN_SWEEPS
+    passes.clear()
+    _over_budget(monkeypatch)
+    assert [is_standard_identity(a, t).to_dict() for a, degrees in SPARSE_SWEEPS
             for t in degrees] == reports
-    # the same blocks, all through dp_batch now
-    assert sizes == joined
+    # every pass declined, and dp_batch went on after the same probes
+    assert passes == ([5, 6, 7, 8, 7, 8] if one_tuple_probe else [8])
+    assert len(sizes) > len(probes)
 
 
-def test_join_on_and_off_agree_on_closures(monkeypatch):
+def test_sparse_pass_on_and_off_agree_on_closures(monkeypatch):
     monkeypatch.setattr(identities, "PROBE_SHARE", 4096)
     algs = random_triangular_closures(F, 4, 6, seed=5)
     algs += random_triangular_closures(F, 3, 6, seed=5, include_identity=True)
+    passes = _count_sparse_passes(monkeypatch)
     reports = [min_standard_degree(a).to_dict() for a in algs]
-    _no_shared_layers(monkeypatch)
+    assert passes
+    _over_budget(monkeypatch)
     assert [min_standard_degree(a).to_dict() for a in algs] == reports
 
 
@@ -627,7 +651,7 @@ def test_join_on_and_off_agree_on_closures(monkeypatch):
     (upper_triangular(F, 5), 9, 1650),
 ], ids=["M_4 s_6", "M_5 s_8", "U_5 s_9"])
 def test_witness_in_the_probe_never_builds_layers(monkeypatch, a, t, checked):
-    _forbid(monkeypatch, "subset_layers", "join_batch")
+    _forbid(monkeypatch, "sparse_layer")
     rep = is_standard_identity(a, t)
     assert not rep.is_identity and rep.tuples_checked == checked
 
@@ -635,14 +659,52 @@ def test_witness_in_the_probe_never_builds_layers(monkeypatch, a, t, checked):
 def test_tables_over_budget_fall_back_to_dp_batch(monkeypatch):
     a = full_matrix_algebra(F, 4)
     sizes = _count_dp_items(monkeypatch)
-    built = _count_layer_builds(monkeypatch)
-    joined, joined_sizes = is_standard_identity(a, 8).to_dict(), list(sizes)
-    assert built == [4] and joined_sizes == [64, 3978 - 64]
+    passes = _count_sparse_passes(monkeypatch)
+    sparse, sparse_sizes = is_standard_identity(a, 8).to_dict(), list(sizes)
+    assert passes == [8] and sparse_sizes == [64]
     sizes.clear()
-    _no_shared_layers(monkeypatch)
-    _forbid(monkeypatch, "subset_layers")
-    assert is_standard_identity(a, 8).to_dict() == joined
-    assert sizes == joined_sizes
+    _over_budget(monkeypatch)
+    assert is_standard_identity(a, 8).to_dict() == sparse
+    assert sizes == [64, 3978 - 64]
+
+
+def test_basis_past_key_bits_falls_back_to_dp_batch(monkeypatch):
+    # M_8 has 64 basis elements, more than the KEY_BITS = 63 that int64
+    # bitmasks key; its s_2 witness is the first combination, in the probe
+    m8 = full_matrix_algebra(F, 8)
+    assert fastpath.sparse_layer(fastpath.basis_to_flat(m8.mats), 8, 101, 2) is None
+    rep = is_standard_identity(m8, 2)
+    assert rep.witness.indices == (1, 2) and rep.tuples_checked == 1
+    # a basis past KEY_BITS sweeps on in dp_batch blocks, with equal reports
+    a = full_matrix_algebra(F, 4)
+    sparse = is_standard_identity(a, 8).to_dict()
+    sizes = _count_dp_items(monkeypatch)
+    monkeypatch.setattr(fastpath, "KEY_BITS", a.dim - 1)
+    assert is_standard_identity(a, 8).to_dict() == sparse
+    assert sizes == [64, 3978 - 64]
+
+
+@pytest.mark.parametrize("a,t", [(full_matrix_algebra(F, 3), 5), (upper_triangular(F, 5), 9),
+                                 (full_block_algebra(F, BlockShape((2, 3))), 7)],
+                         ids=["M_3 s_5", "U_5 s_9", "E(2,3) s_7"])
+def test_sparse_pass_witness_is_the_lex_first_nonzero_combination(monkeypatch, a, t):
+    # with a one-tuple probe the pass finds the witness; its position is
+    # its lexicographic rank plus 1, as a one-by-one sweep counts it
+    monkeypatch.setattr(identities, "PROBE_SHARE", 4096)
+    rep = is_standard_identity(a, t)
+    combos = list(combinations(range(a.dim), t))
+    want = rep.tuples_checked - 1
+    assert combos[want] == tuple(i - 1 for i in rep.witness.indices)
+    basis_arr = fastpath.basis_to_flat(a.mats)
+    values = fastpath.dp_batch(fastpath.combos_to_stack(basis_arr, combos[:want + 1], a.n), 101)
+    assert values.any(axis=(1, 2)).tolist() == [False] * want + [True]
+
+
+def test_lex_rank_counts_the_combinations_before():
+    for d in range(1, 8):
+        for t in range(1, d + 1):
+            for rank, c in enumerate(combinations(range(d), t)):
+                assert identities._lex_rank(c, d) == rank
 
 
 # -- the witness re-check at every degree ------------------------------------------
@@ -684,6 +746,29 @@ def test_dense_witness_past_the_budget_skips_the_walk(monkeypatch):
 
     monkeypatch.setattr(identities, "_eval_standard_naive_py", unused)
     identities._reverify_witness(mats, value)
+
+
+def test_dense_witness_never_walks_its_supports(monkeypatch):
+    # no factor has a zero row or column, so no prefix is zero and the
+    # walk's size is known without walking: a randomized M_5 s_9 witness
+    # skips it
+    walk = identities.word_products
+
+    def no_support_walk(flats, n, ring, budget=None):
+        assert ring != identities.SUPPORT_FIELD, "the re-check walked the supports"
+        return walk(flats, n, ring, budget)
+
+    monkeypatch.setattr(identities, "word_products", no_support_walk)
+    rep = is_standard_identity(full_matrix_algebra(F, 5), 9, mode="randomized", trials=20)
+    assert not rep.is_identity and rep.tuples_checked == 1
+    assert not identities._walk_fits(rep.witness.mats)
+    # a zero column lets prefixes vanish: such factors are walked
+    sparse = [matrix_unit(F, 5, 1, 1) + matrix_unit(F, 5, 1, 2)] + list(rep.witness.mats[1:])
+    calls = []
+    monkeypatch.setattr(identities, "word_products",
+                        lambda *args: calls.append(args[2]) or walk(*args))
+    identities._walk_fits(sparse)
+    assert calls == [identities.SUPPORT_FIELD]
 
 
 def test_walk_budget_covers_every_walk_up_to_degree_7():
