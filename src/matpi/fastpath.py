@@ -6,10 +6,11 @@ copy of that recurrence, over a batch of argument tuples; the sweeps call
 it.  It works on batch-last (n, n, B) arrays, forms each product with one
 einsum over the contiguous batch axis, and computes in int32 when
 t * n * (p-1)^2 + p < 2^31, in int64 otherwise.  Exhaustive sweeps
-decide all basis combinations at once instead: :func:`sparse_layer` runs
+decide all basis combinations at once instead: :func:`sparse_layers` runs
 the DP's recurrence and signs (:func:`standardpoly.term_negate`) forward
-over basis subsets, keeping only the subsets whose s_k is nonzero, so the
-last layer holds exactly the combinations on which s_t does not vanish.
+over basis subsets, keeping only the subsets whose s_k is nonzero, and
+yields the layers one at a time, so layer k holds exactly the
+combinations on which s_k does not vanish.
 :func:`naive_single` sums the t! signed permutation products of one tuple
 in int64 and re-checks witnesses.  It shares nothing with the DP: it
 walks the words prefix by prefix, one batched matmul per prefix length,
@@ -20,7 +21,7 @@ only inside proven overflow bounds.  Products of residues have entries at
 most n * (p-1)^2.  The int64 gate, t * n * (p-1)^2 < 2^62
 (:func:`supports`), decides whether this module runs at all.  Inside it,
 :func:`dp_batch` reduces mod p often enough that a residue plus the
-products summed since keeps below 2^31 or 2^63, :func:`sparse_layer`
+products summed since keeps below 2^31 or 2^63, :func:`sparse_layers`
 keeps its sums below 2^31 - p or 2^62, and :func:`naive_single` reduces
 whenever its next step could pass 2^62 (each docstring gives the counts).
 Every reduction mod p on arrays here is a floor-division one,
@@ -35,6 +36,7 @@ both directions).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -46,7 +48,7 @@ from .standardpoly import NAIVE_MAX_DEGREE, half_depth_dp, term_negate
 
 INT64_BUDGET = 2**62
 BATCH_BUDGET_BYTES = 256 * 2**20
-# sparse_layer: basis sizes whose subset bitmasks fit int64, and products per chunk
+# sparse_layers: basis sizes whose subset bitmasks fit int64, and products per chunk
 KEY_BITS = 63
 SPARSE_CHUNK = 4096
 
@@ -288,48 +290,56 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
     return _reduce(np.matmul(groups, arr[last]).sum(axis=0), p)
 
 
-def sparse_layer(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
-                 targets=None):
-    """The t-combinations C of the basis with s_t(b_C) nonzero, and those
-    values, by one sparse pass over basis subsets; None when the pass would
-    not fit BATCH_BUDGET_BYTES or the basis has more than KEY_BITS elements.
+def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
+                  targets=None):
+    """Yield the layers k = 1, ..., t of one sparse pass over basis subsets.
 
-    basis_arr is the (d, n*n) residue array of the basis.  Returns
-    (combos, values): an (R, t) intp array of strictly increasing index
-    tuples in lexicographic order, and the (R, n, n) int64 residues mod p
-    of s_t on them, none of them zero.  Every other t-combination has
-    value 0, so s_t is an identity of the span exactly when R = 0.
+    basis_arr is the (d, n*n) residue array of the basis.  Layer k is a
+    pair (keys, values): the k-subsets A of the basis where g(A) =
+    s_k(b_A) mod p is nonzero, and those g(A) as an (R, n, n) array of
+    residues.  Each key is an int64 bitmask with bit d-1-c for member c
+    (:func:`layer_combos` lists the members), and keys ascend, so that the
+    rows are in descending lexicographic order of their subsets.  Every
+    other k-subset has g(A) = 0, so s_k is an identity of the span exactly
+    when layer k is empty; every layer after an empty one is empty too.
+    The pass stops, yielding fewer than t layers, where the next layer
+    would not fit BATCH_BUDGET_BYTES, and yields nothing when d > KEY_BITS,
+    where keys would not fit int64.
 
-    Layer k holds g(A) = s_k(b_A) mod p for the k-subsets A of the basis
-    where it is nonzero, keyed by an int64 bitmask with bit d-1-c for
-    member c, so that lexicographic order is descending key order.  Layer
-    k+1 follows by the recurrence of :func:`standardpoly.half_depth_dp`,
-    read from the parents' side: each row A and each c not in A
-    contribute (-1)^negate * g(A) * b_c to g(A + {c}), with negate
+    Layer 1 holds the nonzero basis elements.  Layer k+1 follows by the
+    recurrence of :func:`standardpoly.half_depth_dp`, read from the
+    parents' side: each row A and each c not in A contribute
+    (-1)^negate * g(A) * b_c to g(A + {c}), with negate
     :func:`standardpoly.term_negate` of c's position in A + {c}.  A zero
     g(A) would contribute nothing, so its row is dropped.  Given the torus
     weights of a graded basis (weights, the packed weight of each element
     as in identities._torus_weights, and targets, the packed weights a
     nonzero product can have; all sums of up to t weights must fit int64),
     a candidate whose weight is not a target is zero and is not formed:
-    one vectorized np.isin per layer.
+    one vectorized lookup in the sorted targets (np.searchsorted) per
+    chunk of SPARSE_CHUNK rows.
 
     Memory: the candidates (row, c) of a layer are sorted by child key,
     and their products are formed SPARSE_CHUNK at a time and summed per
-    child with np.add.reduceat.  The arrays a layer holds are counted,
-    at 8 bytes an entry, before they are made: per row its value and
-    d-wide masks and weight sums, 40 bytes of indices, keys and sort
-    order per candidate, one chunk's three product-sized arrays, and,
-    once the sort has found them, the children's sums.  When the count
-    passes BATCH_BUDGET_BYTES the pass returns None, and so it does for
-    d > KEY_BITS, where keys would not fit int64.
+    child with np.add.reduceat.  The work arrays of a step live only in
+    :func:`_grow_layer`, so between layers the pass holds just the layer
+    it yielded.  They are counted before they are made, at 8 bytes an
+    entry of a value and at their own size otherwise: per row its value,
+    key and three d-wide byte arrays (members, free places, members below
+    each place); a chunk of rows' weight sums and lookup, four 8-byte
+    arrays of its shape; 40 bytes of indices, keys and sort
+    order per candidate; one chunk's three product-sized arrays; and,
+    once the sort has found them, the children's sums and the copy of
+    their nonzero rows.  The pass stops where the count passes
+    BATCH_BUDGET_BYTES.
 
     Dtype and overflow: the layers are int32 when t * n * (p-1)^2 + p
     < 2^31 and int64 otherwise, the rule of :func:`dp_batch`.  Every g(A)
-    and basis entry is a residue in [0, p), so a product has entries of
-    size at most n * (p-1)^2.  A child A + {c} receives one term per
-    member c, from the parent A, so its sum, partial ones included, has at
-    most k + 1 <= t terms before its one reduction: at most
+    is a residue in [0, p) and every factor +-b_c has entries of size at
+    most p - 1, so a product has entries of size at most n * (p-1)^2.  A
+    child A + {c} of layer k + 1 <= t
+    receives one term per member c, from the parent A, so its sum, partial
+    ones included, has at most t terms before its one reduction: at most
     t * n * (p-1)^2, below 2^31 - p under the int32 rule and below 2^62 by
     :func:`supports`, so neither the sums nor the floor-division reduction
     (:func:`_reduce`) can wrap.
@@ -338,52 +348,101 @@ def sparse_layer(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
     if not supports(p, n, t):
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
     if d > KEY_BITS:
-        return None
+        return
     if weights is not None:
         weights = np.asarray(weights, dtype=np.int64)
-        targets = np.fromiter(targets, dtype=np.int64)
+        targets = np.sort(np.fromiter(targets, dtype=np.int64))
     dtype = _dtype_and_every(p, n, t)[0]
     bits = np.left_shift(1, np.arange(d - 1, -1, -1, dtype=np.int64))
     basis = basis_arr.reshape(d, n, n).astype(dtype)
+    signed = np.concatenate([basis, -basis])
     live = np.flatnonzero(basis.reshape(d, -1).any(axis=1))[::-1]  # ascending keys
     keys, values = bits[live], basis[live]
+    yield keys, values
     for k in range(1, t):
-        member = (keys[:, None] & bits) != 0
-        free = ~member
-        if weights is not None:
-            free &= np.isin((member @ weights)[:, None] + weights, targets)
-        count = np.count_nonzero(free)
-        held = (len(keys) * (n * n * 8 + d * 16) + count * 40
-                + 3 * SPARSE_CHUNK * n * n * 8)
-        if held > BATCH_BUDGET_BYTES:
-            return None
-        cand = np.flatnonzero(free)
-        child = keys[cand // d] | bits[cand % d]
-        order = np.argsort(child)
-        cand, child = cand[order], child[order]
-        first = np.diff(child, prepend=-1) != 0
-        children = np.count_nonzero(first)
-        if held + children * n * n * 8 > BATCH_BUDGET_BYTES:
-            return None
-        # the members of row r below c, for each c not in row r
-        below = np.cumsum(member, axis=1, dtype=np.int8).ravel()
-        group = np.cumsum(first) - 1
-        acc = np.zeros((children, n, n), dtype=dtype)
-        for lo in range(0, len(cand), SPARSE_CHUNK):
-            part, g = cand[lo:lo + SPARSE_CHUNK], group[lo:lo + SPARSE_CHUNK]
-            prod = np.matmul(values[part // d], basis[part % d])
-            negate = term_negate(k + 1, below[part]).astype(bool)
-            np.negative(prod, out=prod, where=negate[:, None, None])
-            starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-            acc[g[starts]] += np.add.reduceat(prod, starts, axis=0)
-        _reduce(acc, p)
-        nonzero = acc.any(axis=(1, 2))
-        keys, values = child[first][nonzero], acc[nonzero]
-        if not len(keys):
-            break
-    keys, values = keys[::-1], values[::-1]
-    combos = np.nonzero((keys[:, None] & bits) != 0)[1].reshape(len(keys), t)
-    return combos, np.ascontiguousarray(values, dtype=np.int64)
+        if len(keys):
+            layer = _grow_layer(keys, values, signed, bits, k, p, weights, targets)
+            if layer is None:
+                return
+            keys, values = layer
+        yield keys, values
+
+
+def _grow_layer(keys, values, signed, bits, k: int, p: int, weights, targets):
+    """Layer k+1 of :func:`sparse_layers` from its nonempty layer k, or None
+    where its arrays, counted as that docstring says, would pass
+    BATCH_BUDGET_BYTES.  signed holds each basis element b_c at c and
+    -b_c at d + c, so a term's sign picks its factor.  The work arrays are
+    this call's locals, so they are freed before the pass yields the
+    layer."""
+    rows, d, n = len(keys), len(bits), signed.shape[1]
+    held = rows * (n * n * 8 + 8 + 3 * d) + 3 * SPARSE_CHUNK * n * n * 8
+    if weights is not None:
+        held += 4 * min(rows, SPARSE_CHUNK) * d * 8
+    if held > BATCH_BUDGET_BYTES:
+        return None
+    member = (keys[:, None] & bits) != 0
+    free = ~member
+    if weights is not None:
+        for lo in range(0, rows, SPARSE_CHUNK):
+            part = slice(lo, lo + SPARSE_CHUNK)
+            sums = (member[part] @ weights)[:, None] + weights
+            free[part] &= targets.take(np.searchsorted(targets, sums), mode="clip") == sums
+    held += np.count_nonzero(free) * 40
+    if held > BATCH_BUDGET_BYTES:
+        return None
+    cand = np.flatnonzero(free)
+    # the members of row r below c, for each c not in row r
+    below = np.cumsum(member, axis=1, dtype=np.int8).ravel()
+    child = keys[cand // d] | bits[cand % d]
+    order = np.argsort(child)
+    cand, child = cand[order], child[order]
+    del member, free, order
+    first = np.ones(len(child), dtype=bool)
+    np.not_equal(child[1:], child[:-1], out=first[1:])
+    child = child[first]
+    if held + 2 * len(child) * n * n * 8 > BATCH_BUDGET_BYTES:
+        return None
+    group = np.cumsum(first) - 1
+    acc = np.zeros((len(child), n, n), dtype=signed.dtype)
+    for lo in range(0, len(cand), SPARSE_CHUNK):
+        part, g = cand[lo:lo + SPARSE_CHUNK], group[lo:lo + SPARSE_CHUNK]
+        factor = part % d + d * term_negate(k + 1, below[part])
+        prod = np.matmul(values[part // d], signed[factor])
+        head = first[lo:lo + SPARSE_CHUNK].copy()
+        head[0] = True  # the chunk may begin inside a child's group
+        starts = np.flatnonzero(head)
+        acc[g[starts]] += np.add.reduceat(prod, starts, axis=0)
+    _reduce(acc, p)
+    nonzero = acc.any(axis=(1, 2))
+    return child[nonzero], acc[nonzero]
+
+
+def layer_combos(keys: np.ndarray, d: int, k: int) -> np.ndarray:
+    """(R, k) intp array of the members, ascending, of the k-subsets that
+    the keys of a :func:`sparse_layers` layer over d basis elements name."""
+    bits = np.left_shift(1, np.arange(d - 1, -1, -1, dtype=np.int64))
+    return np.nonzero((keys[:, None] & bits) != 0)[1].reshape(len(keys), k)
+
+
+def sparse_layer(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
+                 targets=None):
+    """The t-combinations C of the basis with s_t(b_C) nonzero, and those
+    values: layer t of :func:`sparse_layers` (same arguments), or None
+    where that pass stops before it.
+
+    Returns (combos, values): an (R, t) intp array of strictly increasing
+    index tuples in lexicographic order, and the (R, n, n) int64 residues
+    mod p of s_t on them, none of them zero.  Every other t-combination
+    has value 0, so s_t is an identity of the span exactly when R = 0.
+    """
+    layer = next(islice(sparse_layers(basis_arr, n, p, t, weights, targets), t - 1, None),
+                 None)
+    if layer is None:
+        return None
+    keys, values = layer
+    return (layer_combos(keys[::-1], basis_arr.shape[0], t),
+            np.ascontiguousarray(values[::-1], dtype=np.int64))
 
 
 def combos_to_stack(basis_arr: np.ndarray, combo_block, n: int) -> np.ndarray:

@@ -25,6 +25,12 @@ the basis subsets layer by layer from the nonzero ones alone, and the
 nonzero rows of layer t are the hits, in lexicographic order.  When the
 pass would exceed fastpath.BATCH_BUDGET_BYTES, or the basis has more
 than fastpath.KEY_BITS elements, the sweep goes on in dp_batch blocks.
+:func:`min_standard_degree` needs no probe and makes no sweep per degree
+over GF(p): one pass (:func:`fastpath.sparse_layers`) yields its layers
+one at a time, layer t decides s_t, the least degree is the first empty
+layer and the unital cross-check the layer after it
+(:func:`_layer_reports`).  Where that pass stops, the remaining degrees
+are swept one by one as above.
 
 Sweeps over index tuples (the two exhaustive modes and both loops of
 :func:`multilinear_identity_space`) also skip tuples that are zero by the
@@ -312,6 +318,14 @@ def _weight_feasible(a, t: int):
     return lambda tup: sum(map(weights.__getitem__, tup)) in targets
 
 
+def _layer_pruning(a, t: int) -> tuple:
+    """The (weights, targets) of :func:`_weight_targets` for a sparse pass
+    up to layer t, or (None, None) when a is ungraded or a sum of t packed
+    weights, below (2t+1)^n / 2 in size, might not fit int64."""
+    graded = _weight_targets(a, t) if (2 * t + 1) ** a.n < 2**63 else None
+    return graded or (None, None)
+
+
 def _lex_rank(combo, d: int) -> int:
     """Rank from 0 of the increasing tuple combo in the lexicographic order
     of combinations(range(d), len(combo)).  The tuples before it that first
@@ -322,6 +336,16 @@ def _lex_rank(combo, d: int) -> int:
         rank += comb(d - 1 - prev, t - i) - comb(d - c, t - i)
         prev = c
     return rank
+
+
+def _checked_witness(a, combo, mats, value) -> Witness:
+    """The witness of a nonzero value of s_t on mats, whose arguments are
+    checked to lie in the algebra and whose value is re-verified first;
+    combo is the 0-based combination of a.mats that mats is, or None."""
+    if not all(a.contains(x) for x in mats):
+        raise ContractViolationError("witness argument lies outside the algebra")
+    _reverify_witness(mats, value)
+    return Witness(None if combo is None else tuple(i + 1 for i in combo), mats, value)
 
 
 def _nonzero_hits(a, t: int, rows=None, entries=None):
@@ -359,10 +383,7 @@ def _nonzero_hits(a, t: int, rows=None, entries=None):
         numbered = ((pos, tup) for pos, tup in numbered if feasible(tup))
 
     def hit(pos, tup, mats, value):
-        if not all(a.contains(x) for x in mats):
-            raise ContractViolationError("witness argument lies outside the algebra")
-        _reverify_witness(mats, value)
-        return pos, Witness(None if coords else tuple(i + 1 for i in tup), mats, value)
+        return pos, _checked_witness(a, None if coords else tup, mats, value)
 
     if int64_eligible(ring, n, t):
         from . import fastpath
@@ -390,10 +411,7 @@ def _nonzero_hits(a, t: int, rows=None, entries=None):
         if probe:
             yield from evaluate(probe)
         if not coords and len(probe) == probe_size:
-            # sums of up to t packed weights are below (2t+1)^n / 2 in size
-            graded = _weight_targets(a, t) if (2 * t + 1) ** n < 2**63 else None
-            pruning = graded or (None, None)
-            layer = fastpath.sparse_layer(basis_arr, n, ring.p, t, *pruning)
+            layer = fastpath.sparse_layer(basis_arr, n, ring.p, t, *_layer_pruning(a, t))
             if layer is not None:
                 for combo, value in zip(*layer):
                     tup = tuple(combo.tolist())
@@ -525,6 +543,48 @@ class MinDegreeResult:
         }
 
 
+def _layer_reports(a, t_last: int):
+    """Exhaustive reports of s_t for t = 2, 3, ..., t_last, read one layer
+    at a time from one sparse pass (:func:`fastpath.sparse_layers`) whose
+    dtype and weight packing are sized for t_last.
+
+    Yields nothing unless a is a nonzero basis inside the int64 bound of
+    :func:`int64_eligible` at t_last, and stops at the degree where the
+    pass stops (its byte budget, or more than fastpath.KEY_BITS basis
+    elements).  Each report is the one :func:`is_standard_identity` makes:
+    an empty layer t is an identity with all C(d, t) combinations
+    checked, a degree past the dimension is vacuous with none checked, and
+    otherwise the witness is the lexicographically first row of layer t
+    (its largest key), checked as a sweep's witness is
+    (:func:`_checked_witness`), after its lexicographic rank plus 1
+    combinations.  A report's elapsed_ms is the time of its layer.
+    """
+    if not (isinstance(a, SubalgebraBasis) and a.dim and int64_eligible(a.ring, a.n, t_last)):
+        return
+    from . import fastpath
+
+    d = a.dim
+    layers = islice(fastpath.sparse_layers(fastpath.basis_to_flat(a.mats), a.n, a.ring.p,
+                                           t_last, *_layer_pruning(a, t_last)), 1, None)
+    for t in range(2, t_last + 1):
+        started = time.perf_counter()
+        total = comb(d, t)
+        if t > d:
+            yield _report(a, t, "exhaustive", started, 0, None, total, VACUOUS_NOTE)
+            continue
+        layer = next(layers, None)
+        if layer is None:
+            return
+        keys, values = layer
+        checked, witness = total, None
+        if len(keys):
+            combo = tuple(fastpath.layer_combos(keys[-1:], d, t)[0].tolist())
+            witness = _checked_witness(a, combo, tuple(a.mats[i] for i in combo),
+                                       fastpath.array_to_matrix(a.ring, values[-1]))
+            checked = _lex_rank(combo, d) + 1
+        yield _report(a, t, "exhaustive", started, checked, witness, total, PRUNING_NOTE)
+
+
 def min_standard_degree(a, t_max: Optional[int] = None) -> MinDegreeResult:
     """Smallest degree t <= t_max with s_t an identity, sweeping t = 2, 3, ...
 
@@ -533,15 +593,28 @@ def min_standard_degree(a, t_max: Optional[int] = None) -> MinDegreeResult:
     When the minimum lands on an even degree and the algebra is unital, the
     odd cross-check at t+1 runs as well and a failure of the unital
     reduction is treated as an internal contradiction.
+
+    Over GF(p) inside the int64 bound at t_max + 1, every degree, the
+    cross-check included, is read from one sparse layer pass
+    (:func:`_layer_reports`): layer t decides s_t, so the degree found is
+    the first empty layer and its cross-check the layer after it.  Where
+    that pass stops, and over QQ, Z/m or a large p, each remaining degree
+    is its own exhaustive :func:`is_standard_identity` sweep.  The reports
+    are the same either way.
     """
     if t_max is None:
         t_max = 2 * a.n
     if t_max < 2:
         raise DegreeGuardError(f"need t_max >= 2, got {t_max}")
+    layered = _layer_reports(a, t_max + 1)
+
+    def decide(t: int) -> IdentityReport:
+        return next(layered, None) or is_standard_identity(a, t, mode="exhaustive")
+
     reports = []
     found = None
     for t in range(2, t_max + 1):
-        rep = is_standard_identity(a, t, mode="exhaustive")
+        rep = decide(t)
         reports.append(rep)
         if rep.is_identity:
             found = t
@@ -553,7 +626,7 @@ def min_standard_degree(a, t_max: Optional[int] = None) -> MinDegreeResult:
         and isinstance(a, SubalgebraBasis)
         and a.is_unital()
     ):
-        cross = is_standard_identity(a, found + 1, mode="exhaustive")
+        cross = decide(found + 1)
         if not cross.is_identity:
             raise ContractViolationError(
                 f"s_{found} is an identity of unital {a.label} but s_{found + 1} is not; "

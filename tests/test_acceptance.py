@@ -453,3 +453,17 @@ def test_criterion_13_evaluator_equivalence():
            f"matrix-unit tuples t<=6 of M_2, 60 pure-python spot checks, and "
            f"1000 random tuples at t=7,8 ({mismatches} mismatches, "
            f"{elapsed:.1f}s)")
+
+
+def test_criterion_13_dense_tuples_past_m2_are_nonzero():
+    # criterion 13's random 2x2 tuples at t = 7, 8 all have s_t = 0, since
+    # s_4 vanishes on M_2; dense 5x5 tuples at those degrees do not, so
+    # there the DP and the naive walk are compared on nonzero values
+    rng = np.random.default_rng(13)
+    for t in (7, 8):
+        stack = rng.integers(0, 101, size=(t, 10, 5, 5), dtype=np.int64)
+        dp_vals = fastpath.dp_batch(stack, 101)
+        assert dp_vals.reshape(10, -1).any(axis=1).all()
+        for b in range(10):
+            nv = fastpath.naive_single(np.ascontiguousarray(stack[:, b]), 101)
+            assert (nv == dp_vals[b]).all(), (t, b)

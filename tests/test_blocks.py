@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matpi.blocks import (
     BlockShape,
@@ -36,7 +38,7 @@ from matpi.errors import (
     NotBlockTriangularError,
     NotSimpleBlocksError,
 )
-from matpi.identities import is_standard_identity
+from matpi.identities import is_standard_identity, random_triangular_closures
 from matpi.matrices import Matrix, matrix_unit
 from matpi.rings import GF, QQ
 from matpi.standardpoly import eval_standard_dp, eval_standard_naive
@@ -229,6 +231,22 @@ def test_classify_has_no_false_verdict_on_matrix_unit_subalgebras(n, pairs, outs
             if isinstance(verdict, FullBlockTriangular):
                 assert not identity, (rel, shape)
     assert (seen, moved) == (pairs, outside)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2**32), st.booleans())
+def test_classify_has_no_false_verdict_on_random_closures(n, seed, unital):
+    # seeded closures inside U_3 and U_4 against every shape: never
+    # SatisfiesLowDegree where the exhaustive sweep finds an s_(2n-2)
+    # witness, and FullBlockTriangular only where it does
+    a, = random_triangular_closures(F, n, 1, seed=seed, include_identity=unital)
+    identity = is_standard_identity(a, 2 * n - 2).is_identity
+    for shape in compositions(n):
+        verdict = classify(a, BlockShape(shape))
+        if isinstance(verdict, SatisfiesLowDegree):
+            assert identity, (shape, verdict.describe())
+        if isinstance(verdict, FullBlockTriangular):
+            assert not identity, shape
 
 
 def test_classify_repetition():

@@ -106,6 +106,20 @@ def test_naive_single_matches_pure(t, n):
     assert got == want
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_naive_single_matches_the_dp_on_nonzero_dense_tuples(n):
+    # beside the (8, 2) case above, whose dense tuples have s_8 = 0 by
+    # Amitsur-Levitski: at t = 8 < 2n dense tuples over GF(101) have s_8
+    # nonzero, so a walk that lost terms would fail here.  Their pure-Python
+    # naive sums take seconds, so the exact pure-Python DP is the reference
+    rng = np.random.default_rng(80 + n)
+    cases = [random_mats(rng, 8, n) for _ in range(3)]
+    want = [eval_standard_dp(ms) for ms in cases]
+    assert not any(w.is_zero() for w in want)
+    got = [fastpath.array_to_matrix(F, fastpath.naive_single(to_array(ms), 101)) for ms in cases]
+    assert got == want
+
+
 @pytest.mark.parametrize("t", range(2, 8))
 def test_walk_tables_cached_and_read_only(t):
     levels, missing = fastpath._walk_tables(t)

@@ -577,11 +577,23 @@ def _over_budget(monkeypatch):
 
 
 def _count_sparse_passes(monkeypatch) -> list:
-    """Record the degree of every fastpath.sparse_layer call."""
+    """Record the last layer of every sparse pass: the degree of each
+    fastpath.sparse_layers generator made, by a sweep's fastpath.sparse_layer
+    or by min_standard_degree."""
     degrees = []
-    sparse_layer = fastpath.sparse_layer
-    monkeypatch.setattr(fastpath, "sparse_layer",
-                        lambda *args: degrees.append(args[3]) or sparse_layer(*args))
+    sparse_layers = fastpath.sparse_layers
+    monkeypatch.setattr(fastpath, "sparse_layers",
+                        lambda *args: degrees.append(args[3]) or sparse_layers(*args))
+    return degrees
+
+
+def _count_sweeps(monkeypatch) -> list:
+    """Record the degree of every is_standard_identity call that
+    min_standard_degree makes."""
+    degrees = []
+    sweep = identities.is_standard_identity
+    monkeypatch.setattr(identities, "is_standard_identity",
+                        lambda a, t, **kw: degrees.append(t) or sweep(a, t, **kw))
     return degrees
 
 
@@ -635,14 +647,99 @@ def test_sparse_pass_on_and_off_agree(monkeypatch, share):
 
 
 def test_sparse_pass_on_and_off_agree_on_closures(monkeypatch):
+    # graded and ungraded closures over GF(101) and GF(7): min_standard_degree
+    # reads every degree from one pass, and over budget every degree is its
+    # own sweep in dp_batch blocks after a one-tuple probe
     monkeypatch.setattr(identities, "PROBE_SHARE", 4096)
-    algs = random_triangular_closures(F, 4, 6, seed=5)
-    algs += random_triangular_closures(F, 3, 6, seed=5, include_identity=True)
+    algs = []
+    for ring in (F, GF(7)):
+        algs += random_triangular_closures(ring, 4, 6, seed=5)
+        algs += random_triangular_closures(ring, 3, 6, seed=5, include_identity=True)
+    graded = [identities._torus_weights(a, 9) is not None for a in algs]
+    assert any(graded) and not all(graded)
     passes = _count_sparse_passes(monkeypatch)
+    sweeps = _count_sweeps(monkeypatch)
     reports = [min_standard_degree(a).to_dict() for a in algs]
-    assert passes
+    assert passes == [2 * a.n + 1 for a in algs] and sweeps == []
     _over_budget(monkeypatch)
     assert [min_standard_degree(a).to_dict() for a in algs] == reports
+    assert sweeps
+
+
+# -- min_standard_degree in one sparse layer pass ----------------------------------
+
+def _per_degree(monkeypatch):
+    """Send min_standard_degree down the per-degree route: one exhaustive
+    is_standard_identity sweep per degree, with its own sparse pass."""
+    monkeypatch.setattr(identities, "_layer_reports", lambda a, t_last: iter(()))
+
+
+@pytest.mark.parametrize("a", [full_block_algebra(F, BlockShape((2, 2, 2))), upper_triangular(F, 6),
+                               full_matrix_algebra(F, 4)], ids=lambda a: a.label)
+def test_one_pass_min_degree_matches_the_per_degree_route(monkeypatch, a):
+    sweeps = _count_sweeps(monkeypatch)
+    result = min_standard_degree(a)
+    assert result.degree == 2 * a.n and sweeps == []
+    _per_degree(monkeypatch)
+    assert min_standard_degree(a).to_dict() == result.to_dict()
+    assert sweeps == list(range(2, 2 * a.n + 2))
+
+
+def test_min_degree_goes_on_per_degree_where_the_pass_stops(monkeypatch):
+    # with 900 KiB the pass over M_3 builds layers 1 to 3 and stops before 4
+    a = full_matrix_algebra(F, 3)
+    want = min_standard_degree(a).to_dict()
+    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 900 * 2**10)
+    sweeps = _count_sweeps(monkeypatch)
+    assert min_standard_degree(a).to_dict() == want
+    assert sweeps == [4, 5, 6, 7]
+
+
+def test_min_degree_past_key_bits_sweeps_every_degree(monkeypatch):
+    # a basis wider than KEY_BITS gets no pass: every degree is its own sweep
+    a = full_matrix_algebra(F, 3)
+    want = min_standard_degree(a).to_dict()
+    monkeypatch.setattr(fastpath, "KEY_BITS", a.dim - 1)
+    sweeps = _count_sweeps(monkeypatch)
+    assert min_standard_degree(a).to_dict() == want
+    assert sweeps == [2, 3, 4, 5, 6, 7]
+
+
+def test_min_degree_past_the_dimension_is_vacuous_in_the_pass(monkeypatch):
+    # U_2 (dim 3) needs degree 4 and E = span(e11, e12) (dim 2) degree 3:
+    # both past the dimension, read from the pass with nothing checked
+    e = span_basis(F, 2, [matrix_unit(F, 2, 1, 1), matrix_unit(F, 2, 1, 2)])
+    cases = [(upper_triangular(F, 2), 4), (e, 3)]
+    sweeps = _count_sweeps(monkeypatch)
+    results = [min_standard_degree(a) for a, _ in cases]
+    assert sweeps == []
+    for result, (a, degree) in zip(results, cases):
+        last = result.reports[-1]
+        assert result.degree == degree == a.dim + 1
+        assert last.note == identities.VACUOUS_NOTE and last.tuples_checked == 0
+    assert results[0].cross_check.note == identities.VACUOUS_NOTE
+    assert results[1].cross_check is None  # odd degree
+    _per_degree(monkeypatch)
+    assert [min_standard_degree(a).to_dict() for a, _ in cases] == [r.to_dict() for r in results]
+
+
+def test_unital_cross_check_is_the_next_layer_of_the_pass(monkeypatch):
+    a = full_matrix_algebra(F, 3)
+    want = is_standard_identity(a, 7).to_dict()
+    sweeps = _count_sweeps(monkeypatch)
+    result = min_standard_degree(a)
+    assert result.degree == 6 and sweeps == []
+    assert result.cross_check.to_dict() == want
+    assert want["verdict"] == "identity" and want["tuples_checked"] == want["tuple_space"] == 36
+
+
+def test_unital_cross_check_guard_stays(monkeypatch):
+    # a cross-check that is not an identity contradicts the unital reduction
+    a = full_matrix_algebra(F, 2)
+    reports = [is_standard_identity(a, t) for t in (2, 3, 4, 3)]
+    monkeypatch.setattr(identities, "_layer_reports", lambda a, t_last: iter(reports))
+    with pytest.raises(ContractViolationError, match="even/odd"):
+        min_standard_degree(a)
 
 
 @pytest.mark.parametrize("a,t,checked", [
