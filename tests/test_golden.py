@@ -23,6 +23,12 @@ GF(101) and QQ) and classify over QQ run in exhaustive mode, which reads no
 trial count, so `command` no longer echoes "trials": 2000; for verify-al
 `input_digest` changes with it.  Nothing else in them changed.
 
+The last three digests pin the numpy routes of GF(101) sweeps: verify-al
+--n 4 finds its s_6 witness in the probe block and proves s_8 from an
+empty layer of the sparse pass, its randomized run sweeps coefficient rows
+(a probe block, then one batch), and classify runs the exhaustive sweeps
+of its stages on U_5.
+
 The exact-arithmetic commands (over QQ and Z/m) also run in a fresh
 interpreter that must finish without importing numpy: those paths stay on
 pure-Python arithmetic, which keeps their memory footprint small.
@@ -115,6 +121,12 @@ GOLDEN = {
         "18c820ded697bfb6d87db524e4591d461ef7a7dd4500849d64b9c06caa613d22",
     ("min-degree", "--spec", "tied-u3-gf.yaml"):
         "7bf4c8276382274a83a840c44237ccb570f41847f9c80018ff0f9e639d8d75b0",
+    ("verify-al", "--n", "4"):
+        "a93d8b23f47aa89da0d065cc6cbe16a1159772c040402b36fca88a62e25049e9",
+    ("verify-al", "--n", "4", "--mode", "randomized", "--trials", "200", "--seed", "1"):
+        "ec26f7fa213ef05419a31a7cbf6dec7118286a513d72349b69c0ef4d1fba763c",
+    ("classify", "--spec", "u5-gf.yaml"):
+        "680d00959553ec54e447e3c744ae8412c600423041d6e94111615bb63169eca0",
 }
 
 EXACT_ONLY = [argv for argv in GOLDEN
