@@ -10,7 +10,7 @@ decide all basis combinations at once instead: :func:`sparse_layers` runs
 the DP's recurrence and signs (:func:`standardpoly.term_negate`) forward
 over basis subsets, keeping only the subsets whose s_k is nonzero, and
 yields the layers one at a time, so layer k holds exactly the
-combinations on which s_k does not vanish.
+combinations on which s_k does not vanish (:func:`layer_combos` names them).
 :func:`naive_single` sums the t! signed permutation products of one tuple
 in int64 and re-checks witnesses.  It shares nothing with the DP: it
 walks the words prefix by prefix, one batched matmul per prefix length,
@@ -36,7 +36,6 @@ both directions).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
 from math import comb
 
 import numpy as np
@@ -423,26 +422,6 @@ def layer_combos(keys: np.ndarray, d: int, k: int) -> np.ndarray:
     the keys of a :func:`sparse_layers` layer over d basis elements name."""
     bits = np.left_shift(1, np.arange(d - 1, -1, -1, dtype=np.int64))
     return np.nonzero((keys[:, None] & bits) != 0)[1].reshape(len(keys), k)
-
-
-def sparse_layer(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
-                 targets=None):
-    """The t-combinations C of the basis with s_t(b_C) nonzero, and those
-    values: layer t of :func:`sparse_layers` (same arguments), or None
-    where that pass stops before it.
-
-    Returns (combos, values): an (R, t) intp array of strictly increasing
-    index tuples in lexicographic order, and the (R, n, n) int64 residues
-    mod p of s_t on them, none of them zero.  Every other t-combination
-    has value 0, so s_t is an identity of the span exactly when R = 0.
-    """
-    layer = next(islice(sparse_layers(basis_arr, n, p, t, weights, targets), t - 1, None),
-                 None)
-    if layer is None:
-        return None
-    keys, values = layer
-    return (layer_combos(keys[::-1], basis_arr.shape[0], t),
-            np.ascontiguousarray(values[::-1], dtype=np.int64))
 
 
 def combos_to_stack(basis_arr: np.ndarray, combo_block, n: int) -> np.ndarray:

@@ -10,27 +10,27 @@ so over Z/m the same combinations of the spanning set are swept, while the
 counts refer to all tuples from it.  Randomized mode evaluates seeded
 random linear combinations of the basis instead.
 
-Every s_t sweep goes through one function, :func:`_nonzero_hits`, fed either
-the basis combinations or seeded coefficient rows, and optionally the
-entries of the value that count.  The identity tests stop at its first
-hit; the block-assembly and corner-vanishing checks count all hits over
-random elements of a span.  It picks the kernel once per sweep:
-numpy over GF(p) when the int64 bound of :func:`int64_eligible` holds, and
-the exact pure-Python DP otherwise (QQ, Z/m, large p), which never imports
-numpy.  Over GF(p), :func:`fastpath.dp_batch` evaluates coefficient rows
-and a first, small probe block of combinations, where early witnesses
-are found.  Past the probe, one sparse pass decides every remaining
-combination at once (:func:`fastpath.sparse_layer`): it builds s_k of
-the basis subsets layer by layer from the nonzero ones alone, and the
-nonzero rows of layer t are the hits, in lexicographic order.  When the
-pass would exceed fastpath.BATCH_BUDGET_BYTES, or the basis has more
-than fastpath.KEY_BITS elements, the sweep goes on in dp_batch blocks.
+Every s_t sweep asks one of two questions.  Which combination of basis
+elements is the lex-first nonzero one (exhaustive mode and the Z/m
+spanning sweep; :func:`_first_combination_hit`)?  Which coefficient rows
+are nonzero, counting only some entries of the value if asked (randomized
+mode, the block-assembly and corner-vanishing checks; :func:`_row_hits`)?
+Each picks its kernel once: numpy over GF(p) when the int64 bound of
+:func:`int64_eligible` holds, and the exact pure-Python DP otherwise (QQ,
+Z/m, large p), which never imports numpy.  Over GF(p),
+:func:`fastpath.dp_batch` evaluates rows and a first, small probe block of
+combinations, where early witnesses are found.  Past the probe one sparse
+pass decides every remaining combination at once
+(:func:`_sparse_pass`): it builds s_k of the basis subsets layer by layer
+from the nonzero ones alone, so layer t holds exactly the nonzero
+combinations, and :func:`_layer_hit` reads its lex-first row.  Where the
+pass stops (over fastpath.BATCH_BUDGET_BYTES, or more than
+fastpath.KEY_BITS basis elements) the sweep goes on in dp_batch blocks.
 :func:`min_standard_degree` needs no probe and makes no sweep per degree
-over GF(p): one pass (:func:`fastpath.sparse_layers`) yields its layers
-one at a time, layer t decides s_t, the least degree is the first empty
-layer and the unital cross-check the layer after it
-(:func:`_layer_reports`).  Where that pass stops, the remaining degrees
-are swept one by one as above.
+over GF(p): one pass yields its layers one at a time, layer t decides s_t,
+the least degree is the first empty layer and the unital cross-check the
+layer after it (:func:`_layer_reports`).  Where that pass stops, the
+remaining degrees are swept one by one as above.
 
 Sweeps over index tuples (the two exhaustive modes and both loops of
 :func:`multilinear_identity_space`) also skip tuples that are zero by the
@@ -63,7 +63,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations, islice, product, repeat
 from math import comb, factorial, perm
 from typing import Optional, Sequence
@@ -93,7 +92,10 @@ from .subalgebra import SubalgebraBasis, _linear_combination, close_generators
 QQ_RANDOM_BOUND = 100
 SPANNING_SWEEP_LIMIT = 5_000_000
 IDENTITY_SPACE_MAX_DEGREE = 6
-# the numpy sweep's first block is 1/PROBE_SHARE of a batch (_nonzero_hits)
+# the numpy sweeps' first, probe block holds max(1, batch // PROBE_SHARE)
+# tuples, batch = fastpath.suggested_batch: a DP's cost grows with its batch,
+# so an early witness costs one small DP, while a sweep of up to that many
+# tuples (64 when batch is 4096) still runs as one block
 PROBE_SHARE = 64
 # products the witness re-check's naive walk may form (_reverify_witness)
 WALK_BUDGET = 2**15
@@ -318,14 +320,6 @@ def _weight_feasible(a, t: int):
     return lambda tup: sum(map(weights.__getitem__, tup)) in targets
 
 
-def _layer_pruning(a, t: int) -> tuple:
-    """The (weights, targets) of :func:`_weight_targets` for a sparse pass
-    up to layer t, or (None, None) when a is ungraded or a sum of t packed
-    weights, below (2t+1)^n / 2 in size, might not fit int64."""
-    graded = _weight_targets(a, t) if (2 * t + 1) ** a.n < 2**63 else None
-    return graded or (None, None)
-
-
 def _lex_rank(combo, d: int) -> int:
     """Rank from 0 of the increasing tuple combo in the lexicographic order
     of combinations(range(d), len(combo)).  The tuples before it that first
@@ -348,96 +342,128 @@ def _checked_witness(a, combo, mats, value) -> Witness:
     return Witness(None if combo is None else tuple(i + 1 for i in combo), mats, value)
 
 
-def _nonzero_hits(a, t: int, rows=None, entries=None):
-    """Evaluate s_t on argument tuples in order and yield every nonzero one.
+def _block_hits(a, stack, entries=None):
+    """Evaluate s_t on a (t, B, n, n) stack of argument tuples by
+    :func:`fastpath.dp_batch` and yield (b, mats, value) for each item b
+    whose value is nonzero, on the flat indices `entries` when given."""
+    from . import fastpath
 
-    With rows None the tuples are combinations(range(a.dim), t), indices
-    into a.mats; otherwise each row is a t x dim row of coefficients in
-    a.mats.  With `entries`, a list of flat indices into the n x n value,
-    only those entries count toward a hit.  Index tuples that are zero by
-    weight are dropped unevaluated.  Yields the 1-based position of each
-    hit among the tuples and its witness, which is checked to lie in the
-    algebra and re-verified first.
+    ring, t = a.ring, len(stack)
+    vals = fastpath.dp_batch(stack, ring.p)
+    flat = vals.reshape(len(vals), -1)
+    if entries is not None:
+        flat = flat[:, entries]
+    for b in flat.any(axis=1).nonzero()[0].tolist():
+        mats = tuple(fastpath.array_to_matrix(ring, stack[k, b]) for k in range(t))
+        yield b, mats, fastpath.array_to_matrix(ring, vals[b])
 
-    The numpy kernel evaluates tuples in blocks by :func:`fastpath.dp_batch`.
-    The first, the probe block, holds max(1, batch // PROBE_SHARE) tuples,
-    where batch is :func:`fastpath.suggested_batch`; full batches follow.
-    A large DP's cost grows with its batch, so a sweep whose witness comes
-    early stops after one small DP instead of a whole batch, while a sweep
-    of up to batch // PROBE_SHARE tuples (64 when batch is 4096) still runs
-    as one block.  A sweep over combinations that goes on past a full probe
-    block decides all the rest at once by :func:`fastpath.sparse_layer`,
-    whose rows are the nonzero combinations in lexicographic order; the
-    ones past the probe are the hits, each at its lexicographic rank plus
-    1 (:func:`_lex_rank`).  When that pass declines (over its memory
-    budget, or more than fastpath.KEY_BITS basis elements), the sweep goes
-    on in dp_batch blocks.  Neither changes the order of the tuples or the
-    hits.
+
+def _first_combination_hit(a, t: int):
+    """(pos, witness) of the lexicographically first t-combination of
+    a.mats on which s_t is nonzero, pos counted from 1 among
+    combinations(range(a.dim), t), or None if all vanish.
+
+    Combinations zero by weight are skipped unevaluated.  Inside the int64
+    bound of :func:`int64_eligible`, :func:`fastpath.dp_batch` evaluates
+    the probe block (PROBE_SHARE), and past a full probe layer t of
+    :func:`_sparse_pass` decides the rest (:func:`_layer_hit`).  The probe
+    found every combination in it zero, so a layer whose first row is not
+    past it contradicts the probe and raises.  Where the pass stops, the
+    sweep goes on in dp_batch blocks.  Outside the bound each combination
+    is its own :func:`eval_standard_dp`.
     """
-    ring, n = a.ring, a.n
-    coords = rows is not None
-    tuples = rows if coords else combinations(range(a.dim), t)
-    numbered = enumerate(tuples, 1)
-    feasible = None if coords else _weight_feasible(a, t)
+    numbered = enumerate(combinations(range(a.dim), t), 1)
+    feasible = _weight_feasible(a, t)
     if feasible is not None:
-        numbered = ((pos, tup) for pos, tup in numbered if feasible(tup))
+        numbered = ((pos, combo) for pos, combo in numbered if feasible(combo))
+    if not int64_eligible(a.ring, a.n, t):
+        for pos, combo in numbered:
+            mats = tuple(a.mats[i] for i in combo)
+            value = eval_standard_dp(list(mats))
+            if not value.is_zero():
+                return pos, _checked_witness(a, combo, mats, value)
+        return None
+    from . import fastpath
 
-    def hit(pos, tup, mats, value):
-        return pos, _checked_witness(a, None if coords else tup, mats, value)
-
-    if int64_eligible(ring, n, t):
-        from . import fastpath
-
-        basis_arr = fastpath.basis_to_flat(a.mats)
-        if coords:
-            make = partial(fastpath.coords_to_stack, basis_arr, n=n, p=ring.p)
-        else:
-            make = partial(fastpath.combos_to_stack, basis_arr, n=n)
-
-        def evaluate(block):
-            stack = make([tup for _, tup in block])
-            vals = fastpath.dp_batch(stack, ring.p)
-            flat = vals.reshape(len(block), -1)
-            if entries is not None:
-                flat = flat[:, entries]
-            for b in flat.any(axis=1).nonzero()[0].tolist():
-                mats = tuple(fastpath.array_to_matrix(ring, stack[k, b]) for k in range(t))
-                yield hit(*block[b], mats, fastpath.array_to_matrix(ring, vals[b]))
-
-        batch = fastpath.suggested_batch(t, n)
-        probe_size = max(1, batch // PROBE_SHARE)
-        blocks = _chunked(numbered, chain([probe_size], repeat(batch)))
-        probe = next(blocks, [])
-        if probe:
-            yield from evaluate(probe)
-        if not coords and len(probe) == probe_size:
-            layer = fastpath.sparse_layer(basis_arr, n, ring.p, t, *_layer_pruning(a, t))
+    basis_arr = fastpath.basis_to_flat(a.mats)
+    batch = fastpath.suggested_batch(t, a.n)
+    probe = max(1, batch // PROBE_SHARE)
+    for k, block in enumerate(_chunked(numbered, chain([probe], repeat(batch)))):
+        stack = fastpath.combos_to_stack(basis_arr, [combo for _, combo in block], a.n)
+        for b, mats, value in _block_hits(a, stack):
+            pos, combo = block[b]
+            return pos, _checked_witness(a, combo, mats, value)
+        if k == 0 and len(block) == probe:
+            layer = next(islice(_sparse_pass(a, t), t - 1, None), None)
             if layer is not None:
-                for combo, value in zip(*layer):
-                    tup = tuple(combo.tolist())
-                    pos = _lex_rank(tup, a.dim) + 1
-                    if pos > probe[-1][0]:
-                        yield hit(pos, tup, tuple(a.mats[i] for i in tup),
-                                  fastpath.array_to_matrix(ring, value))
-                return
-        for block in blocks:
-            yield from evaluate(block)
+                hit = _layer_hit(a, t, layer)
+                if hit is not None and hit[0] <= block[-1][0]:
+                    raise ContractViolationError(
+                        f"the sparse pass finds s_{t} nonzero at combination {hit[0]}, "
+                        f"which the probe found zero"
+                    )
+                return hit
+    return None
+
+
+def _row_hits(a, t: int, rows, entries=None):
+    """Yield (pos, witness) for every row, counted from 1, on which s_t is
+    nonzero.  Each row is a t x dim array of coefficients in a.mats of the
+    t arguments; with `entries`, a list of flat indices into the n x n
+    value, only those entries count.  Inside the int64 bound of
+    :func:`int64_eligible` the rows are evaluated by
+    :func:`fastpath.dp_batch` in a probe block (PROBE_SHARE) and then full
+    batches, otherwise one by one by :func:`eval_standard_dp`."""
+    ring, n = a.ring, a.n
+    if not int64_eligible(ring, n, t):
+        zero = ring.zero
+        counted = range(n * n) if entries is None else entries
+        for pos, row in enumerate(rows, 1):
+            mats = tuple(_linear_combination(a, coords) for coords in row)
+            value = eval_standard_dp(list(mats))
+            if any(value.data[e] != zero for e in counted):
+                yield pos, _checked_witness(a, None, mats, value)
         return
-    zero = ring.zero
-    counted = range(n * n) if entries is None else entries
-    for pos, tup in numbered:
-        if coords:
-            mats = tuple(_linear_combination(a, row) for row in tup)
-        else:
-            mats = tuple(a.mats[i] for i in tup)
-        value = eval_standard_dp(list(mats))
-        if any(value.data[e] != zero for e in counted):
-            yield hit(pos, tup, mats, value)
+    from . import fastpath
+
+    basis_arr = fastpath.basis_to_flat(a.mats)
+    batch = fastpath.suggested_batch(t, n)
+    probe = max(1, batch // PROBE_SHARE)
+    done = 0
+    for block in _chunked(rows, chain([probe], repeat(batch))):
+        stack = fastpath.coords_to_stack(basis_arr, block, n, ring.p)
+        for b, mats, value in _block_hits(a, stack, entries):
+            yield done + b + 1, _checked_witness(a, None, mats, value)
+        done += len(block)
 
 
-def _first_nonzero(a, t: int, rows=None):
-    """(pos, witness) of the first nonzero tuple, or None if all vanish."""
-    return next(_nonzero_hits(a, t, rows), None)
+def _sparse_pass(a, t: int):
+    """The sparse layer pass :func:`fastpath.sparse_layers` over a.mats up
+    to layer t, pruned by the torus weights of :func:`_weight_targets`
+    unless a is ungraded or a sum of t packed weights, below
+    (2t+1)^n / 2 in size, might not fit int64."""
+    from . import fastpath
+
+    graded = _weight_targets(a, t) if (2 * t + 1) ** a.n < 2**63 else None
+    return fastpath.sparse_layers(fastpath.basis_to_flat(a.mats), a.n, a.ring.p, t,
+                                  *(graded or ()))
+
+
+def _layer_hit(a, t: int, layer):
+    """(pos, witness) of the lexicographically first t-combination of
+    a.mats on which s_t is nonzero, read from layer t of a sparse pass, or
+    None when the layer is empty.  That combination is the layer's largest
+    key, its position is its lexicographic rank plus 1 (:func:`_lex_rank`),
+    and its witness is checked as a sweep's is (:func:`_checked_witness`)."""
+    from . import fastpath
+
+    keys, values = layer
+    if not len(keys):
+        return None
+    combo = tuple(fastpath.layer_combos(keys[-1:], a.dim, t)[0].tolist())
+    witness = _checked_witness(a, combo, tuple(a.mats[i] for i in combo),
+                               fastpath.array_to_matrix(a.ring, values[-1]))
+    return _lex_rank(combo, a.dim) + 1, witness
 
 
 def _random_rows(a: SubalgebraBasis, t: int, trials: int, seed: int):
@@ -494,7 +520,7 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
             raise DegreeGuardError(
                 f"spanning sweep of {combos} combinations exceeds the {SPANNING_SWEEP_LIMIT} guard"
             )
-        hit = _first_nonzero(a, t)
+        hit = _first_combination_hit(a, t)
         if hit is None:
             return _report(a, t, "exhaustive", started, total, None, total, SPANNING_NOTE)
         witness = hit[1]
@@ -513,14 +539,14 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
         total = comb(a.dim, t)
         if t > a.dim:
             return _report(a, t, mode, started, 0, None, total, VACUOUS_NOTE)
-        checked, witness = _first_nonzero(a, t) or (total, None)
+        checked, witness = _first_combination_hit(a, t) or (total, None)
         return _report(a, t, mode, started, checked, witness, total, PRUNING_NOTE)
     if mode == "randomized":
         if trials < 1:
             raise DimensionError(f"need trials >= 1, got {trials}")
         if a.dim == 0:
             return _report(a, t, mode, started, 0, None, trials, VACUOUS_NOTE, trials, seed)
-        hit = _first_nonzero(a, t, _random_rows(a, t, trials, seed))
+        hit = next(_row_hits(a, t, _random_rows(a, t, trials, seed)), None)
         checked, witness = hit or (trials, None)
         return _report(a, t, mode, started, checked, witness, trials, RANDOM_NOTE,
                        trials, seed, probabilistic=witness is None)
@@ -545,8 +571,8 @@ class MinDegreeResult:
 
 def _layer_reports(a, t_last: int):
     """Exhaustive reports of s_t for t = 2, 3, ..., t_last, read one layer
-    at a time from one sparse pass (:func:`fastpath.sparse_layers`) whose
-    dtype and weight packing are sized for t_last.
+    at a time from one sparse pass (:func:`_sparse_pass`) whose dtype and
+    weight packing are sized for t_last.
 
     Yields nothing unless a is a nonzero basis inside the int64 bound of
     :func:`int64_eligible` at t_last, and stops at the degree where the
@@ -554,34 +580,22 @@ def _layer_reports(a, t_last: int):
     elements).  Each report is the one :func:`is_standard_identity` makes:
     an empty layer t is an identity with all C(d, t) combinations
     checked, a degree past the dimension is vacuous with none checked, and
-    otherwise the witness is the lexicographically first row of layer t
-    (its largest key), checked as a sweep's witness is
-    (:func:`_checked_witness`), after its lexicographic rank plus 1
-    combinations.  A report's elapsed_ms is the time of its layer.
+    otherwise the witness and its position are the layer's first row
+    (:func:`_layer_hit`).  A report's elapsed_ms is the time of its layer.
     """
     if not (isinstance(a, SubalgebraBasis) and a.dim and int64_eligible(a.ring, a.n, t_last)):
         return
-    from . import fastpath
-
-    d = a.dim
-    layers = islice(fastpath.sparse_layers(fastpath.basis_to_flat(a.mats), a.n, a.ring.p,
-                                           t_last, *_layer_pruning(a, t_last)), 1, None)
+    layers = islice(_sparse_pass(a, t_last), 1, None)
     for t in range(2, t_last + 1):
         started = time.perf_counter()
-        total = comb(d, t)
-        if t > d:
+        total = comb(a.dim, t)
+        if t > a.dim:
             yield _report(a, t, "exhaustive", started, 0, None, total, VACUOUS_NOTE)
             continue
         layer = next(layers, None)
         if layer is None:
             return
-        keys, values = layer
-        checked, witness = total, None
-        if len(keys):
-            combo = tuple(fastpath.layer_combos(keys[-1:], d, t)[0].tolist())
-            witness = _checked_witness(a, combo, tuple(a.mats[i] for i in combo),
-                                       fastpath.array_to_matrix(a.ring, values[-1]))
-            checked = _lex_rank(combo, d) + 1
+        checked, witness = _layer_hit(a, t, layer) or (total, None)
         yield _report(a, t, "exhaustive", started, checked, witness, total, PRUNING_NOTE)
 
 
@@ -817,7 +831,7 @@ def block_assembly_check(a_top: SubalgebraBasis, a_bot: SubalgebraBasis,
     span = SubalgebraBasis(ring, n, parts, label=f"{a_top.label}+{a_bot.label}")
     violations = 0
     first: Optional[Witness] = None
-    for _, witness in _nonzero_hits(span, q + r, _random_rows(span, q + r, trials, seed)):
+    for _, witness in _row_hits(span, q + r, _random_rows(span, q + r, trials, seed)):
         violations += 1
         first = first or witness
     return BlockAssemblyReport(
@@ -873,8 +887,8 @@ def ur_vanishing_check(ring: Ring, l: int, m: int, trials: int = 200, seed: int 
     t = 2 * (l + m)
     n = 2 * l + m
     corner = [i * n + j for i in range(l) for j in range(l + m, n)]
-    violations = sum(1 for _ in _nonzero_hits(span, t, _random_rows(span, t, trials, seed),
-                                              entries=corner))
+    violations = sum(1 for _ in _row_hits(span, t, _random_rows(span, t, trials, seed),
+                                          entries=corner))
     return CornerVanishingReport(
         ring=ring.name, l=l, m=m, degree=t, trials=trials, seed=seed,
         status="ok" if violations == 0 else "violation", violations=violations,

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, isqrt, perm
 
 import numpy as np
@@ -542,13 +542,27 @@ def nonzero_rows(basis_arr, n, t, p=101):
     return block[keep], values[keep]
 
 
+def lex_layer(basis_arr, n, p, t, weights=None, targets=None):
+    """Layer t of fastpath.sparse_layers (same arguments) as (combos,
+    values): the t-combinations with s_t nonzero, an (R, t) array in
+    lexicographic order, and their values as int64; None where the pass
+    stops before layer t."""
+    layer = next(islice(fastpath.sparse_layers(basis_arr, n, p, t, weights, targets), t - 1, None),
+                 None)
+    if layer is None:
+        return None
+    keys, values = layer
+    return (fastpath.layer_combos(keys[::-1], len(basis_arr), t),
+            np.ascontiguousarray(values[::-1], dtype=np.int64))
+
+
 @pytest.mark.parametrize("a", SPARSE_CASES, ids=lambda a: a.label)
 def test_sparse_layer_matches_dp_batch_on_every_combination(a):
     basis_arr = fastpath.basis_to_flat(a.mats)
     for t in range(1, min(8, a.dim) + 1):
         graded = identities._weight_targets(a, t)
         for pruning in [(None, None)] + ([graded] if graded else []):
-            combos, values = fastpath.sparse_layer(basis_arr, a.n, 101, t, *pruning)
+            combos, values = lex_layer(basis_arr, a.n, 101, t, *pruning)
             want_combos, want_values = nonzero_rows(basis_arr, a.n, t)
             assert combos.shape == (len(want_combos), t) and values.dtype == np.int64
             assert (combos == want_combos).all() and (values == want_values).all(), t
@@ -584,7 +598,7 @@ def test_join_exact_at_boundary_primes(t, n):
         mats = [Matrix(ring, n, n, [p - rng.randrange(1, 40) for _ in range(n * n)])
                 for _ in range(t + 1)]
         basis_arr = fastpath.basis_to_flat(mats)
-        combos, values = fastpath.sparse_layer(basis_arr, n, p, t)
+        combos, values = lex_layer(basis_arr, n, p, t)
         want_combos, want_values = nonzero_rows(basis_arr, n, t, p)
         assert len(combos) == t + 1
         assert (combos == want_combos).all() and (values == want_values).all()
@@ -597,18 +611,18 @@ def test_layer_tables_fit_the_budget_up_to_m5():
     # largest layer, 9, holds 96,365 rows
     m5 = fastpath.basis_to_flat(full_matrix_algebra(F, 5).mats)
     weights, targets = identities._weight_targets(full_matrix_algebra(F, 5), 10)
-    combos, values = fastpath.sparse_layer(m5, 5, 101, 10, weights, targets)
+    combos, values = lex_layer(m5, 5, 101, 10, weights, targets)
     assert combos.shape == (0, 10) and values.shape == (0, 5, 5)
 
 
 def test_sparse_layer_declines_past_its_budget(monkeypatch):
     m4 = fastpath.basis_to_flat(full_matrix_algebra(F, 4).mats)
-    assert fastpath.sparse_layer(m4, 4, 101, 8)[0].shape == (0, 8)
+    assert lex_layer(m4, 4, 101, 8)[0].shape == (0, 8)
     monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 2**20)
-    assert fastpath.sparse_layer(m4, 4, 101, 8) is None
+    assert lex_layer(m4, 4, 101, 8) is None
 
 
 def test_sparse_layer_rejects_unsupported_bounds():
     m2 = fastpath.basis_to_flat(full_matrix_algebra(F, 2).mats)
     with pytest.raises(DegreeGuardError):
-        fastpath.sparse_layer(m2, 2, 2**31 + 11, 8)
+        lex_layer(m2, 2, 2**31 + 11, 8)

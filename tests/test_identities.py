@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
@@ -356,7 +356,7 @@ def test_counted_hits_agree_across_kernels(monkeypatch):
         rows = [[[rng.randrange(101) for _ in range(a.dim)] for _ in range(t)]
                 for _ in range(40)]
         return [(pos, w.mats, w.value) for pos, w in
-                identities._nonzero_hits(a, t, rows, entries=entries)]
+                identities._row_hits(a, t, rows, entries=entries)]
 
     fast = hits(4, corner)
     assert fast and len(fast) < len(hits(4, None)) == 40
@@ -524,13 +524,14 @@ def test_m4_s8_evaluates_only_weight_feasible_combinations(monkeypatch):
     weights, targets = identities._weight_targets(a, 8)
     basis_arr = fastpath.basis_to_flat(a.mats)
     for k in range(1, 9):
-        combos, _ = fastpath.sparse_layer(basis_arr, 4, 101, k, weights, targets)
+        keys, _ = _sparse_layer(basis_arr, 4, k, weights, targets)
+        combos = fastpath.layer_combos(keys, a.dim, k)
         assert all(sum(weights[i] for i in c) in targets for c in combos.tolist())
     formed = _count_sparse_children(monkeypatch)
-    assert len(fastpath.sparse_layer(basis_arr, 4, 101, 8, weights, targets)[0]) == 0
+    assert len(_sparse_layer(basis_arr, 4, 8, weights, targets)[0]) == 0
     pruned = list(formed)
     formed.clear()
-    assert len(fastpath.sparse_layer(basis_arr, 4, 101, 8)[0]) == 0
+    assert len(_sparse_layer(basis_arr, 4, 8)[0]) == 0
     assert len(pruned) == len(formed) == 7
     assert all(p <= u for p, u in zip(pruned, formed)) and sum(pruned) < sum(formed)
 
@@ -576,10 +577,18 @@ def _over_budget(monkeypatch):
     monkeypatch.setattr(fastpath, "SPARSE_CHUNK", fastpath.BATCH_BUDGET_BYTES)
 
 
+def _sparse_layer(basis_arr, n: int, t: int, weights=None, targets=None):
+    """Layer t, as (keys, values), of the sparse pass over basis_arr at
+    p = 101 (fastpath.sparse_layers), or None where the pass stops before
+    it."""
+    layers = fastpath.sparse_layers(basis_arr, n, 101, t, weights, targets)
+    return next(islice(layers, t - 1, None), None)
+
+
 def _count_sparse_passes(monkeypatch) -> list:
     """Record the last layer of every sparse pass: the degree of each
-    fastpath.sparse_layers generator made, by a sweep's fastpath.sparse_layer
-    or by min_standard_degree."""
+    fastpath.sparse_layers generator made, by an exhaustive sweep past its
+    probe block or by min_standard_degree."""
     degrees = []
     sparse_layers = fastpath.sparse_layers
     monkeypatch.setattr(fastpath, "sparse_layers",
@@ -649,7 +658,10 @@ def test_sparse_pass_on_and_off_agree(monkeypatch, share):
 def test_sparse_pass_on_and_off_agree_on_closures(monkeypatch):
     # graded and ungraded closures over GF(101) and GF(7): min_standard_degree
     # reads every degree from one pass, and over budget every degree is its
-    # own sweep in dp_batch blocks after a one-tuple probe
+    # own sweep in dp_batch blocks after a one-tuple probe.  The sweeps of
+    # s_t at t = 2n-3, 2n-2 and 2n-1 decide past that probe from layer t of
+    # a pass, or from dp_batch blocks over budget; on these closures every
+    # witness the pass gives is at t = 2n-3, graded and ungraded
     monkeypatch.setattr(identities, "PROBE_SHARE", 4096)
     algs = []
     for ring in (F, GF(7)):
@@ -661,9 +673,18 @@ def test_sparse_pass_on_and_off_agree_on_closures(monkeypatch):
     sweeps = _count_sweeps(monkeypatch)
     reports = [min_standard_degree(a).to_dict() for a in algs]
     assert passes == [2 * a.n + 1 for a in algs] and sweeps == []
+    cases = [(a, t) for a in algs for t in (2 * a.n - 3, 2 * a.n - 2, 2 * a.n - 1)]
+    identity_reports, from_pass = [], set()
+    for (a, t), is_graded in zip(cases, (g for g in graded for _ in range(3))):
+        passes.clear()
+        identity_reports.append(is_standard_identity(a, t).to_dict())
+        if passes and identity_reports[-1]["witness"]:
+            from_pass.add((a.ring.name, is_graded))
+    assert from_pass == {(ring.name, g) for ring in (F, GF(7)) for g in (True, False)}
     _over_budget(monkeypatch)
     assert [min_standard_degree(a).to_dict() for a in algs] == reports
     assert sweeps
+    assert [is_standard_identity(a, t).to_dict() for a, t in cases] == identity_reports
 
 
 # -- min_standard_degree in one sparse layer pass ----------------------------------
@@ -742,13 +763,23 @@ def test_unital_cross_check_guard_stays(monkeypatch):
         min_standard_degree(a)
 
 
+def test_probe_and_pass_disagreeing_raises(monkeypatch):
+    # a probe that finds every combination zero (dp_batch forged to return
+    # zeros) while the pass finds M_4 s_6 nonzero at combination 4, inside
+    # the probe: the disagreement raises instead of a later witness
+    dp_batch = fastpath.dp_batch
+    monkeypatch.setattr(fastpath, "dp_batch", lambda stack, p: 0 * dp_batch(stack, p))
+    with pytest.raises(ContractViolationError, match="combination 4, which the probe"):
+        is_standard_identity(full_matrix_algebra(F, 4), 6)
+
+
 @pytest.mark.parametrize("a,t,checked", [
     (full_matrix_algebra(F, 4), 6, 4),
     (full_matrix_algebra(F, 5), 8, 71),
     (upper_triangular(F, 5), 9, 1650),
 ], ids=["M_4 s_6", "M_5 s_8", "U_5 s_9"])
 def test_witness_in_the_probe_never_builds_layers(monkeypatch, a, t, checked):
-    _forbid(monkeypatch, "sparse_layer")
+    _forbid(monkeypatch, "sparse_layers")
     rep = is_standard_identity(a, t)
     assert not rep.is_identity and rep.tuples_checked == checked
 
@@ -769,7 +800,7 @@ def test_basis_past_key_bits_falls_back_to_dp_batch(monkeypatch):
     # M_8 has 64 basis elements, more than the KEY_BITS = 63 that int64
     # bitmasks key; its s_2 witness is the first combination, in the probe
     m8 = full_matrix_algebra(F, 8)
-    assert fastpath.sparse_layer(fastpath.basis_to_flat(m8.mats), 8, 101, 2) is None
+    assert _sparse_layer(fastpath.basis_to_flat(m8.mats), 8, 2) is None
     rep = is_standard_identity(m8, 2)
     assert rep.witness.indices == (1, 2) and rep.tuples_checked == 1
     # a basis past KEY_BITS sweeps on in dp_batch blocks, with equal reports
