@@ -1,18 +1,23 @@
 """Vectorized numpy arithmetic for standard-polynomial evaluation over GF(p).
 
-This module holds only numpy integer arithmetic.  :func:`dp_batch` runs
-the half-depth subset DP of :func:`standardpoly.half_depth_dp`, the one
-copy of that recurrence, over a batch of argument tuples; the sweeps call
-it.  It works on batch-last (n, n, B) arrays, forms each product with one
-einsum over the contiguous batch axis, and computes in int32 when
+This module holds only numpy integer arithmetic, and each of its three
+kernels has one caller.  :func:`dp_batch` runs the half-depth subset DP
+of :func:`standardpoly.half_depth_dp`, the one copy of that recurrence,
+over a batch of argument tuples, for the row sweep identities._row_hits,
+whose stacks :func:`coords_to_stack` builds from coefficient rows (an
+exhaustive sweep's combination is the row of its unit vectors).  It works
+on batch-last (n, n, B) arrays, forms each product with one einsum over
+the contiguous batch axis, and computes in int32 when
 t * n * (p-1)^2 + p < 2^31, in int64 otherwise.  Exhaustive sweeps
-decide all basis combinations at once instead: :func:`sparse_layers` runs
-the DP's recurrence and signs (:func:`standardpoly.term_negate`) forward
-over basis subsets, keeping only the subsets whose s_k is nonzero, and
-yields the layers one at a time, so layer k holds exactly the
-combinations on which s_k does not vanish (:func:`layer_combos` names them).
+decide all basis combinations past their probe block at once instead:
+:func:`sparse_layers` (called by identities._sparse_pass) runs the DP's
+recurrence and signs (:func:`standardpoly.term_negate`) forward over
+basis subsets, keeping only the subsets whose s_k is nonzero, and yields
+the layers one at a time, so layer k holds exactly the combinations on
+which s_k does not vanish (:func:`layer_combos` names them).
 :func:`naive_single` sums the t! signed permutation products of one tuple
-in int64 and re-checks witnesses.  It shares nothing with the DP: it
+in int64 for :func:`standardpoly.eval_standard_naive`, at every t <= 8,
+and so re-checks witnesses.  It shares nothing with the DP: it
 walks the words prefix by prefix, one batched matmul per prefix length,
 so words share their prefixes' products, a zero prefix drops every word
 that extends it, and each word's sign rides along as a parity (the
@@ -26,9 +31,9 @@ keeps its sums below 2^31 - p or 2^62, and :func:`naive_single` reduces
 whenever its next step could pass 2^62 (each docstring gives the counts).
 Every reduction mod p on arrays here is a floor-division one,
 acc - (acc // p) * p (:func:`_reduce`): on int32 and int64 arrays numpy's
-`%` costs several times as much, and the result is the same.  Callers go
-through :func:`standardpoly.int64_eligible` (or :func:`supports`) first;
-the pure-Python paths remain the reference and the fallback.  Results
+`%` costs several times as much, and the result is the same.  Each
+caller runs its kernel exactly when :func:`standardpoly.int64_eligible`
+holds; the pure-Python paths remain the reference and the fallback.  Results
 agree entrywise with the exact evaluators (the test suite cross-checks
 both directions).
 """
@@ -422,19 +427,6 @@ def layer_combos(keys: np.ndarray, d: int, k: int) -> np.ndarray:
     the keys of a :func:`sparse_layers` layer over d basis elements name."""
     bits = np.left_shift(1, np.arange(d - 1, -1, -1, dtype=np.int64))
     return np.nonzero((keys[:, None] & bits) != 0)[1].reshape(len(keys), k)
-
-
-def combos_to_stack(basis_arr: np.ndarray, combo_block, n: int) -> np.ndarray:
-    """Gather a (t, B, n, n) stack from basis indices.
-
-    basis_arr is (d, n*n); combo_block is a (B, t) integer array of basis
-    indices (one tuple per row).
-    """
-    block = np.asarray(combo_block, dtype=np.int64)
-    B, t = block.shape
-    gathered = basis_arr[block]            # (B, t, n*n)
-    stack = gathered.reshape(B, t, n, n).transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(stack)
 
 
 def coords_to_stack(basis_arr: np.ndarray, coords, n: int, p: int) -> np.ndarray:

@@ -17,15 +17,19 @@ are nonzero, counting only some entries of the value if asked (randomized
 mode, the block-assembly and corner-vanishing checks; :func:`_row_hits`)?
 Each picks its kernel once: numpy over GF(p) when the int64 bound of
 :func:`int64_eligible` holds, and the exact pure-Python DP otherwise (QQ,
-Z/m, large p), which never imports numpy.  Over GF(p),
-:func:`fastpath.dp_batch` evaluates rows and a first, small probe block of
-combinations, where early witnesses are found.  Past the probe one sparse
-pass decides every remaining combination at once
-(:func:`_sparse_pass`): it builds s_k of the basis subsets layer by layer
-from the nonzero ones alone, so layer t holds exactly the nonzero
-combinations, and :func:`_layer_hit` reads its lex-first row.  Where the
-pass stops (over fastpath.BATCH_BUDGET_BYTES, or more than
-fastpath.KEY_BITS basis elements) the sweep goes on in dp_batch blocks.
+Z/m, large p), which never imports numpy.  Each numpy kernel has one
+caller.  :func:`_row_hits` evaluates rows by :func:`fastpath.dp_batch`,
+and an exhaustive sweep hands it combinations as the coefficient rows of
+their unit vectors: a first, small probe block, where early witnesses are
+found, and past it whatever the sparse pass leaves.  That pass
+(:func:`_sparse_pass`, the caller of :func:`fastpath.sparse_layers`)
+decides every combination past the probe at once: it builds s_k of the
+basis subsets layer by layer from the nonzero ones alone, so layer t holds
+exactly the nonzero combinations, and :func:`_layer_hit` reads its
+lex-first row.  Where the pass stops (over fastpath.BATCH_BUDGET_BYTES, or
+more than fastpath.KEY_BITS basis elements) the rows left go to
+:func:`_row_hits`.  Every position a sweep reports is the combination's
+lexicographic rank plus 1 (:func:`_lex_rank`).
 :func:`min_standard_degree` needs no probe and makes no sweep per degree
 over GF(p): one pass yields its layers one at a time, layer t decides s_t,
 the least degree is the first empty layer and the unital cross-check the
@@ -53,9 +57,11 @@ same test to every basis subset before it forms it.
 
 Verdicts of "not an identity" always carry a witness tuple whose arguments
 are checked to lie in the algebra and whose value is re-evaluated before
-being reported, by the naive permutation sum at any degree within a budget
-of products formed (see :func:`_reverify_witness` for the cases and what
-each re-check shares with the sweep).
+being reported by the naive permutation sum: numpy's
+:func:`fastpath.naive_single` up to t = 8 inside the int64 bound, the
+pure-Python walk elsewhere within a budget of products formed (see
+:func:`_reverify_witness` for the cases and what each re-check shares with
+the sweep).
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ from .errors import (
 from .matrices import Echelon, Matrix, matrix_unit
 from .rings import GF, Ring
 from .standardpoly import (
-    FASTPATH_MIN_DEGREE,
     NAIVE_MAX_DEGREE,
     _eval_standard_naive_py,
     eval_standard_dp,
@@ -194,9 +199,9 @@ def _reverify_witness(mats: Sequence[Matrix], expected: Matrix) -> None:
     """Witnesses never ship unvalidated: re-evaluate them once more.
 
     Per case, the re-check and what it shares with the sweep:
-    - 6 <= t <= 8 over GF(p) inside the int64 bound: the naive
-      permutation sum :func:`fastpath.naive_single`, whose vectorized walk
-      suits the dense witnesses of randomized sweeps.
+    - t <= 8 over GF(p) inside the int64 bound of :func:`int64_eligible`,
+      the gate of every numpy kernel: the naive permutation sum
+      :func:`fastpath.naive_single` (through :func:`eval_standard_naive`).
     - otherwise, at any t: the pure-Python naive sum over the
       :func:`word_products` walk, when it forms at most WALK_BUDGET
       products (:func:`_walk_fits`).  That holds for every walk up to
@@ -214,7 +219,7 @@ def _reverify_witness(mats: Sequence[Matrix], expected: Matrix) -> None:
     """
     mats = list(mats)
     t, ring, n = len(mats), expected.ring, expected.rows
-    if FASTPATH_MIN_DEGREE <= t <= NAIVE_MAX_DEGREE and int64_eligible(ring, n, t):
+    if t <= NAIVE_MAX_DEGREE and int64_eligible(ring, n, t):
         got = eval_standard_naive(mats)
     elif _walk_fits(mats):
         got = _eval_standard_naive_py(mats)
@@ -342,68 +347,59 @@ def _checked_witness(a, combo, mats, value) -> Witness:
     return Witness(None if combo is None else tuple(i + 1 for i in combo), mats, value)
 
 
-def _block_hits(a, stack, entries=None):
-    """Evaluate s_t on a (t, B, n, n) stack of argument tuples by
-    :func:`fastpath.dp_batch` and yield (b, mats, value) for each item b
-    whose value is nonzero, on the flat indices `entries` when given."""
-    from . import fastpath
-
-    ring, t = a.ring, len(stack)
-    vals = fastpath.dp_batch(stack, ring.p)
-    flat = vals.reshape(len(vals), -1)
-    if entries is not None:
-        flat = flat[:, entries]
-    for b in flat.any(axis=1).nonzero()[0].tolist():
-        mats = tuple(fastpath.array_to_matrix(ring, stack[k, b]) for k in range(t))
-        yield b, mats, fastpath.array_to_matrix(ring, vals[b])
-
-
 def _first_combination_hit(a, t: int):
     """(pos, witness) of the lexicographically first t-combination of
-    a.mats on which s_t is nonzero, pos counted from 1 among
-    combinations(range(a.dim), t), or None if all vanish.
+    a.mats on which s_t is nonzero, or None if all vanish; pos is its
+    lexicographic rank plus 1 (:func:`_lex_rank`), counted among
+    combinations(range(a.dim), t).
 
     Combinations zero by weight are skipped unevaluated.  Inside the int64
-    bound of :func:`int64_eligible`, :func:`fastpath.dp_batch` evaluates
-    the probe block (PROBE_SHARE), and past a full probe layer t of
+    bound of :func:`int64_eligible` each combination becomes the
+    coefficient row of its unit vectors, and :func:`_row_hits` evaluates
+    the probe block of them (PROBE_SHARE).  Past a full probe, layer t of
     :func:`_sparse_pass` decides the rest (:func:`_layer_hit`).  The probe
     found every combination in it zero, so a layer whose first row is not
-    past it contradicts the probe and raises.  Where the pass stops, the
-    sweep goes on in dp_batch blocks.  Outside the bound each combination
-    is its own :func:`eval_standard_dp`.
+    past it contradicts the probe and raises.  Where the pass stops,
+    :func:`_row_hits` goes on with the rows left.  A witness found in rows
+    gets its basis indices back from a.mats.  Outside the bound each
+    combination is its own :func:`eval_standard_dp`.
     """
-    numbered = enumerate(combinations(range(a.dim), t), 1)
+    d = a.dim
+    combos = combinations(range(d), t)
     feasible = _weight_feasible(a, t)
     if feasible is not None:
-        numbered = ((pos, combo) for pos, combo in numbered if feasible(combo))
+        combos = filter(feasible, combos)
     if not int64_eligible(a.ring, a.n, t):
-        for pos, combo in numbered:
+        for combo in combos:
             mats = tuple(a.mats[i] for i in combo)
             value = eval_standard_dp(list(mats))
             if not value.is_zero():
-                return pos, _checked_witness(a, combo, mats, value)
+                return _lex_rank(combo, d) + 1, _checked_witness(a, combo, mats, value)
         return None
+    import numpy as np
+
     from . import fastpath
 
-    basis_arr = fastpath.basis_to_flat(a.mats)
-    batch = fastpath.suggested_batch(t, a.n)
-    probe = max(1, batch // PROBE_SHARE)
-    for k, block in enumerate(_chunked(numbered, chain([probe], repeat(batch)))):
-        stack = fastpath.combos_to_stack(basis_arr, [combo for _, combo in block], a.n)
-        for b, mats, value in _block_hits(a, stack):
-            pos, combo = block[b]
-            return pos, _checked_witness(a, combo, mats, value)
-        if k == 0 and len(block) == probe:
-            layer = next(islice(_sparse_pass(a, t), t - 1, None), None)
-            if layer is not None:
-                hit = _layer_hit(a, t, layer)
-                if hit is not None and hit[0] <= block[-1][0]:
-                    raise ContractViolationError(
-                        f"the sparse pass finds s_{t} nonzero at combination {hit[0]}, "
-                        f"which the probe found zero"
-                    )
-                return hit
-    return None
+    unit = np.eye(d, dtype=np.int64)
+    size = max(1, fastpath.suggested_batch(t, a.n) // PROBE_SHARE)
+    probe = list(islice(combos, size))
+    hit = next(_row_hits(a, t, unit[probe]), None)
+    if hit is None and len(probe) == size:
+        layer = next(islice(_sparse_pass(a, t), t - 1, None), None)
+        if layer is not None:
+            hit = _layer_hit(a, t, layer)
+            if hit is not None and hit[0] <= _lex_rank(probe[-1], d) + 1:
+                raise ContractViolationError(
+                    f"the sparse pass finds s_{t} nonzero at combination {hit[0]}, "
+                    f"which the probe found zero"
+                )
+            return hit
+        hit = next(_row_hits(a, t, (unit[list(combo)] for combo in combos)), None)
+    if hit is None:
+        return None
+    mats, value = hit[1].mats, hit[1].value
+    combo = tuple(map(a.mats.index, mats))
+    return _lex_rank(combo, d) + 1, Witness(tuple(i + 1 for i in combo), mats, value)
 
 
 def _row_hits(a, t: int, rows, entries=None):
@@ -412,8 +408,9 @@ def _row_hits(a, t: int, rows, entries=None):
     t arguments; with `entries`, a list of flat indices into the n x n
     value, only those entries count.  Inside the int64 bound of
     :func:`int64_eligible` the rows are evaluated by
-    :func:`fastpath.dp_batch` in a probe block (PROBE_SHARE) and then full
-    batches, otherwise one by one by :func:`eval_standard_dp`."""
+    :func:`fastpath.dp_batch`, its one caller, in a probe block
+    (PROBE_SHARE) and then full batches, otherwise one by one by
+    :func:`eval_standard_dp`."""
     ring, n = a.ring, a.n
     if not int64_eligible(ring, n, t):
         zero = ring.zero
@@ -428,11 +425,16 @@ def _row_hits(a, t: int, rows, entries=None):
 
     basis_arr = fastpath.basis_to_flat(a.mats)
     batch = fastpath.suggested_batch(t, n)
-    probe = max(1, batch // PROBE_SHARE)
     done = 0
-    for block in _chunked(rows, chain([probe], repeat(batch))):
+    for block in _chunked(rows, chain([max(1, batch // PROBE_SHARE)], repeat(batch))):
         stack = fastpath.coords_to_stack(basis_arr, block, n, ring.p)
-        for b, mats, value in _block_hits(a, stack, entries):
+        values = fastpath.dp_batch(stack, ring.p)
+        flat = values.reshape(len(values), -1)
+        if entries is not None:
+            flat = flat[:, entries]
+        for b in flat.any(axis=1).nonzero()[0].tolist():
+            mats = tuple(fastpath.array_to_matrix(ring, x) for x in stack[:, b])
+            value = fastpath.array_to_matrix(ring, values[b])
             yield done + b + 1, _checked_witness(a, None, mats, value)
         done += len(block)
 

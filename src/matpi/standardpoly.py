@@ -33,7 +33,6 @@ from .rings import Ring
 
 NAIVE_MAX_DEGREE = 8
 DP_MAX_DEGREE = 24
-FASTPATH_MIN_DEGREE = 6
 
 
 def signed_permutations(t: int):
@@ -228,9 +227,10 @@ def word_products(flats: Sequence, n: int, ring: Ring, budget: Optional[int] = N
 def eval_standard_naive(mats: Sequence[Matrix]) -> Matrix:
     """s_t by direct summation over all t! permutation products.
 
-    Oracle implementation, guarded to t <= 8.  Prime-field inputs at
-    t >= 6 go through the vectorized kernel when its overflow bound holds;
-    both paths compute the same exact value.
+    Oracle implementation, guarded to t <= 8.  Prime-field inputs go
+    through the vectorized kernel :func:`fastpath.naive_single`, at every
+    t, whenever :func:`int64_eligible` holds; both paths compute the same
+    exact value.
     """
     t = len(mats)
     if t > NAIVE_MAX_DEGREE:
@@ -238,7 +238,7 @@ def eval_standard_naive(mats: Sequence[Matrix]) -> Matrix:
             f"naive evaluation guarded to degree {NAIVE_MAX_DEGREE}, got {t}"
         )
     ring, n = _check_eval_args(mats)
-    if t >= FASTPATH_MIN_DEGREE and int64_eligible(ring, n, t):
+    if int64_eligible(ring, n, t):
         from . import fastpath
 
         arr = fastpath.naive_single(fastpath.basis_to_flat(mats).reshape(t, n, n), ring.p)

@@ -400,7 +400,7 @@ def test_criterion_13_evaluator_equivalence():
     total = 0
     for t in range(2, 7):
         tuples = np.array(list(product(range(4), repeat=t)), dtype=np.int64)
-        stack = fastpath.combos_to_stack(basis_arr, tuples, 2)
+        stack = fastpath.coords_to_stack(basis_arr, np.eye(4, dtype=np.int64)[tuples], 2, 101)
         dp_vals = fastpath.dp_batch(stack, 101)
         for b in range(stack.shape[1]):
             nv = fastpath.naive_single(np.ascontiguousarray(stack[:, b]), 101)

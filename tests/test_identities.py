@@ -2,6 +2,7 @@ import math
 import random
 from itertools import combinations, islice, permutations, product
 
+import numpy as np
 import pytest
 
 from matpi.blocks import BlockShape
@@ -140,17 +141,16 @@ def test_randomized_deterministic_per_seed(monkeypatch, t, trials):
         assert sizes == [probe, batch, 5000 - probe - batch] * 2
 
 
-@pytest.mark.parametrize("mode,builder", [("exhaustive", "combos_to_stack"),
-                                          ("randomized", "coords_to_stack")])
-def test_witness_outside_algebra_is_rejected(monkeypatch, mode, builder):
-    real = getattr(fastpath, builder)
+@pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+def test_witness_outside_algebra_is_rejected(monkeypatch, mode):
+    real = fastpath.coords_to_stack
 
     def corrupted(*args, **kwargs):
         stack = real(*args, **kwargs)
         stack[..., 2, 0] = 1  # below the diagonal: outside U_3
         return stack
 
-    monkeypatch.setattr(fastpath, builder, corrupted)
+    monkeypatch.setattr(fastpath, "coords_to_stack", corrupted)
     with pytest.raises(ContractViolationError, match="outside the algebra"):
         is_standard_identity(upper_triangular(F, 3), 2, mode=mode, trials=20)
 
@@ -793,7 +793,7 @@ def test_tables_over_budget_fall_back_to_dp_batch(monkeypatch):
     sizes.clear()
     _over_budget(monkeypatch)
     assert is_standard_identity(a, 8).to_dict() == sparse
-    assert sizes == [64, 3978 - 64]
+    assert sizes == [64, 64, 3978 - 128]
 
 
 def test_basis_past_key_bits_falls_back_to_dp_batch(monkeypatch):
@@ -809,7 +809,7 @@ def test_basis_past_key_bits_falls_back_to_dp_batch(monkeypatch):
     sizes = _count_dp_items(monkeypatch)
     monkeypatch.setattr(fastpath, "KEY_BITS", a.dim - 1)
     assert is_standard_identity(a, 8).to_dict() == sparse
-    assert sizes == [64, 3978 - 64]
+    assert sizes == [64, 64, 3978 - 128]
 
 
 @pytest.mark.parametrize("a,t", [(full_matrix_algebra(F, 3), 5), (upper_triangular(F, 5), 9),
@@ -824,7 +824,8 @@ def test_sparse_pass_witness_is_the_lex_first_nonzero_combination(monkeypatch, a
     want = rep.tuples_checked - 1
     assert combos[want] == tuple(i - 1 for i in rep.witness.indices)
     basis_arr = fastpath.basis_to_flat(a.mats)
-    values = fastpath.dp_batch(fastpath.combos_to_stack(basis_arr, combos[:want + 1], a.n), 101)
+    units = np.eye(a.dim, dtype=np.int64)[combos[:want + 1]]
+    values = fastpath.dp_batch(fastpath.coords_to_stack(basis_arr, units, a.n, 101), 101)
     assert values.any(axis=(1, 2)).tolist() == [False] * want + [True]
 
 
@@ -860,6 +861,30 @@ def test_recheck_past_the_walk_budget_falls_back_to_the_dp(monkeypatch):
     monkeypatch.setattr(identities, "WALK_BUDGET", 491)
     identities._reverify_witness(witness.mats, witness.value)
     assert calls == [1]
+
+
+def test_recheck_takes_naive_single_exactly_inside_the_int64_gate(monkeypatch):
+    # an M_2 s_3 witness over GF(101) is re-checked by naive_single, with
+    # the pure walk made to raise; the same witness over QQ takes the walk
+    gf = is_standard_identity(full_matrix_algebra(F, 2), 3).witness
+    qq = is_standard_identity(full_matrix_algebra(QQ, 2), 3).witness
+    kernel, walk = fastpath.naive_single, standardpoly._eval_standard_naive_py
+    kernels, walks = [], []
+    monkeypatch.setattr(fastpath, "naive_single",
+                        lambda arr, p: kernels.append(p) or kernel(arr, p))
+
+    def unused(mats):
+        raise AssertionError("the re-check took the pure walk")
+
+    for module in (identities, standardpoly):
+        monkeypatch.setattr(module, "_eval_standard_naive_py", unused)
+    identities._reverify_witness(gf.mats, gf.value)
+    assert kernels == [101]
+    for module in (identities, standardpoly):
+        monkeypatch.setattr(module, "_eval_standard_naive_py",
+                            lambda mats: walks.append(len(mats)) or walk(mats))
+    identities._reverify_witness(qq.mats, qq.value)
+    assert kernels == [101] and walks == [3]
 
 
 def test_dense_witness_past_the_budget_skips_the_walk(monkeypatch):
