@@ -154,6 +154,18 @@ def test_naive_vs_dp_cross_check():
             assert eval_standard_naive(ms) == want
 
 
+def test_combos_to_stack():
+    # unit coordinate rows pick basis elements: the stacks of the exhaustive sweeps
+    rng = np.random.default_rng(9)
+    basis = random_mats(rng, 5, 2)
+    basis_arr = fastpath.basis_to_flat(basis)
+    combos = np.array([[0, 1, 2], [1, 3, 4]], dtype=np.int64)
+    stack = fastpath.coords_to_stack(basis_arr, np.eye(5, dtype=np.int64)[combos], 2, 101)
+    assert stack.shape == (3, 2, 2, 2)
+    assert fastpath.array_to_matrix(F, stack[0, 0]) == basis[0]
+    assert fastpath.array_to_matrix(F, stack[2, 1]) == basis[4]
+
+
 def test_coords_to_stack_linear_combinations():
     rng = np.random.default_rng(13)
     basis = random_mats(rng, 4, 2)
@@ -167,12 +179,6 @@ def test_coords_to_stack_linear_combinations():
                 term = int(coords[b, slot, k]) * basis[k]
                 want = term if want is None else want + term
             assert fastpath.array_to_matrix(F, stack[slot, b]) == want
-    # unit rows pick basis elements: the stacks of the exhaustive sweeps
-    combos = np.array([[0, 1, 2], [1, 2, 3]])
-    stack = fastpath.coords_to_stack(basis_arr, np.eye(4, dtype=np.int64)[combos], 2, 101)
-    assert stack.shape == (3, 2, 2, 2)
-    assert fastpath.array_to_matrix(F, stack[0, 0]) == basis[0]
-    assert fastpath.array_to_matrix(F, stack[2, 1]) == basis[3]
 
 
 def test_coords_to_stack_exact_at_int64_edge():
