@@ -52,6 +52,8 @@ from .standardpoly import NAIVE_MAX_DEGREE, half_depth_dp, term_negate
 
 INT64_BUDGET = 2**62
 BATCH_BUDGET_BYTES = 256 * 2**20
+# dp_batch: bytes of the two live DP layers of one slice of its batch
+SLICE_BUDGET_BYTES = 32 * 2**20
 # sparse_layers: basis sizes whose subset bitmasks fit int64, and products per chunk
 KEY_BITS = 63
 SPARSE_CHUNK = 4096
@@ -82,12 +84,19 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
 
     stack has shape (t, B, n, n) and holds residues in [0, p): argument k
     of batch item b is stack[k, b].  Returns C-contiguous int64 (B, n, n)
-    residues mod p.  The recurrence is :func:`standardpoly.half_depth_dp`,
-    and peak memory is O(C(t, ceil(t/2)) * B * n^2).
+    residues mod p.  The recurrence is :func:`standardpoly.half_depth_dp`.
 
-    Layout: the stack is copied once to batch-last (t, n, n, B), so each
-    g(S) is an (n, n, B) array whose batch axis is contiguous, and every
-    product is one einsum over that axis.
+    Memory: the DP runs over slices of the batch axis, each of as many
+    items as keep two layers of C(t, floor(t/2)) g values at the kernel's
+    dtype inside SLICE_BUDGET_BYTES, and at least one (665 items at
+    t = 10, n = 5 in int32).  Besides the caller's stack
+    and the (B, n, n) int64 result, the kernel holds one slice at a time:
+    its layers, its batch-last copy of the arguments and two g-sized
+    buffers per running sum, so its working set does not grow with B.
+
+    Layout: each slice of the stack is copied once to batch-last
+    (t, n, n, B'), so each g(S) is an (n, n, B') array whose batch axis is
+    contiguous, and every product is one einsum over that axis.
 
     Dtype: int32 when t * n * (p-1)^2 + p < 2^31, else int64
     (:func:`_dtype_and_every`); the same code runs either way.
@@ -114,15 +123,20 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
     value is at least -every * size - (p-1) >= -2^L + 2 by the choice of
     every, so the floor-division form needs no bound beyond the one above.
     """
-    t, _, n, _ = stack.shape
+    t, batch, n, _ = stack.shape
     if not supports(p, n, t):
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
     if stack.min() < 0 or stack.max() >= p:
         raise DegreeGuardError(f"int64 bound needs residues in [0, {p})")
     dtype, every = _dtype_and_every(p, n, t)
-    x = np.ascontiguousarray(stack.transpose(0, 2, 3, 1), dtype=dtype)
-    value = half_depth_dp(x, lambda pairs: _signed_sum(pairs, p, every))
-    return np.ascontiguousarray(value.transpose(2, 0, 1), dtype=np.int64)
+    per_item = 2 * comb(t, t // 2) * n * n * np.dtype(dtype).itemsize
+    step = max(1, SLICE_BUDGET_BYTES // per_item)
+    out = np.empty((batch, n, n), dtype=np.int64)
+    for lo in range(0, batch, step):
+        x = np.ascontiguousarray(stack[:, lo:lo + step].transpose(0, 2, 3, 1), dtype=dtype)
+        value = half_depth_dp(x, lambda pairs: _signed_sum(pairs, p, every))
+        out[lo:lo + step] = value.transpose(2, 0, 1)
+    return out
 
 
 def _dtype_and_every(p: int, n: int, t: int) -> tuple:
@@ -224,8 +238,10 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
               (t-1)-letter prefixes missing j) * x_j
 
     (the last letter is the only free one, rank 0, so it keeps the
-    prefix's sign).  The last level is sorted by missing letter, so the
-    inner sums are one reshape-sum, or np.add.reduceat after pruning.
+    prefix's sign).  The last level, sorted by missing letter, is formed
+    SPARSE_CHUNK rows at a time, and np.add.reduceat adds each chunk into
+    the group sums, so the (t-1)! products of a dense last level (40,320
+    at t = 8) are never held at once.
     Each word's product up to its last letter is still formed, and a
     dense tuple forms sum over k = 2..t-1 of t!/(t-k)! products plus t:
     69,280 at t = 8, against 7 * 8! = 282,240 for the words one by one.
@@ -237,8 +253,10 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
     n * b * (p-1), its partial sums included.  Before a product, when
     n * b * (p-1) >= 2^62, the prefixes are reduced to [0, p), and then
     n * (p-1)^2 < 2^62 by :func:`supports`.  A group sum adds at most
-    (t-1)! rows, so it is formed unreduced when (t-1)! * b < 2^62, and
-    after a reduction (t-1)! * (p-1) < 5040 * 2^31 < 2^62, because t <= 8
+    (t-1)! rows, over all chunks, so its partial sums stay below
+    (t-1)! * b when the chunks are added unreduced, which they are when
+    (t-1)! * b < 2^62.  Otherwise each chunk is reduced to [0, p) before
+    it is added, and (t-1)! * (p-1) < 5040 * 2^31 < 2^62, because t <= 8
     and :func:`supports` gives p - 1 < 2^31.  With group entries of size
     g, the result sums t products, of entries of size at most
     t * n * g * (p-1); when that reaches 2^62 the groups are reduced
@@ -265,33 +283,46 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
             local = local[parent]
             alive = np.flatnonzero(local >= 0)
             parent, factor = local[alive], factor[alive]
-        if prod is None:
-            prod = signed.take(factor, axis=0)
-        else:
+        if prod is not None:
             if n * bound * (p - 1) >= INT64_BUDGET:
                 prod, bound = _reduce(prod, p), p - 1
-            prod = np.matmul(prod.take(parent, axis=0), signed.take(factor, axis=0))
             bound *= n * (p - 1)
-        if k < t - 1:
-            nonzero = prod.any(axis=(1, 2))
-            if not nonzero.all():
-                keep = np.flatnonzero(nonzero)
-                if not len(keep):
-                    return np.zeros((n, n), dtype=np.int64)
-                prod = prod[keep]
-                alive = keep if alive is None else alive[keep]
+        if k == t - 1:
+            break
+        prod = _extend(prod, parent, factor, signed)
+        nonzero = prod.any(axis=(1, 2))
+        if not nonzero.all():
+            keep = np.flatnonzero(nonzero)
+            if not len(keep):
+                return np.zeros((n, n), dtype=np.int64)
+            prod = prod[keep]
+            alive = keep if alive is None else alive[keep]
     size = len(missing) // t
-    if size * bound >= INT64_BUDGET:
-        prod, bound = _reduce(prod, p), p - 1
-    if alive is None:
-        groups, last = prod.reshape(t, size, n, n).sum(axis=1), np.arange(t)
-    else:
-        missed = missing[alive]
-        starts = np.flatnonzero(np.r_[True, missed[1:] != missed[:-1]])
-        groups, last = np.add.reduceat(prod, starts, axis=0), missed[starts]
+    reduce_rows = size * bound >= INT64_BUDGET
+    if reduce_rows:
+        bound = p - 1
+    missed = missing if alive is None else missing[alive]
+    groups = np.zeros((t, n, n), dtype=np.int64)
+    for lo in range(0, len(factor), SPARSE_CHUNK):
+        part = slice(lo, lo + SPARSE_CHUNK)
+        rows = _extend(prod, parent[part], factor[part], signed)
+        if reduce_rows:
+            _reduce(rows, p)
+        letters = missed[part]
+        starts = np.flatnonzero(np.r_[True, letters[1:] != letters[:-1]])
+        groups[letters[starts]] += np.add.reduceat(rows, starts, axis=0)
+    last = np.unique(missed)
     if t * n * size * bound * (p - 1) >= INT64_BUDGET:
         _reduce(groups, p)
-    return _reduce(np.matmul(groups, arr[last]).sum(axis=0), p)
+    return _reduce(np.matmul(groups[last], arr[last]).sum(axis=0), p)
+
+
+def _extend(prod, parent, factor, signed) -> np.ndarray:
+    """One level of :func:`naive_single`'s walk for the given table rows:
+    the products prod[parent] @ signed[factor], or the factors alone at
+    the first level, where prod is None."""
+    step = signed.take(factor, axis=0)
+    return step if prod is None else np.matmul(prod.take(parent, axis=0), step)
 
 
 def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
@@ -307,8 +338,8 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
     other k-subset has g(A) = 0, so s_k is an identity of the span exactly
     when layer k is empty; every layer after an empty one is empty too.
     The pass stops, yielding fewer than t layers, where the next layer
-    would not fit BATCH_BUDGET_BYTES, and yields nothing when d > KEY_BITS,
-    where keys would not fit int64.
+    cannot be built inside BATCH_BUDGET_BYTES, and yields nothing when
+    d > KEY_BITS, where keys would not fit int64.
 
     Layer 1 holds the nonzero basis elements.  Layer k+1 follows by the
     recurrence of :func:`standardpoly.half_depth_dp`, read from the
@@ -327,14 +358,20 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
     and their products are formed SPARSE_CHUNK at a time and summed per
     child with np.add.reduceat.  The work arrays of a step live only in
     :func:`_grow_layer`, so between layers the pass holds just the layer
-    it yielded.  They are counted before they are made, at 8 bytes an
-    entry of a value and at their own size otherwise: per row its value,
-    key and three d-wide byte arrays (members, free places, members below
-    each place); a chunk of rows' weight sums and lookup, four 8-byte
-    arrays of its shape; 40 bytes of indices, keys and sort
-    order per candidate; one chunk's three product-sized arrays; and,
-    once the sort has found them, the children's sums and the copy of
-    their nonzero rows.  The pass stops where the count passes
+    it yielded.  They are counted before they are made, every value at
+    the layers' dtype (4 bytes an entry in int32) and every other array
+    at its own size: per row its value, key and three d-wide byte arrays
+    (members, free places, members below each place); a chunk of rows'
+    weight sums and lookup, four 8-byte arrays of its shape; 40 bytes of
+    indices, keys and sort order per candidate; one chunk's three
+    product-sized arrays; and, once the sort has found them, the
+    children's sums and the copy of their nonzero rows.  A step is built
+    in ranges of the child's smallest member where it does not fit as
+    one: a range holds only its own candidates and children, at most
+    rows + rows_s * d candidates for one member s, where rows_s rows
+    have smallest member s, besides the rows kept from the ranges before
+    it, and the ranges are joined at the end, which holds the kept rows
+    twice.  The pass stops where one member's range, or the join, passes
     BATCH_BUDGET_BYTES.
 
     Dtype and overflow: the layers are int32 when t * n * (p-1)^2 + p
@@ -374,13 +411,24 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
 
 def _grow_layer(keys, values, signed, bits, k: int, p: int, weights, targets):
     """Layer k+1 of :func:`sparse_layers` from its nonempty layer k, or None
-    where its arrays, counted as that docstring says, would pass
-    BATCH_BUDGET_BYTES.  signed holds each basis element b_c at c and
-    -b_c at d + c, so a term's sign picks its factor.  The work arrays are
-    this call's locals, so they are freed before the pass yields the
-    layer."""
+    where the children of one smallest member, or the join of the ranges,
+    would not fit BATCH_BUDGET_BYTES, counted as that docstring says.  signed
+    holds each basis element b_c at c and -b_c at d + c, so a term's sign
+    picks its factor.  The work arrays are this call's locals, so they
+    are freed before the pass yields the layer.
+
+    The step is built by :func:`_grow_range` over ranges lo..hi of the
+    child's smallest member s, first the whole step as one range.  A
+    child's smallest member is its top key bit, so each range is a run of
+    ascending keys, and the ranges are built and joined from the largest
+    s down.  The children whose smallest member is s come from the rows
+    whose smallest member is s, adding any larger free c, and from the
+    rows whose members all lie above s (the rows below edges[s] in key
+    order), adding s itself.  A range that does not fit is split in two
+    at the member where its upper part reaches half its candidates."""
     rows, d, n = len(keys), len(bits), signed.shape[1]
-    held = rows * (n * n * 8 + 8 + 3 * d) + 3 * SPARSE_CHUNK * n * n * 8
+    entry = n * n * signed.itemsize
+    held = rows * (entry + 8 + 3 * d) + 3 * SPARSE_CHUNK * entry
     if weights is not None:
         held += 4 * min(rows, SPARSE_CHUNK) * d * 8
     if held > BATCH_BUDGET_BYTES:
@@ -392,20 +440,63 @@ def _grow_layer(keys, values, signed, bits, k: int, p: int, weights, targets):
             part = slice(lo, lo + SPARSE_CHUNK)
             sums = (member[part] @ weights)[:, None] + weights
             free[part] &= targets.take(np.searchsorted(targets, sums), mode="clip") == sums
-    held += np.count_nonzero(free) * 40
-    if held > BATCH_BUDGET_BYTES:
-        return None
-    cand = np.flatnonzero(free)
     # the members of row r below c, for each c not in row r
     below = np.cumsum(member, axis=1, dtype=np.int8).ravel()
+    del member
+    edges = ends = per_s = None
+    parts, kept, todo = [], 0, [(0, d - 1)]
+    while todo:
+        lo, hi = todo.pop()
+        if (lo, hi) == (0, d - 1):
+            window = free
+        else:
+            # the copy takes the place of the members array, freed above
+            window = free[:ends[lo]].copy()
+            window[:, :lo] = False
+            window[:edges[hi], hi + 1:] = False
+        count = np.count_nonzero(window)
+        part = None
+        if held + kept + count * 40 <= BATCH_BUDGET_BYTES:
+            part = _grow_range(keys, values, signed, bits, below, np.flatnonzero(window), k, p,
+                               held + kept + count * 40)
+        del window
+        if part is None:
+            if lo == hi:
+                return None
+            if per_s is None:
+                edges = np.searchsorted(keys, bits).tolist()
+                ends = [rows] + edges[:-1]  # ends[s]: the rows whose members are all >= s
+                per_s = [np.count_nonzero(free[:edges[s], s])
+                         + np.count_nonzero(free[edges[s]:ends[s], s + 1:]) for s in range(d)]
+            mid = hi
+            while mid > lo + 1 and 2 * sum(per_s[mid:hi + 1]) < count:
+                mid -= 1
+            todo += [(lo, mid - 1), (mid, hi)]
+            continue
+        parts.append(part)
+        kept += len(part[0]) * (8 + entry)
+    if len(parts) == 1:
+        return parts[0]
+    if held + 2 * kept > BATCH_BUDGET_BYTES:
+        return None
+    return np.concatenate([c for c, _ in parts]), np.concatenate([v for _, v in parts])
+
+
+def _grow_range(keys, values, signed, bits, below, cand, k: int, p: int, held: int):
+    """The nonzero children, as (keys, values) in ascending key order, of
+    the candidates cand of a :func:`_grow_layer` step, flat indices
+    r * d + c of the pairs of a row r and a place c; None where their
+    sums and the copy of their nonzero rows would take the count held
+    past BATCH_BUDGET_BYTES."""
+    d, n = len(bits), signed.shape[1]
     child = keys[cand // d] | bits[cand % d]
     order = np.argsort(child)
     cand, child = cand[order], child[order]
-    del member, free, order
+    del order
     first = np.ones(len(child), dtype=bool)
     np.not_equal(child[1:], child[:-1], out=first[1:])
     child = child[first]
-    if held + 2 * len(child) * n * n * 8 > BATCH_BUDGET_BYTES:
+    if held + 2 * len(child) * n * n * signed.itemsize > BATCH_BUDGET_BYTES:
         return None
     group = np.cumsum(first) - 1
     acc = np.zeros((len(child), n, n), dtype=signed.dtype)
@@ -450,11 +541,14 @@ def coords_to_stack(basis_arr: np.ndarray, coords, n: int, p: int) -> np.ndarray
 
 
 def suggested_batch(t: int, n: int) -> int:
-    """Batch size keeping two DP layers inside BATCH_BUDGET_BYTES.
+    """Rows per :func:`dp_batch` call in the row sweep, and so the size of
+    its probe block (identities.PROBE_SHARE): as many as two DP layers of
+    8-byte entries would hold inside BATCH_BUDGET_BYTES, at most 4096.
 
-    It sizes layers of 8-byte entries.  Where :func:`dp_batch` computes in
-    int32 its layers take half that.  The size is kept as it is rather
-    than doubled there, because the sweeps' peak memory follows it.
+    It does not bound the kernel's memory: :func:`dp_batch` slices any
+    batch so that its layers stay inside SLICE_BUDGET_BYTES.  It sets how
+    many rows a sweep gathers and stacks per call (coords_to_stack holds a
+    few int64 copies of them) and where its probe block ends.
     """
     per_item = 2 * comb(t, t // 2) * n * n * 8
     return max(1, min(4096, BATCH_BUDGET_BYTES // max(per_item, 1)))

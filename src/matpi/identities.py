@@ -360,7 +360,8 @@ def _first_combination_hit(a, t: int):
     :func:`_sparse_pass` decides the rest (:func:`_layer_hit`).  The probe
     found every combination in it zero, so a layer whose first row is not
     past it contradicts the probe and raises.  Where the pass stops,
-    :func:`_row_hits` goes on with the rows left.  A witness found in rows
+    :func:`_row_hits` goes on with the rows left, each batch of them
+    gathered from the unit rows by one fancy index.  A witness found in rows
     gets its basis indices back from a.mats.  Outside the bound each
     combination is its own :func:`eval_standard_dp`.
     """
@@ -381,7 +382,8 @@ def _first_combination_hit(a, t: int):
     from . import fastpath
 
     unit = np.eye(d, dtype=np.int64)
-    size = max(1, fastpath.suggested_batch(t, a.n) // PROBE_SHARE)
+    batch = fastpath.suggested_batch(t, a.n)
+    size = max(1, batch // PROBE_SHARE)
     probe = list(islice(combos, size))
     hit = next(_row_hits(a, t, unit[probe]), None)
     if hit is None and len(probe) == size:
@@ -394,7 +396,8 @@ def _first_combination_hit(a, t: int):
                     f"which the probe found zero"
                 )
             return hit
-        hit = next(_row_hits(a, t, (unit[list(combo)] for combo in combos)), None)
+        blocks = (unit[block] for block in _chunked(combos, repeat(batch)))
+        hit = next(_row_hits(a, t, chain.from_iterable(blocks)), None)
     if hit is None:
         return None
     mats, value = hit[1].mats, hit[1].value

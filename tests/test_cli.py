@@ -164,6 +164,24 @@ def test_min_degree_m2(tmp_path, capsys):
     assert "minimal standard degree 4" in out
 
 
+@pytest.mark.parametrize("shape", [[2, 4], [1, 4, 1]])
+def test_min_degree_full_block_n6(tmp_path, capsys, shape):
+    # the paper's least degree 2n = 12 at n = 6, with the s_13 cross-check,
+    # from one sparse layer pass
+    path = spec_file(tmp_path, f"""
+        ring: {{kind: gf, p: 101}}
+        n: 6
+        source:
+          construction: {{kind: full_block, shape: {shape}}}
+    """)
+    code, out, _ = run(capsys, "min-degree", "--spec", path, "--out", "structured")
+    assert code == 0
+    detail = json.loads(out)["checks"][0]["detail"]
+    assert detail["min_standard_degree"] == 12
+    cross = detail["odd_cross_check"]
+    assert cross["degree"] == 13 and cross["verdict"] == "identity"
+
+
 def test_identity_space_m2(capsys):
     code, out, _ = run(capsys, "identity-space", "--n", "2", "--t", "4")
     assert code == 0

@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 from itertools import combinations, islice, permutations
-from math import comb, isqrt, perm
+from math import comb, factorial, isqrt, perm
 
 import numpy as np
 import pytest
@@ -628,3 +629,98 @@ def test_sparse_layer_rejects_unsupported_bounds():
     m2 = fastpath.basis_to_flat(full_matrix_algebra(F, 2).mats)
     with pytest.raises(DegreeGuardError):
         lex_layer(m2, 2, 2**31 + 11, 8)
+
+
+# -- bounded working sets: dp_batch slices, naive_single chunks, layer ranges -----
+
+@pytest.mark.parametrize("t", [1, 2, 7, 10])
+@pytest.mark.parametrize("p", [101, 65537], ids=["int32", "int64"])
+def test_dp_batch_slices_agree(monkeypatch, t, p):
+    # slices of one item, a slice boundary inside the batch, and the batch
+    # as one slice give the same values; s_t does not vanish on M_6 at t < 12
+    n, batch = 6, 5
+    dtype = fastpath._dtype_and_every(p, n, t)[0]
+    assert dtype is (np.int32 if p == 101 else np.int64)
+    stack = np.random.default_rng(t).integers(0, p, size=(t, batch, n, n))
+    per_item = 2 * comb(t, t // 2) * n * n * np.dtype(dtype).itemsize
+    sizes = []
+    dp = fastpath.half_depth_dp
+    monkeypatch.setattr(fastpath, "half_depth_dp",
+                        lambda x, signed_sum: sizes.append(x.shape[-1]) or dp(x, signed_sum))
+    got = []
+    for items in (1, 2, batch):
+        monkeypatch.setattr(fastpath, "SLICE_BUDGET_BYTES", items * per_item)
+        got.append(fastpath.dp_batch(stack, p))
+    assert sizes == [1] * batch + [2, 2, 1] + [batch]
+    assert got[-1].dtype == np.int64 and got[-1].shape == (batch, n, n)
+    assert got[-1].reshape(batch, -1).any(axis=1).all()
+    for values in got[:-1]:
+        assert (values == got[-1]).all()
+
+
+def test_dp_batch_peak_memory_stays_in_its_slice_budget():
+    # the s_10 sweep of `verify-al --n 5`: 1,959 items after its probe
+    # block, whose two DP layers take 94 MiB in int32 when held at once
+    stack = np.random.default_rng(5).integers(0, 101, size=(10, 1959, 5, 5))
+    tracemalloc.start()
+    try:
+        out = fastpath.dp_batch(stack, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fastpath.SLICE_BUDGET_BYTES + stack.nbytes + out.nbytes
+
+
+def _naive_cases(t):
+    """(label, p, mats) of s_t-nonzero tuples for naive_single: dense
+    (no prefix dies), sparse (the walk prunes rows, so `alive` is set) and
+    dense at the largest prime supports admits (each chunk of the last
+    level is reduced before it is added)."""
+    rng = random.Random(t)
+    n = t // 2 + 1
+    big = largest_supported_prime(t, n)
+    return [
+        ("dense", 101, random_mats(np.random.default_rng(t), t, n)),
+        ("sparse", 101, perturbed_staircase(F, t, 5, rng)),
+        ("reducing", big, [Matrix(GF(big), n, n, [big - rng.randrange(1, 40) for _ in range(n * n)])
+                           for _ in range(t)]),
+    ]
+
+
+@pytest.mark.parametrize("t", [7, 8])
+def test_naive_single_chunked_matches_unchunked(monkeypatch, t):
+    for label, p, mats in _naive_cases(t):
+        arr = to_array(mats)
+        got = []
+        for chunk in (factorial(t - 1), fastpath.SPARSE_CHUNK, 97):
+            monkeypatch.setattr(fastpath, "SPARSE_CHUNK", chunk)
+            got.append(fastpath.naive_single(arr, p))
+        want = eval_standard_dp(mats)
+        assert not want.is_zero(), label
+        for value in got:
+            assert fastpath.array_to_matrix(GF(p), value) == want, label
+
+
+def _layers(a, t):
+    return [(keys.copy(), values.copy()) for keys, values in identities._sparse_pass(a, t)]
+
+
+@pytest.mark.parametrize("a,budget_kib", [(full_matrix_algebra(F, 4), 1024),
+                                          (full_block_algebra(F, BlockShape((1, 2, 1))), 42)],
+                         ids=lambda x: getattr(x, "label", x))
+def test_budget_limited_layer_steps_build_the_same_layers(monkeypatch, a, budget_kib):
+    # with 64 products per chunk and these budgets, some steps do not fit
+    # as one range and are built in ranges of the child's smallest member
+    t = 2 * a.n + 1
+    want = _layers(a, t)
+    ranges = []  # the step k of each range built
+    grow_range = fastpath._grow_range
+    monkeypatch.setattr(fastpath, "_grow_range",
+                        lambda *args: ranges.append(args[6]) or grow_range(*args))
+    monkeypatch.setattr(fastpath, "SPARSE_CHUNK", 64)
+    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", budget_kib * 2**10)
+    got = _layers(a, t)
+    assert len(set(ranges)) < len(ranges)
+    assert len(got) == len(want) == t
+    for (keys, values), (want_keys, want_values) in zip(got, want):
+        assert np.array_equal(keys, want_keys) and np.array_equal(values, want_values)

@@ -707,10 +707,10 @@ def test_one_pass_min_degree_matches_the_per_degree_route(monkeypatch, a):
 
 
 def test_min_degree_goes_on_per_degree_where_the_pass_stops(monkeypatch):
-    # with 900 KiB the pass over M_3 builds layers 1 to 3 and stops before 4
+    # with 448 KiB the pass over M_3 builds layers 1 to 3 and stops before 4
     a = full_matrix_algebra(F, 3)
     want = min_standard_degree(a).to_dict()
-    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 900 * 2**10)
+    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 448 * 2**10)
     sweeps = _count_sweeps(monkeypatch)
     assert min_standard_degree(a).to_dict() == want
     assert sweeps == [4, 5, 6, 7]
