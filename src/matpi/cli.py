@@ -466,16 +466,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--ring", default=None,
                     help="ring of M_n with --n (default gf:101); a spec names its own")
-    sp.add_argument("--out", choices=("text", "structured"), default="text")
-    sp.add_argument("--timings", action="store_true")
+    _add_common(sp, ring=False, seeded=False)
     sp.set_defaults(fn=cmd_identity_space)
 
     sp = sub.add_parser("lemma-suite", help="randomized + exhaustive checks of the "
                         "block lemmas and the Z/4 witnesses")
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", choices=("text", "structured"), default="text")
-    sp.add_argument("--timings", action="store_true")
+    _add_common(sp, ring=False, seeded=False)
     sp.set_defaults(fn=cmd_lemma_suite)
 
     return p

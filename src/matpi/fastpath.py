@@ -363,16 +363,24 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
     at its own size: per row its value, key and three d-wide byte arrays
     (members, free places, members below each place); a chunk of rows'
     weight sums and lookup, four 8-byte arrays of its shape; 40 bytes of
-    indices, keys and sort order per candidate; one chunk's three
-    product-sized arrays; and, once the sort has found them, the
-    children's sums and the copy of their nonzero rows.  A step is built
-    in ranges of the child's smallest member where it does not fit as
-    one: a range holds only its own candidates and children, at most
-    rows + rows_s * d candidates for one member s, where rows_s rows
-    have smallest member s, besides the rows kept from the ranges before
-    it, and the ranges are joined at the end, which holds the kept rows
-    twice.  The pass stops where one member's range, or the join, passes
-    BATCH_BUDGET_BYTES.
+    indices, keys and sort order per candidate of a run; one chunk's
+    three product-sized arrays; and a slice's children's sums and the
+    copy of their nonzero rows.  A step whose candidates do not fit as
+    one run is built in runs of the child's smallest member, planned from
+    the exact count of each member's candidates: a run holds only its own
+    candidates, at most rows + rows_s * d for one member s, where rows_s
+    rows have smallest member s, besides the rows kept before it.  Each
+    run's candidates are sorted once, and its children are summed in
+    slices of whole children that fit the bytes left.  The parts are
+    joined at the end, which holds the kept rows twice.  The pass stops
+    where one member's run with one child's sums, or the join, passes
+    BATCH_BUDGET_BYTES.  The budget bounds these counted arrays, not the
+    process: the interpreter and imports (about 35 MB), the temporaries
+    the count leaves out (cand // d, a chunk's gathers) and the memory
+    the allocator keeps after numpy frees it come on top.  With the
+    256 MiB budget, E(1,5) and E(5,1) peak at 290-346 MB of RSS, by how
+    the allocator happens to place the freed arrays, while the arrays
+    numpy traces peak at 214 MiB.
 
     Dtype and overflow: the layers are int32 when t * n * (p-1)^2 + p
     < 2^31 and int64 otherwise, the rule of :func:`dp_batch`.  Every g(A)
@@ -411,21 +419,27 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
 
 def _grow_layer(keys, values, signed, bits, k: int, p: int, weights, targets):
     """Layer k+1 of :func:`sparse_layers` from its nonempty layer k, or None
-    where the children of one smallest member, or the join of the ranges,
-    would not fit BATCH_BUDGET_BYTES, counted as that docstring says.  signed
-    holds each basis element b_c at c and -b_c at d + c, so a term's sign
-    picks its factor.  The work arrays are this call's locals, so they
-    are freed before the pass yields the layer.
+    where one member's run, or the join of the parts, would not fit
+    BATCH_BUDGET_BYTES, counted as that docstring says.  signed holds each
+    basis element b_c at c and -b_c at d + c, so a term's sign picks its
+    factor.  The work arrays are this call's locals, so they are freed
+    before the pass yields the layer.
 
-    The step is built by :func:`_grow_range` over ranges lo..hi of the
-    child's smallest member s, first the whole step as one range.  A
-    child's smallest member is its top key bit, so each range is a run of
-    ascending keys, and the ranges are built and joined from the largest
-    s down.  The children whose smallest member is s come from the rows
+    The step is built in runs lo..hi of the child's smallest member s,
+    from the largest s down.  A child's smallest member is its top key
+    bit, so each run is a run of ascending keys, and the parts join in key
+    order.  The children whose smallest member is s come from the rows
     whose smallest member is s, adding any larger free c, and from the
     rows whose members all lie above s (the rows below edges[s] in key
-    order), adding s itself.  A range that does not fit is split in two
-    at the member where its upper part reaches half its candidates."""
+    order), adding s itself.  The whole step is one run when its
+    candidates take at most half the bytes left, which leaves at least as
+    many to the slices; otherwise each run takes members while its
+    candidates, counted exactly per member, do, and a run of one member
+    may take all but one child's sums.  A run's candidates are flat
+    indices r * d + c of the pairs of a row r and a place c, sorted once
+    by child key; its children are then summed in slices of whole
+    children whose sums, and the copy of their nonzero rows, fit the
+    bytes left."""
     rows, d, n = len(keys), len(bits), signed.shape[1]
     entry = n * n * signed.itemsize
     held = rows * (entry + 8 + 3 * d) + 3 * SPARSE_CHUNK * entry
@@ -443,74 +457,70 @@ def _grow_layer(keys, values, signed, bits, k: int, p: int, weights, targets):
     # the members of row r below c, for each c not in row r
     below = np.cumsum(member, axis=1, dtype=np.int8).ravel()
     del member
-    edges = ends = per_s = None
-    parts, kept, todo = [], 0, [(0, d - 1)]
-    while todo:
-        lo, hi = todo.pop()
-        if (lo, hi) == (0, d - 1):
-            window = free
+    count, per_s = np.count_nonzero(free), None
+    parts, kept, hi = [], 0, d - 1
+    while hi >= 0:
+        room = BATCH_BUDGET_BYTES - held - kept
+        if per_s is None and 2 * count * 40 <= room:
+            lo, window = 0, free
         else:
-            # the copy takes the place of the members array, freed above
-            window = free[:ends[lo]].copy()
-            window[:, :lo] = False
-            window[:edges[hi], hi + 1:] = False
-        count = np.count_nonzero(window)
-        part = None
-        if held + kept + count * 40 <= BATCH_BUDGET_BYTES:
-            part = _grow_range(keys, values, signed, bits, below, np.flatnonzero(window), k, p,
-                               held + kept + count * 40)
-        del window
-        if part is None:
-            if lo == hi:
-                return None
             if per_s is None:
                 edges = np.searchsorted(keys, bits).tolist()
                 ends = [rows] + edges[:-1]  # ends[s]: the rows whose members are all >= s
                 per_s = [np.count_nonzero(free[:edges[s], s])
                          + np.count_nonzero(free[edges[s]:ends[s], s + 1:]) for s in range(d)]
-            mid = hi
-            while mid > lo + 1 and 2 * sum(per_s[mid:hi + 1]) < count:
-                mid -= 1
-            todo += [(lo, mid - 1), (mid, hi)]
-            continue
-        parts.append(part)
-        kept += len(part[0]) * (8 + entry)
+            lo, count = hi, per_s[hi]
+            while lo and 2 * (count + per_s[lo - 1]) * 40 <= room:
+                lo -= 1
+                count += per_s[lo]
+            # the copy takes the place of the members array, freed above
+            window = free[:ends[lo]].copy()
+            window[:, :lo] = False
+            window[:edges[hi], hi + 1:] = False
+        cand = np.flatnonzero(window)
+        del window
+        child = keys[cand // d] | bits[cand % d]
+        order = np.argsort(child)
+        cand, child = cand[order], child[order]
+        del order
+        first = np.ones(len(child), dtype=bool)
+        np.not_equal(child[1:], child[:-1], out=first[1:])
+        heads = np.append(np.flatnonzero(first), len(cand))  # each child's first candidate
+        child = child[first]
+        del first
+        g0 = 0  # the first child of a slice
+        while True:
+            spare = BATCH_BUDGET_BYTES - held - kept - count * 40
+            if spare < 2 * entry:
+                return None
+            g1 = min(len(child), g0 + spare // (2 * entry))
+            stop = int(heads[g1])
+            acc = np.zeros((g1 - g0, n, n), dtype=signed.dtype)
+            for i in range(int(heads[g0]), stop, SPARSE_CHUNK):
+                j = min(i + SPARSE_CHUNK, stop)
+                part = cand[i:j]
+                factor = part % d + d * term_negate(k + 1, below[part])
+                prod = np.matmul(values[part // d], signed[factor])
+                # the chunk's children: c, which may begin before it, and those after
+                c = int(np.searchsorted(heads, i, side="right")) - 1
+                starts = heads[c:np.searchsorted(heads, j)] - i
+                starts[0] = 0
+                acc[c - g0:c - g0 + len(starts)] += np.add.reduceat(prod, starts, axis=0)
+            _reduce(acc, p)
+            nonzero = acc.any(axis=(1, 2))
+            parts.append((child[g0:g1][nonzero], acc[nonzero]))
+            kept += len(parts[-1][0]) * (8 + entry)
+            del acc
+            if g1 == len(child):
+                break
+            g0 = g1
+        del cand, child, heads
+        hi = lo - 1
     if len(parts) == 1:
         return parts[0]
     if held + 2 * kept > BATCH_BUDGET_BYTES:
         return None
     return np.concatenate([c for c, _ in parts]), np.concatenate([v for _, v in parts])
-
-
-def _grow_range(keys, values, signed, bits, below, cand, k: int, p: int, held: int):
-    """The nonzero children, as (keys, values) in ascending key order, of
-    the candidates cand of a :func:`_grow_layer` step, flat indices
-    r * d + c of the pairs of a row r and a place c; None where their
-    sums and the copy of their nonzero rows would take the count held
-    past BATCH_BUDGET_BYTES."""
-    d, n = len(bits), signed.shape[1]
-    child = keys[cand // d] | bits[cand % d]
-    order = np.argsort(child)
-    cand, child = cand[order], child[order]
-    del order
-    first = np.ones(len(child), dtype=bool)
-    np.not_equal(child[1:], child[:-1], out=first[1:])
-    child = child[first]
-    if held + 2 * len(child) * n * n * signed.itemsize > BATCH_BUDGET_BYTES:
-        return None
-    group = np.cumsum(first) - 1
-    acc = np.zeros((len(child), n, n), dtype=signed.dtype)
-    for lo in range(0, len(cand), SPARSE_CHUNK):
-        part, g = cand[lo:lo + SPARSE_CHUNK], group[lo:lo + SPARSE_CHUNK]
-        factor = part % d + d * term_negate(k + 1, below[part])
-        prod = np.matmul(values[part // d], signed[factor])
-        head = first[lo:lo + SPARSE_CHUNK].copy()
-        head[0] = True  # the chunk may begin inside a child's group
-        starts = np.flatnonzero(head)
-        acc[g[starts]] += np.add.reduceat(prod, starts, axis=0)
-    _reduce(acc, p)
-    nonzero = acc.any(axis=(1, 2))
-    return child[nonzero], acc[nonzero]
 
 
 def layer_combos(keys: np.ndarray, d: int, k: int) -> np.ndarray:

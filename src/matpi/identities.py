@@ -58,10 +58,11 @@ same test to every basis subset before it forms it.
 Verdicts of "not an identity" always carry a witness tuple whose arguments
 are checked to lie in the algebra and whose value is re-evaluated before
 being reported by the naive permutation sum: numpy's
-:func:`fastpath.naive_single` up to t = 8 inside the int64 bound, the
-pure-Python walk elsewhere within a budget of products formed (see
-:func:`_reverify_witness` for the cases and what each re-check shares with
-the sweep).
+:func:`fastpath.naive_single` up to t = 8 inside the int64 bound, and
+elsewhere one pure-Python walk of the witness in its own ring, which
+stops past a budget of products formed and leaves the witness to the DP
+(see :func:`_reverify_witness` for the cases and what each re-check
+shares with the sweep).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .errors import (
     UnsupportedRingError,
 )
 from .matrices import Echelon, Matrix, matrix_unit
-from .rings import GF, Ring
+from .rings import Ring
 from .standardpoly import (
     NAIVE_MAX_DEGREE,
     _eval_standard_naive_py,
@@ -104,7 +105,6 @@ IDENTITY_SPACE_MAX_DEGREE = 6
 PROBE_SHARE = 64
 # products the witness re-check's naive walk may form (_reverify_witness)
 WALK_BUDGET = 2**15
-SUPPORT_FIELD = GF(2**61 - 1)
 
 PRUNING_NOTE = (
     "exhaustive over strictly increasing basis combinations: s_t is "
@@ -202,67 +202,42 @@ def _reverify_witness(mats: Sequence[Matrix], expected: Matrix) -> None:
     - t <= 8 over GF(p) inside the int64 bound of :func:`int64_eligible`,
       the gate of every numpy kernel: the naive permutation sum
       :func:`fastpath.naive_single` (through :func:`eval_standard_naive`).
-    - otherwise, at any t: the pure-Python naive sum over the
-      :func:`word_products` walk, when it forms at most WALK_BUDGET
-      products (:func:`_walk_fits`).  That holds for every walk up to
-      t = 7, which forms at most 13,692, and for the sparse witnesses of
-      sweeps (the largest measured, M_6 s_11, forms 20,450); a dense walk
-      at t = 8 forms 109,592.
-      Both walks share prefix products and drop zero prefixes, and call
-      nothing of :func:`half_depth_dp`, so neither shares a recurrence
-      with the DP.
-    - past the budget: :func:`eval_standard_dp`.  This is not independent:
-      over GF(p) it shares the recurrence :func:`half_depth_dp` with the
-      sweep's numpy kernels, and over QQ, Z/m or a prime past the int64
-      bound it repeats the very call the sweep made, so only the
-      `contains` check and the nonzero test add anything.
+    - otherwise, at any t: one walk of the witness in its own ring, the
+      pure-Python naive sum over :func:`word_products`, which stops with
+      DegreeGuardError past WALK_BUDGET products.  Every walk up to t = 7
+      forms at most sum over k = 2..t of t!/(t-k)! = 13,692, and the
+      sparse witnesses of sweeps stay inside it too (the largest
+      measured, M_6 s_11, forms 20,450).  The walk shares prefix products
+      and drops zero prefixes, and calls nothing of :func:`half_depth_dp`,
+      so it shares no recurrence with the DP.
+    - past the budget: :func:`eval_standard_dp`.  A witness with more
+      dense-walk products than the budget (t >= 8) none of whose factors
+      has a zero row or column goes there without walking: no product of
+      such factors has one either (row i of A has some A[i, j] != 0, and
+      row j of B some B[j, k] != 0), so no prefix is zero and its walk
+      would form every product, 109,592 at t = 8.  The DP is not
+      independent: over GF(p) it shares the recurrence
+      :func:`half_depth_dp` with the sweep's numpy kernels, and over QQ,
+      Z/m or a prime past the int64 bound it repeats the very call the
+      sweep made, so only the `contains` check and the nonzero test add
+      anything.
     """
     mats = list(mats)
     t, ring, n = len(mats), expected.ring, expected.rows
     if t <= NAIVE_MAX_DEGREE and int64_eligible(ring, n, t):
         got = eval_standard_naive(mats)
-    elif _walk_fits(mats):
-        got = _eval_standard_naive_py(mats)
-    else:
+    elif sum(perm(t, k) for k in range(2, t + 1)) > WALK_BUDGET and all(
+            any(x.data[i * n:(i + 1) * n]) and any(x.data[i::n]) for x in mats for i in range(n)):
         got = eval_standard_dp(mats)
+    else:
+        try:
+            got = _eval_standard_naive_py(mats, WALK_BUDGET)
+        except DegreeGuardError:
+            got = eval_standard_dp(mats)
     if got != expected or got.is_zero():
         raise ContractViolationError(
             "witness failed re-verification; evaluators disagree"
         )
-
-
-def _walk_fits(mats: Sequence[Matrix]) -> bool:
-    """True when the word walk of mats forms at most WALK_BUDGET products.
-
-    A walk of t factors forms at most sum over k = 2..t of t!/(t-k)!
-    products, 13,692 at t = 7, so up to there it always fits.  When no
-    factor has a zero row or column, as for the dense witnesses of
-    randomized sweeps, no product of them has one either (row i of A has
-    some A[i, j] != 0, and row j of B some B[j, k] != 0, so (AB)[i, k] is
-    a sum of nonnegative support counts, one of them positive), so no
-    prefix is zero: the walk forms exactly that many products and,
-    past the budget, does not fit.  Otherwise it is decided by the same
-    walk over their supports, 0/1 matrices in
-    GF(2^61 - 1), whose products cost about what products over GF(101)
-    cost, whatever the ring of mats (a dense 5 x 5 product of the
-    Fractions of a randomized QQ sweep costs about 20 times as much).  An
-    entry of a product of supports counts the paths behind the real entry,
-    so it is nonzero wherever the real entry is while that count, at most
-    n^(t-1), stays below the prime; the support walk then forms at least
-    as many products as the real one.
-    """
-    t, n = len(mats), mats[0].rows
-    if sum(perm(t, k) for k in range(2, t + 1)) <= WALK_BUDGET:
-        return True
-    supports = [[1 if v else 0 for v in x.data] for x in mats]
-    if all(any(s[i * n:(i + 1) * n]) and any(s[i::n]) for s in supports for i in range(n)):
-        return False
-    try:
-        for _ in word_products(supports, n, SUPPORT_FIELD, WALK_BUDGET):
-            pass
-    except DegreeGuardError:
-        return False
-    return True
 
 
 def _random_coords(ring: Ring, d: int, rng: random.Random) -> list:

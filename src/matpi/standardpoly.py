@@ -261,15 +261,16 @@ def int64_eligible(ring: Ring, n: int, t: int) -> bool:
     return fastpath.supports(ring.p, n, t)
 
 
-def _eval_standard_naive_py(mats: Sequence[Matrix]) -> Matrix:
-    """The naive sum as a fold over :func:`word_products`, at any t."""
+def _eval_standard_naive_py(mats: Sequence[Matrix], budget: Optional[int] = None) -> Matrix:
+    """The naive sum as a fold over :func:`word_products`, at any t; with
+    `budget`, DegreeGuardError past that many products formed."""
     ring, n = _check_eval_args(mats)
     zero = ring.zero
     # alternation: a repeated argument forces s_t = 0
     if len({a.data for a in mats}) < len(mats):
         return zero_matrix(ring, n)
     acc = [zero] * (n * n)
-    for _, sign, prod in word_products([a.data for a in mats], n, ring):
+    for _, sign, prod in word_products([a.data for a in mats], n, ring, budget):
         if sign > 0:
             for idx, v in enumerate(prod):
                 if v != zero:

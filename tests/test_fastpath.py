@@ -705,22 +705,69 @@ def _layers(a, t):
     return [(keys.copy(), values.copy()) for keys, values in identities._sparse_pass(a, t)]
 
 
-@pytest.mark.parametrize("a,budget_kib", [(full_matrix_algebra(F, 4), 1024),
-                                          (full_block_algebra(F, BlockShape((1, 2, 1))), 42)],
+# layers the pass built, with 64-product chunks, when a step that did not
+# fit was sorted whole, thrown away and built again in ranges: a floor
+# for the step that sorts each run once
+RANGE_LAYERS = {
+    "M_4": {16: 1, 24: 1, 32: 2, 42: 2, 64: 2, 128: 3, 256: 5, 448: 5, 1024: 9, 2048: 9},
+    "E(1,2,1)": {16: 1, 24: 2, 32: 3, 42: 9, 2048: 9},
+    "M_3": {16: 2, 24: 3, 32: 4, 42: 7, 2048: 7},
+}
+BUDGET_ALGEBRAS = [full_matrix_algebra(F, 4), full_block_algebra(F, BlockShape((1, 2, 1))),
+                   full_matrix_algebra(F, 3)]
+
+
+@pytest.mark.parametrize("a,budget_kib", [(a, kib) for a in BUDGET_ALGEBRAS
+                                          for kib in RANGE_LAYERS[a.label]],
                          ids=lambda x: getattr(x, "label", x))
 def test_budget_limited_layer_steps_build_the_same_layers(monkeypatch, a, budget_kib):
-    # with 64 products per chunk and these budgets, some steps do not fit
-    # as one range and are built in ranges of the child's smallest member
+    # with 64 products per chunk and these budgets, steps are built in runs
+    # of the child's smallest member and their children summed in slices
     t = 2 * a.n + 1
     want = _layers(a, t)
-    ranges = []  # the step k of each range built
-    grow_range = fastpath._grow_range
-    monkeypatch.setattr(fastpath, "_grow_range",
-                        lambda *args: ranges.append(args[6]) or grow_range(*args))
     monkeypatch.setattr(fastpath, "SPARSE_CHUNK", 64)
     monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", budget_kib * 2**10)
     got = _layers(a, t)
-    assert len(set(ranges)) < len(ranges)
-    assert len(got) == len(want) == t
+    assert len(want) == t and len(got) >= RANGE_LAYERS[a.label][budget_kib]
     for (keys, values), (want_keys, want_values) in zip(got, want):
         assert np.array_equal(keys, want_keys) and np.array_equal(values, want_values)
+
+
+def _step_candidates(a, t: int, layers) -> list:
+    """Per step from a nonempty layer k: the pairs of a row of layer k and
+    a basis element c not in it whose weights sum to a target."""
+    weights, targets = identities._weight_targets(a, t)
+    weights = np.asarray(weights, dtype=np.int64)
+    counts = []
+    for k, (keys, _) in enumerate(layers, 1):
+        if len(keys):
+            combos = fastpath.layer_combos(keys, a.dim, k)
+            feasible = np.isin(weights[combos].sum(axis=1)[:, None] + weights, list(targets))
+            feasible[np.arange(len(combos))[:, None], combos] = False
+            counts.append(np.count_nonzero(feasible))
+    return counts
+
+
+@pytest.mark.parametrize("a,budget_kib", [(full_matrix_algebra(F, 4), 1024),
+                                          (full_block_algebra(F, BlockShape((1, 2, 1))), 42)],
+                         ids=lambda x: getattr(x, "label", x))
+def test_each_layer_step_sorts_its_candidates_once(monkeypatch, a, budget_kib):
+    # at these budgets some steps do not fit as one run (M_4 steps 6 and 7,
+    # E(1,2,1) steps 3 and 4); each of a step's candidates is still sorted
+    # exactly once
+    t = 2 * a.n + 1
+    want = _step_candidates(a, t, _layers(a, t))
+    monkeypatch.setattr(fastpath, "SPARSE_CHUNK", 64)
+    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", budget_kib * 2**10)
+    sorted_per_step = []
+    grow, argsort = fastpath._grow_layer, np.argsort
+
+    def counting(arr, *args, **kwargs):
+        sorted_per_step[-1] += len(arr)
+        return argsort(arr, *args, **kwargs)
+
+    monkeypatch.setattr(fastpath, "_grow_layer",
+                        lambda *args: sorted_per_step.append(0) or grow(*args))
+    monkeypatch.setattr(np, "argsort", counting)
+    assert len(_layers(a, t)) == t
+    assert sorted_per_step == want

@@ -838,17 +838,55 @@ def test_lex_rank_counts_the_combinations_before():
 
 # -- the witness re-check at every degree ------------------------------------------
 
-@pytest.mark.parametrize("a,t", [(upper_triangular(F, 5), 9), (upper_triangular(F, 6), 11)],
-                         ids=["U_5 s_9", "U_6 s_11"])
+def _walks(monkeypatch) -> list:
+    """Spy on the re-check's pure walk: returns the list that receives the
+    ring of each word_products walk."""
+    walks, walk = [], standardpoly.word_products
+    monkeypatch.setattr(standardpoly, "word_products",
+                        lambda flats, n, ring, budget=None: walks.append(ring)
+                        or walk(flats, n, ring, budget))
+    return walks
+
+
+def _walk_size(monkeypatch, mats) -> int:
+    """Products the re-check of the nonzero s_t(mats) forms by mul_flat."""
+    formed = 0
+
+    def counting(*args):
+        nonlocal formed
+        formed += 1
+        return mul_flat(*args)
+
+    value = identities.eval_standard_dp(mats)
+    with monkeypatch.context() as mp:
+        mp.setattr(standardpoly, "mul_flat", counting)
+        identities._reverify_witness(mats, value)
+    return formed
+
+
+def _chain():
+    # a t = 8 chain of units over QQ, past the numpy gate: s_8 = e_19
+    return [matrix_unit(QQ, 9, i, i + 1) for i in range(1, 9)]
+
+
+@pytest.mark.parametrize("a,t", [(upper_triangular(F, 5), 9), (upper_triangular(F, 6), 11), (None, 8)],
+                         ids=["U_5 s_9", "U_6 s_11", "chain s_8"])
 def test_high_degree_witnesses_recheck_without_the_dp(monkeypatch, a, t):
     def unused(mats):
         raise AssertionError("the re-check fell back to the DP")
 
     monkeypatch.setattr(identities, "eval_standard_dp", unused)
-    rep = is_standard_identity(a, t)
-    assert not rep.is_identity
+    if a is None:
+        mats, value = _chain(), matrix_unit(QQ, 9, 1, 9)
+    else:
+        rep = is_standard_identity(a, t)
+        assert not rep.is_identity
+        mats, value = rep.witness.mats, rep.witness.value
+    walks = _walks(monkeypatch)
+    identities._reverify_witness(mats, value)
+    assert walks == [value.ring]  # one walk, in the witness's own ring
     with pytest.raises(ContractViolationError):
-        identities._reverify_witness(rep.witness.mats, rep.witness.value + rep.witness.value)
+        identities._reverify_witness(mats, value + value)
 
 
 def test_recheck_past_the_walk_budget_falls_back_to_the_dp(monkeypatch):
@@ -873,7 +911,7 @@ def test_recheck_takes_naive_single_exactly_inside_the_int64_gate(monkeypatch):
     monkeypatch.setattr(fastpath, "naive_single",
                         lambda arr, p: kernels.append(p) or kernel(arr, p))
 
-    def unused(mats):
+    def unused(mats, budget=None):
         raise AssertionError("the re-check took the pure walk")
 
     for module in (identities, standardpoly):
@@ -882,7 +920,7 @@ def test_recheck_takes_naive_single_exactly_inside_the_int64_gate(monkeypatch):
     assert kernels == [101]
     for module in (identities, standardpoly):
         monkeypatch.setattr(module, "_eval_standard_naive_py",
-                            lambda mats: walks.append(len(mats)) or walk(mats))
+                            lambda mats, budget=None: walks.append(len(mats)) or walk(mats, budget))
     identities._reverify_witness(qq.mats, qq.value)
     assert kernels == [101] and walks == [3]
 
@@ -902,49 +940,26 @@ def test_dense_witness_past_the_budget_skips_the_walk(monkeypatch):
 
 
 def test_dense_witness_never_walks_its_supports(monkeypatch):
-    # no factor has a zero row or column, so no prefix is zero and the
-    # walk's size is known without walking: a randomized M_5 s_9 witness
-    # skips it
-    walk = identities.word_products
-
-    def no_support_walk(flats, n, ring, budget=None):
-        assert ring != identities.SUPPORT_FIELD, "the re-check walked the supports"
-        return walk(flats, n, ring, budget)
-
-    monkeypatch.setattr(identities, "word_products", no_support_walk)
+    # no factor has a zero row or column, so no prefix is zero and its walk
+    # would form every product, past the budget: a randomized M_5 s_9
+    # witness goes to the DP without walking
+    walks = _walks(monkeypatch)
     rep = is_standard_identity(full_matrix_algebra(F, 5), 9, mode="randomized", trials=20)
     assert not rep.is_identity and rep.tuples_checked == 1
-    assert not identities._walk_fits(rep.witness.mats)
-    # a zero column lets prefixes vanish: such factors are walked
-    sparse = [matrix_unit(F, 5, 1, 1) + matrix_unit(F, 5, 1, 2)] + list(rep.witness.mats[1:])
-    calls = []
-    monkeypatch.setattr(identities, "word_products",
-                        lambda *args: calls.append(args[2]) or walk(*args))
-    identities._walk_fits(sparse)
-    assert calls == [identities.SUPPORT_FIELD]
+    identities._reverify_witness(rep.witness.mats, rep.witness.value)
+    assert walks == []
 
 
-def test_walk_budget_covers_every_walk_up_to_degree_7():
-    def walk_size(mats):
-        formed = 0
-
-        def counting(*args):
-            nonlocal formed
-            formed += 1
-            return mul_flat(*args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(standardpoly, "mul_flat", counting)
-            list(standardpoly.word_products([x.data for x in mats], mats[0].rows, mats[0].ring))
-        return formed
-
-    dense = [Matrix(F, 2, 2, [1, 2, 3, 4]) for _ in range(7)]
-    assert walk_size(dense) == sum(math.perm(7, k) for k in range(2, 8)) == 13692
-    assert identities._walk_fits(dense)
-    assert not identities._walk_fits(dense + dense[:1])  # 109,592 products at t = 8
-    # a sparse t = 8 tuple is judged by its support walk: a chain of units
-    chain = [matrix_unit(F, 9, i, i + 1) for i in range(1, 9)]
-    assert walk_size(chain) == 168 and identities._walk_fits(chain)
+def test_walk_budget_covers_every_walk_up_to_degree_7(monkeypatch):
+    # a dense t = 7 tuple, past the numpy gate, forms every product of its
+    # walk, all inside the budget
+    rng = random.Random(7)
+    ring = GF(2**61 - 1)
+    dense = [Matrix(ring, 4, 4, [rng.randrange(1, 10) for _ in range(16)]) for _ in range(7)]
+    total = sum(math.perm(7, k) for k in range(2, 8))
+    assert _walk_size(monkeypatch, dense) == total == 13692 <= identities.WALK_BUDGET
+    # a sparse t = 8 tuple is walked: a chain of units forms 168 products
+    assert _walk_size(monkeypatch, _chain()) == 168
     # the walk of the U_5 s_9 witness forms 492 products
     witness = is_standard_identity(upper_triangular(F, 5), 9).witness
-    assert walk_size(witness.mats) == 492
+    assert _walk_size(monkeypatch, list(witness.mats)) == 492
