@@ -6,15 +6,19 @@ of :func:`standardpoly.half_depth_dp`, the one copy of that recurrence,
 over a batch of argument tuples, for the row sweep identities._row_hits,
 whose stacks :func:`coords_to_stack` builds from coefficient rows (an
 exhaustive sweep's combination is the row of its unit vectors).  It works
-on batch-last (n, n, B) arrays, forms each product with one einsum over
-the contiguous batch axis, and computes in int32 when
-t * n * (p-1)^2 + p < 2^31, in int64 otherwise.  Exhaustive sweeps
-decide all basis combinations past their probe block at once instead:
+on batch-last (n, n, B) arrays of centred residues, in [-m, m] for
+m = floor(p/2), and forms each product with one einsum over the
+contiguous batch axis: in int16, summing a few products there before an
+int32 accumulator takes them, when n * m^2 + m < 2^15 (every p <= 157 at
+n = 5); in int32 when t * n * m^2 + p < 2^31; in int64 otherwise.
+Exhaustive sweeps decide all basis combinations past their probe block
+at once instead:
 :func:`sparse_layers` (called by identities._sparse_pass) runs the DP's
 recurrence and signs (:func:`standardpoly.term_negate`) forward over
 basis subsets, keeping only the subsets whose s_k is nonzero, and yields
 the layers one at a time, so layer k holds exactly the combinations on
-which s_k does not vanish (:func:`layer_combos` names them).
+which s_k does not vanish (:func:`layer_combos` names them).  Its layers
+hold residues in [0, p), in int32 or int64 by a rule of its own.
 :func:`naive_single` sums the t! signed permutation products of one tuple
 in int64 for :func:`standardpoly.eval_standard_naive`, at every t <= 8,
 and so re-checks witnesses.  It shares nothing with the DP: it
@@ -22,20 +26,22 @@ walks the words prefix by prefix, one batched matmul per prefix length,
 so words share their prefixes' products, a zero prefix drops every word
 that extends it, and each word's sign rides along as a parity (the
 batched form of :func:`standardpoly.word_products`).  All three are exact
-only inside proven overflow bounds.  Products of residues have entries at
-most n * (p-1)^2.  The int64 gate, t * n * (p-1)^2 < 2^62
+only inside proven overflow bounds.  Products of residues in [0, p) have
+entries at most n * (p-1)^2, and products of centred ones at most
+n * m^2.  The int64 gate, t * n * (p-1)^2 < 2^62
 (:func:`supports`), decides whether this module runs at all.  Inside it,
 :func:`dp_batch` reduces mod p often enough that a residue plus the
-products summed since keeps below 2^31 or 2^63, :func:`sparse_layers`
+products summed since stays inside its dtype, :func:`sparse_layers`
 keeps its sums below 2^31 - p or 2^62, and :func:`naive_single` reduces
 whenever its next step could pass 2^62 (each docstring gives the counts).
-Every reduction mod p on arrays here is a floor-division one,
-acc - (acc // p) * p (:func:`_reduce`): on int32 and int64 arrays numpy's
-`%` costs several times as much, and the result is the same.  Each
-caller runs its kernel exactly when :func:`standardpoly.int64_eligible`
-holds; the pure-Python paths remain the reference and the fallback.  Results
-agree entrywise with the exact evaluators (the test suite cross-checks
-both directions).
+Every reduction mod p on arrays here is a floor-division one:
+acc - (acc // p) * p into [0, p) (:func:`_reduce`), or
+acc - ((acc + m) // p) * p into [-m, m] (:func:`_centre`).  On integer
+arrays numpy's `%` costs several times as much, and the result is the
+same.  Each caller runs its kernel exactly when
+:func:`standardpoly.int64_eligible` holds; the pure-Python paths remain
+the reference and the fallback.  Results agree entrywise with the exact
+evaluators (the test suite cross-checks both directions).
 """
 
 from __future__ import annotations
@@ -86,95 +92,153 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
     of batch item b is stack[k, b].  Returns C-contiguous int64 (B, n, n)
     residues mod p.  The recurrence is :func:`standardpoly.half_depth_dp`.
 
+    Centred residues: the kernel works with m = floor(p/2) and stores every
+    argument and every g(S) as a residue in [-m, m], so a product of two
+    of them has entries of size at most size = n * m^2.  The result goes
+    back to [0, p) at the end.
+
+    Tiers (:func:`_dp_tier`), each a product dtype, a group and an
+    accumulator dtype:
+
+    - int16 when size + m <= 2^15 - 1 (p <= 157 at n = 5): products are
+      formed in int16, and group = floor((2^15 - 1 - m) / size) of them
+      (2 at p = 101, n = 5) are summed in int16, so a group sum is at most
+      2^15 - 1 - m in size.  A sum of one group is reduced in int16; a
+      longer one adds each group sum into an int32 accumulator;
+    - int32 when t * size + p < 2^31, with products and sums in int32
+      and groups of one product;
+    - int64 otherwise, inside the gate t * n * (p-1)^2 < 2^62 of
+      :func:`supports`, with groups of one product.
+
+    The same code runs in every tier (:func:`_signed_sum`).
+
+    Overflow bounds: an accumulator of L + 1 bits (L = 31 for the int32
+    one of the int16 and int32 tiers, 63 for int64) is reduced after every
+    `every` products,
+
+        every = floor((2^L - 1 - p) / size), rounded down to whole groups,
+
+    and after each reduction it holds a residue in [-m, m], so a running
+    sum is at most m + every * size <= 2^L - 1 - p + m in size.  The int32
+    rule and the int64 gate both make every >= t, so a layer (k <= t
+    products) reduces only at its end, and in the int16 tier every is at
+    least 65,000.  The join sums C(t, floor(t/2)) products, 252 at t = 10,
+    so in the int32 and int64 tiers it reduces on the way at the largest
+    primes they admit.
+
+    Reduction: each g(S) is reduced straight to [-m, m] as
+    acc - ((acc + m) // p) * p (:func:`_centre`), into a second buffer.
+    (acc + m) // p * p lies in [acc + m - (p-1), acc + m], so for a sum of
+    size at most 2^L - 1 - p + m every value formed lies in
+    [-2^L + 2, 2^L - 1], and for an int16 group sum, at most 2^15 - 1 - m
+    in size, in [-2^15 + 1, 2^15 - 1].  An int32 accumulator's residue is
+    then copied to int16.  The arguments are centred the same way on
+    entry, where x + m < p + m fits every tier's dtype.
+
     Memory: the DP runs over slices of the batch axis, each of as many
-    items as keep two layers of C(t, floor(t/2)) g values at the kernel's
-    dtype inside SLICE_BUDGET_BYTES, and at least one (665 items at
-    t = 10, n = 5 in int32).  Besides the caller's stack
-    and the (B, n, n) int64 result, the kernel holds one slice at a time:
-    its layers, its batch-last copy of the arguments and two g-sized
-    buffers per running sum, so its working set does not grow with B.
+    items as keep two layers of C(t, floor(t/2)) g values at the product
+    dtype inside SLICE_BUDGET_BYTES, and at least one (1,331 items at
+    t = 10, n = 5 in int16, 665 in int32).  Besides the caller's stack and
+    the (B, n, n) int64 result, the kernel holds one slice at a time: its
+    layers, its batch-last copy of the arguments and the four buffers of
+    its signed sums (two g-sized ones at the product dtype and two at the
+    accumulator's), so its working set does not grow with B.
 
     Layout: each slice of the stack is copied once to batch-last
-    (t, n, n, B'), so each g(S) is an (n, n, B') array whose batch axis is
-    contiguous, and every product is one einsum over that axis.
-
-    Dtype: int32 when t * n * (p-1)^2 + p < 2^31, else int64
-    (:func:`_dtype_and_every`); the same code runs either way.
-
-    Overflow bounds: arguments are residues and every g(S) is reduced
-    mod p, so a product entry is at most n * (p-1)^2, below 2^31 under
-    the int32 rule.  A signed sum reduces after every `every` products,
-    with every = floor((2^L - p - 1) / (n * (p-1)^2)) for L = 31 (int32)
-    or 63 (int64), so a running sum is at most
-
-        (p - 1) + every * n * (p-1)^2 < 2^L
-
-    in size.  The int32 rule, and the int64 gate t * n * (p-1)^2 < 2^62 of
-    :func:`supports`, both make every >= t, so a layer (k <= t products)
-    reduces only at its end.  The join sums C(t, floor(t/2)) products,
-    252 at t = 10, so it does reduce on the way: at the largest prime the
-    int32 rule admits for t = 10 and n = 2 or 5, every = 10.
-
-    Reduction: each one computes acc - (acc // p) * p in place, through
-    one scratch buffer per g(S) that also receives the products
-    (:func:`_reduce`).  A running sum lies in
-    [-every * size, (p-1) + every * size] with size = n * (p-1)^2, and
-    floor division puts (acc // p) * p in [acc - (p-1), acc].  Its least
-    value is at least -every * size - (p-1) >= -2^L + 2 by the choice of
-    every, so the floor-division form needs no bound beyond the one above.
+    (t, n, n, B') at the product dtype, so each g(S) is an (n, n, B') array
+    whose batch axis is contiguous, and every product is one einsum over
+    that axis.
     """
     t, batch, n, _ = stack.shape
     if not supports(p, n, t):
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
     if stack.min() < 0 or stack.max() >= p:
         raise DegreeGuardError(f"int64 bound needs residues in [0, {p})")
-    dtype, every = _dtype_and_every(p, n, t)
-    per_item = 2 * comb(t, t // 2) * n * n * np.dtype(dtype).itemsize
+    tier = _dp_tier(p, n, t)
+    product = tier[0]
+    per_item = 2 * comb(t, t // 2) * n * n * np.dtype(product).itemsize
     step = max(1, SLICE_BUDGET_BYTES // per_item)
     out = np.empty((batch, n, n), dtype=np.int64)
     for lo in range(0, batch, step):
-        x = np.ascontiguousarray(stack[:, lo:lo + step].transpose(0, 2, 3, 1), dtype=dtype)
-        value = half_depth_dp(x, lambda pairs: _signed_sum(pairs, p, every))
+        x = np.ascontiguousarray(stack[:, lo:lo + step].transpose(0, 2, 3, 1), dtype=product)
+        x = _centre(x, p, np.empty_like(x))
+        value = half_depth_dp(x, _signed_sum(p, tier, x.shape[1:]))
         out[lo:lo + step] = value.transpose(2, 0, 1)
-    return out
+    return _reduce(out, p)
 
 
-def _dtype_and_every(p: int, n: int, t: int) -> tuple:
-    """The kernel's dtype and how many products it may sum between
-    reductions mod p; see :func:`dp_batch` for the bounds."""
-    size = n * (p - 1) ** 2
+def _dp_tier(p: int, n: int, t: int) -> tuple:
+    """(product, group, accumulator, every) of :func:`dp_batch`: the dtype
+    products are formed and summed in, how many are summed before their
+    sum joins the accumulator, its dtype, and how many products it takes
+    between reductions; see :func:`dp_batch` for the bounds."""
+    m = p // 2
+    size = n * m * m
+    if size + m <= 2**15 - 1:
+        group = (2**15 - 1 - m) // size
+        return np.int16, group, np.int32, (2**31 - 1 - p) // size // group * group
     dtype = np.int32 if t * size + p < 2**31 else np.int64
-    return dtype, (np.iinfo(dtype).max - p) // size
+    return dtype, 1, dtype, (np.iinfo(dtype).max - p) // size
 
 
-def _signed_sum(pairs, p: int, every: int) -> np.ndarray:
-    """Sum of (-1)^negate * left @ right over (left, right, negate) of
-    batch-last (n, n, B) arrays, reduced mod p after every `every`
-    products and at the end.  Every product after the first is formed in
-    one scratch buffer, which the reductions reuse."""
-    acc = scratch = None
-    for j, (left, right, negate) in enumerate(pairs, 1):
-        if acc is None:
-            acc = np.einsum("imb,mjb->ijb", left, right)
-            if negate:
-                np.negative(acc, out=acc)
-            scratch = np.empty_like(acc)
-        else:
-            np.einsum("imb,mjb->ijb", left, right, out=scratch)
-            if negate:
-                acc -= scratch
+def _signed_sum(p: int, tier, shape):
+    """The signed sum of :func:`half_depth_dp` for batch-last arrays of the
+    given (n, n, B) shape holding centred residues at the product dtype of
+    tier (:func:`_dp_tier`): a function of a list of (left, right, negate)
+    triples that returns the sum of (-1)^negate * left @ right as a new
+    array of centred residues at that dtype.
+
+    Each group of consecutive products is summed in one buffer at the
+    product dtype, signed relative to its first product: every product
+    after a group's first is formed in a second buffer and added or
+    subtracted.  A sum of one group is reduced there (:func:`_centre`);
+    otherwise each group is added into or subtracted from the accumulator,
+    which is reduced after every `every` products and at the end.  The
+    four buffers are made once and serve every sum."""
+    product, group, accumulator, every = tier
+    part, term = np.empty(shape, product), np.empty(shape, product)
+    acc, scratch = np.empty(shape, accumulator), np.empty(shape, accumulator)
+
+    def signed_sum(pairs) -> np.ndarray:
+        nonlocal acc, scratch
+        for lo in range(0, len(pairs), group):
+            (left, right, sign), *rest = pairs[lo:lo + group]
+            np.einsum("imb,mjb->ijb", left, right, out=part)
+            for left, right, negate in rest:
+                np.einsum("imb,mjb->ijb", left, right, out=term)
+                (np.subtract if negate != sign else np.add)(part, term, out=part)
+            if lo == 0:
+                if len(pairs) <= group:
+                    return _centre(part, p, np.empty(shape, product), sign)
+                (np.negative if sign else np.positive)(part, out=acc)
             else:
-                acc += scratch
-        if j % every == 0:
-            _reduce(acc, p, scratch)
-    return _reduce(acc, p, scratch)
+                (np.subtract if sign else np.add)(acc, part, out=acc)
+            if (lo + group) % every == 0 and lo + group < len(pairs):
+                acc, scratch = _centre(acc, p, scratch), acc
+        return _centre(acc, p, np.empty(shape, accumulator)).astype(product, copy=False)
+
+    return signed_sum
+
+
+def _centre(acc: np.ndarray, p: int, out: np.ndarray, negate=False) -> np.ndarray:
+    """acc, or -acc when negate, reduced mod p into [-m, m], m = floor(p/2),
+    as +-(acc - ((acc + m) // p) * p), written to out (an array shaped and
+    typed like acc, not acc itself), which is returned.  Equal to
+    ((acc + m) % p) - m wherever acc + m does not wrap (:func:`dp_batch`
+    shows that it does not)."""
+    np.add(acc, p // 2, out=out)
+    np.floor_divide(out, p, out=out)
+    out *= p
+    if negate:
+        return np.subtract(out, acc, out=out)
+    return np.subtract(acc, out, out=out)
 
 
 def _reduce(acc: np.ndarray, p: int, scratch=None) -> np.ndarray:
     """acc mod p in place, as acc - (acc // p) * p through scratch (an
     array shaped and typed like acc, allocated when None); returns acc.
-    Equal to acc % p wherever acc - (p-1) does not wrap (:func:`dp_batch`
-    and :func:`naive_single` show that it does not)."""
+    Equal to acc % p wherever acc - (p-1) does not wrap (:func:`naive_single`
+    and :func:`sparse_layers` show that it does not)."""
     if scratch is None:
         scratch = np.empty_like(acc)
     np.floor_divide(acc, p, out=scratch)
@@ -383,10 +447,12 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
     numpy traces peak at 214 MiB.
 
     Dtype and overflow: the layers are int32 when t * n * (p-1)^2 + p
-    < 2^31 and int64 otherwise, the rule of :func:`dp_batch`.  Every g(A)
-    is a residue in [0, p) and every factor +-b_c has entries of size at
-    most p - 1, so a product has entries of size at most n * (p-1)^2.  A
-    child A + {c} of layer k + 1 <= t
+    < 2^31 and int64 otherwise, a rule of their own: :func:`dp_batch`'s
+    centred residues and int16 tier stay inside that kernel, and
+    identities._layer_hit reads these values as residues in [0, p).  Every
+    g(A) is a residue in [0, p) and every factor +-b_c has entries of size
+    at most p - 1, so a product has entries of size at most n * (p-1)^2.
+    A child A + {c} of layer k + 1 <= t
     receives one term per member c, from the parent A, so its sum, partial
     ones included, has at most t terms before its one reduction: at most
     t * n * (p-1)^2, below 2^31 - p under the int32 rule and below 2^62 by
@@ -401,7 +467,7 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
     if weights is not None:
         weights = np.asarray(weights, dtype=np.int64)
         targets = np.sort(np.fromiter(targets, dtype=np.int64))
-    dtype = _dtype_and_every(p, n, t)[0]
+    dtype = np.int32 if t * n * (p - 1) ** 2 + p < 2**31 else np.int64
     bits = np.left_shift(1, np.arange(d - 1, -1, -1, dtype=np.int64))
     basis = basis_arr.reshape(d, n, n).astype(dtype)
     signed = np.concatenate([basis, -basis])

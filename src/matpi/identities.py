@@ -70,7 +70,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product, repeat
+from itertools import combinations, islice, product, repeat
 from math import comb, factorial, perm
 from typing import Optional, Sequence
 
@@ -335,9 +335,9 @@ def _first_combination_hit(a, t: int):
     :func:`_sparse_pass` decides the rest (:func:`_layer_hit`).  The probe
     found every combination in it zero, so a layer whose first row is not
     past it contradicts the probe and raises.  Where the pass stops,
-    :func:`_row_hits` goes on with the rows left, each batch of them
-    gathered from the unit rows by one fancy index.  A witness found in rows
-    gets its basis indices back from a.mats.  Outside the bound each
+    :func:`_row_hits` goes on with the rows left, a batch at a time, each
+    batch gathered from the unit rows by one fancy index.  A witness found
+    in rows gets its basis indices back from a.mats.  Outside the bound each
     combination is its own :func:`eval_standard_dp`.
     """
     d = a.dim
@@ -371,8 +371,10 @@ def _first_combination_hit(a, t: int):
                     f"which the probe found zero"
                 )
             return hit
-        blocks = (unit[block] for block in _chunked(combos, repeat(batch)))
-        hit = next(_row_hits(a, t, chain.from_iterable(blocks)), None)
+        for block in _chunked(combos, repeat(batch)):
+            hit = next(_row_hits(a, t, unit[block]), None)
+            if hit is not None:
+                break
     if hit is None:
         return None
     mats, value = hit[1].mats, hit[1].value
@@ -385,9 +387,10 @@ def _row_hits(a, t: int, rows, entries=None):
     nonzero.  Each row is a t x dim array of coefficients in a.mats of the
     t arguments; with `entries`, a list of flat indices into the n x n
     value, only those entries count.  Inside the int64 bound of
-    :func:`int64_eligible` the rows are evaluated by
-    :func:`fastpath.dp_batch`, its one caller, in a probe block
-    (PROBE_SHARE) and then full batches, otherwise one by one by
+    :func:`int64_eligible` the rows, a (rows, t, dim) array or a list of
+    rows, are evaluated by :func:`fastpath.dp_batch`, its one caller, on
+    slices of them: a probe block (PROBE_SHARE) and then full batches.
+    Otherwise rows is any iterable, evaluated one by one by
     :func:`eval_standard_dp`."""
     ring, n = a.ring, a.n
     if not int64_eligible(ring, n, t):
@@ -399,13 +402,16 @@ def _row_hits(a, t: int, rows, entries=None):
             if any(value.data[e] != zero for e in counted):
                 yield pos, _checked_witness(a, None, mats, value)
         return
+    import numpy as np
+
     from . import fastpath
 
+    rows = np.asarray(rows, dtype=np.int64)
     basis_arr = fastpath.basis_to_flat(a.mats)
     batch = fastpath.suggested_batch(t, n)
-    done = 0
-    for block in _chunked(rows, chain([max(1, batch // PROBE_SHARE)], repeat(batch))):
-        stack = fastpath.coords_to_stack(basis_arr, block, n, ring.p)
+    done, size = 0, max(1, batch // PROBE_SHARE)
+    while done < len(rows):
+        stack = fastpath.coords_to_stack(basis_arr, rows[done:done + size], n, ring.p)
         values = fastpath.dp_batch(stack, ring.p)
         flat = values.reshape(len(values), -1)
         if entries is not None:
@@ -414,7 +420,7 @@ def _row_hits(a, t: int, rows, entries=None):
             mats = tuple(fastpath.array_to_matrix(ring, x) for x in stack[:, b])
             value = fastpath.array_to_matrix(ring, values[b])
             yield done + b + 1, _checked_witness(a, None, mats, value)
-        done += len(block)
+        done, size = done + len(values), batch
 
 
 def _sparse_pass(a, t: int):

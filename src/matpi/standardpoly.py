@@ -9,7 +9,8 @@ up to ceil(t/2) and joins complementary halves, so it forms about
 t * 2^(t-2) + C(t, t/2) matrix products, half of the t * 2^(t-1) that
 building all t layers takes.  It is written once and takes its arithmetic
 from the caller: flat exact lists in :func:`eval_standard_dp`, batches of
-numpy int32 or int64 residues in :func:`fastpath.dp_batch`.
+numpy residues centred in [-p/2, p/2], in int16, int32 or int64, in
+:func:`fastpath.dp_batch`.
 :func:`int64_eligible` decides which of the two a prime-field input may
 use.  The naive sum walks the words depth first with
 :func:`word_products`, so words that share a prefix share its product, a

@@ -265,6 +265,12 @@ def test_split_with_zero_half_layer(ring, t):
         assert all(v.is_zero() for v in dp_batch_matrices(cases))
 
 
+def centred(v, p):
+    """The residue of v mod p in [-m, m], m = floor(p/2)."""
+    m = p // 2
+    return (v + m) % p - m
+
+
 def test_split_at_largest_prime_for_t10():
     # largest p with 10 * 2 * (p-1)^2 < 2^62; residues within 40 of p
     p = isqrt(fastpath.INT64_BUDGET // 20) + 1
@@ -280,18 +286,51 @@ def test_split_at_largest_prime_for_t10():
         cases = [[Matrix(ring, 2, 2, [p - rng.randrange(1, 40) for _ in range(4)])
                   for _ in range(t)] for _ in range(3)]
         assert dp_batch_matrices(cases, p) == [eval_standard_dp(ms) for ms in cases]
-    # the join sums C(10, 5) = 252 products of size 2 * (p-1)^2, about
-    # 2^66 together: exact only because it reduces every `every` products
-    dtype, every = fastpath._dtype_and_every(p, 2, 10)
-    assert dtype is np.int64 and every >= 10
-    big = np.full((2, 2, 1), p - 1, dtype=np.int64)   # batch-last (n, n, B)
-    got = fastpath._signed_sum([(big, big, 0)] * comb(10, 5), p, every)
-    assert (got == comb(10, 5) * 2 * (p - 1) ** 2 % p).all()
+    # the join sums C(10, 5) = 252 products of size 2 * m^2, about 2^64.7
+    # together: exact only because it reduces every `every` products
+    tier = fastpath._dp_tier(p, 2, 10)
+    m = p // 2
+    assert tier[0] is np.int64 and 10 <= tier[3] < comb(10, 5)
+    big = np.full((2, 2, 1), m, dtype=np.int64)   # batch-last (n, n, B)
+    got = fastpath._signed_sum(p, tier, big.shape)([(big, big, 0)] * comb(10, 5))
+    assert (got == centred(comb(10, 5) * 2 * m * m, p)).all()
+
+
+def tier_boundary_primes(admits):
+    """The largest prime p with admits(p), for admits true on an initial
+    run of the primes, and the next prime, where it is false."""
+    p = 2
+    while True:
+        q = p + 1
+        while not is_prime(q):
+            q += 1
+        if not admits(q):
+            assert admits(p)
+            return p, q
+        p = q
+
+
+def int16_boundary_primes(t, n):
+    """The largest prime the int16 rule n * m^2 + m <= 2^15 - 1 admits,
+    m = floor(p/2), and the next prime, which runs int32."""
+    return tier_boundary_primes(lambda p: n * (p // 2) ** 2 + p // 2 <= 2**15 - 1)
 
 
 def int32_boundary_primes(t, n):
-    """The largest prime the int32 rule t * n * (p-1)^2 + p < 2^31 admits
-    and the next prime, which runs int64."""
+    """The largest prime dp_batch's int32 rule t * n * m^2 + p < 2^31
+    admits and the next prime, which runs int64."""
+    p = 2 * isqrt(2**31 // (t * n)) + 3
+    while not (is_prime(p) and t * n * (p // 2) ** 2 + p < 2**31):
+        p -= 1
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    return p, q
+
+
+def layer_int32_boundary_primes(t, n):
+    """The largest prime sparse_layers' int32 rule t * n * (p-1)^2 + p
+    < 2^31 admits and the next prime, which runs int64."""
     p = isqrt(2**31 // (t * n)) + 1
     while not (is_prime(p) and t * n * (p - 1) ** 2 + p < 2**31):
         p -= 1
@@ -301,35 +340,72 @@ def int32_boundary_primes(t, n):
     return p, q
 
 
-# s_9 is nonzero on M_5; s_10 vanishes on M_2 and M_5, where a wrapped
-# int32 sum would show as a nonzero entry
-@pytest.mark.parametrize("t,n", [(10, 2), (10, 5), (9, 5)])
-def test_dp_batch_int32_boundary_matches_pure(t, n):
-    p, q = int32_boundary_primes(t, n)
-    assert fastpath._dtype_and_every(p, n, t) == (np.int32, t)
-    assert fastpath._dtype_and_every(q, n, t)[0] is np.int64
+def boundary_cases(ring, t, n, rng):
+    """A seeded tuple and a worst-magnitude one, each of whose residues is
+    m or p - m (so +-m centred), of t n x n matrices over ring."""
+    p, m = ring.p, ring.p // 2
+    return [[Matrix(ring, n, n, [rng.randrange(p) for _ in range(n * n)]) for _ in range(t)],
+            [Matrix(ring, n, n, [rng.choice((m, p - m)) for _ in range(n * n)])
+             for _ in range(t)]]
+
+
+# s_t vanishes on M_n for t >= 2n, where a wrapped sum would show as a
+# nonzero entry; below that the values are compared entrywise
+@pytest.mark.parametrize("t", [9, 10])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_dp_batch_int16_boundary_matches_pure(t, n):
+    p, q = int16_boundary_primes(t, n)
+    assert fastpath._dp_tier(p, n, t)[:3] == (np.int16, 1, np.int32)
+    assert fastpath._dp_tier(q, n, t)[0] is np.int32
     rng = random.Random(p * t + n)
     for prime in (p, q):
-        ring = GF(prime)
-        cases = [[Matrix(ring, n, n, [prime - rng.randrange(1, 40) for _ in range(n * n)])
-                  for _ in range(t)] for _ in range(2)]
+        cases = boundary_cases(GF(prime), t, n, rng)
         want = [eval_standard_dp(ms) for ms in cases]
         assert all(w.is_zero() == (t >= 2 * n) for w in want)
         assert dp_batch_matrices(cases, prime) == want
 
 
+@pytest.mark.parametrize("t,n", [(10, 2), (10, 5), (9, 5)])
+def test_dp_batch_int32_boundary_matches_pure(t, n):
+    p, q = int32_boundary_primes(t, n)
+    assert fastpath._dp_tier(p, n, t) == (np.int32, 1, np.int32, t)
+    assert fastpath._dp_tier(q, n, t)[0] is np.int64
+    rng = random.Random(p * t + n)
+    for prime in (p, q):
+        cases = boundary_cases(GF(prime), t, n, rng)
+        want = [eval_standard_dp(ms) for ms in cases]
+        assert all(w.is_zero() == (t >= 2 * n) for w in want)
+        assert dp_batch_matrices(cases, prime) == want
+
+
+def check_join_at_boundary(p, n, product):
+    """dp_batch's signed sum of the C(10, 5) = 252 products of factors of
+    magnitude m, signed as the join signs them and all added, at p."""
+    m, tier = p // 2, fastpath._dp_tier(p, n, 10)
+    assert tier[0] is product and tier[2] is np.int32
+    big = np.full((n, n, 3), m, dtype=product)
+    negates = [negate for _, negate in standardpoly.join_splits(10)]
+    assert len(negates) == comb(10, 5)
+    signed_sum = fastpath._signed_sum(p, tier, big.shape)
+    for signs in (negates, [0] * len(negates)):
+        want = centred(sum(1 - 2 * s for s in signs) * n * m * m, p)
+        got = signed_sum([(big, -big if s else big, 0) for s in signs])
+        assert got.dtype == product and (got == want).all()
+        assert (signed_sum([(big, big, s) for s in signs]) == want).all()
+
+
 @pytest.mark.parametrize("n", [2, 5])
 def test_int32_join_exact_at_boundary_prime(n):
-    # C(10, 5) = 252 products of all-(p-1) factors: each entry is
-    # n * (p-1)^2, near 2^31 / 10, and 252 of them wrap int32 many times
-    # over unless the sum reduces every `every` products
-    p, _ = int32_boundary_primes(10, n)
-    dtype, every = fastpath._dtype_and_every(p, n, 10)
-    assert dtype is np.int32
-    big = np.full((n, n, 3), p - 1, dtype=np.int32)
-    got = fastpath._signed_sum([(big, big, 0)] * comb(10, 5), p, every)
-    assert got.dtype == np.int32
-    assert (got == comb(10, 5) * n * (p - 1) ** 2 % p).all()
+    # each product entry is n * m^2, near 2^31 / 10, and 252 of them wrap
+    # int32 many times over unless the sum reduces every `every` products
+    check_join_at_boundary(int32_boundary_primes(10, n)[0], n, np.int32)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_int16_join_exact_at_boundary_prime(n):
+    # each product entry is n * m^2, near 2^15, so each group of products
+    # must reach the int32 accumulator before the next would wrap int16
+    check_join_at_boundary(int16_boundary_primes(10, n)[0], n, np.int16)
 
 
 @pytest.mark.parametrize("B", [1, 3])
@@ -394,21 +470,53 @@ def largest_supported_prime(t, n):
     return p
 
 
-@pytest.mark.parametrize("kind", ["int32", "int64"])
+def near(*centres):
+    """Each centre and its neighbours."""
+    return [c + e for c in centres for e in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("kind", ["int16", "int32", "int64"])
 def test_reduce_matches_python_mod_at_the_extremes_every_admits(kind):
-    # the running sums of _signed_sum lie in [-every * size,
-    # (p-1) + every * size]; check both ends, the multiples of p nearest
-    # them and 0, p, -p, each with its neighbours
+    # dp_batch's accumulator holds a centred residue plus at most `every`
+    # products of size n * m^2, so it lies in [low, high] = +-(m + every *
+    # size); check both ends, the multiples of p nearest them and 0, p,
+    # -p, each with its neighbours, reduced to [-m, m] either way round.
+    # In int16 a group sum of up to `group` products is also reduced in
+    # int16, at both ends of its range
     t, n = 10, 5
-    p = int32_boundary_primes(t, n)[0] if kind == "int32" else largest_supported_prime(t, n)
-    dtype, every = fastpath._dtype_and_every(p, n, t)
-    assert dtype is getattr(np, kind)
-    size = n * (p - 1) ** 2
-    low, high = -every * size, (p - 1) + every * size
-    centres = [low, high, -(low // -p) * p, high // p * p, 0, p, -p]
-    values = [c + e for c in centres for e in (-1, 0, 1)]
-    info = np.iinfo(dtype)
-    assert info.min < min(values) and max(values) <= info.max
+    p = {"int16": int16_boundary_primes(t, n)[0], "int32": int32_boundary_primes(t, n)[0],
+         "int64": largest_supported_prime(t, n)}[kind]
+    product, group, accumulator, every = fastpath._dp_tier(p, n, t)
+    assert product is getattr(np, kind)
+    m = p // 2
+    size = n * m * m
+    high = m + every * size
+    ranges = [(accumulator, high)]
+    if product is not accumulator:
+        ranges.append((product, group * size))
+    for dtype, high in ranges:
+        values = near(-high, high, -(high // p) * p, high // p * p, 0, p, -p)
+        values = [v for v in values if abs(v) <= high]
+        info = np.iinfo(dtype)
+        assert info.min < -high - m and high + m <= info.max
+        acc = np.array(values, dtype=dtype)
+        for negate in (False, True):
+            out = fastpath._centre(acc, p, np.empty_like(acc), negate)
+            assert out.dtype == dtype and acc.tolist() == values
+            assert out.tolist() == [(-1) ** negate * centred(v, p) for v in values]
+
+
+@pytest.mark.parametrize("kind", ["int32", "int64"])
+def test_reduce_matches_python_mod_at_the_sparse_layer_extremes(kind):
+    # a child of sparse_layers sums at most t terms of size n * (p-1)^2
+    # from 0, and dp_batch's result is reduced from [-m, m] to [0, p)
+    t, n = 10, 5
+    p = layer_int32_boundary_primes(t, n)[0] if kind == "int32" else largest_supported_prime(t, n)
+    dtype = getattr(np, kind)
+    high = t * n * (p - 1) ** 2
+    assert (high + p < 2**31) == (kind == "int32")
+    values = near(-high, high, -(high // p) * p, high // p * p, 0, p, -p, p // 2, -(p // 2))
+    values = [v for v in values if abs(v) <= high]
     for scratch in (None, np.empty(len(values), dtype=dtype)):
         acc = np.array(values, dtype=dtype)
         out = fastpath._reduce(acc, p, scratch)
@@ -579,10 +687,10 @@ def test_conjugated_closure_is_ungraded():
 def join_boundary_primes(t, n):
     """The largest prime at which dp_batch's int64 join sums all its
     C(t, floor(t/2)) products before reducing, and the largest prime that
-    supports admits, at which it reduces on the way."""
+    supports admits, at which it reduces on the way when that is larger."""
     size = comb(t, t // 2) * n
-    p = isqrt((2**63 - 1) // size) + 1
-    while not (is_prime(p) and fastpath._dtype_and_every(p, n, t)[1] >= comb(t, t // 2)):
+    p = 2 * isqrt((2**63 - 1) // size) + 3
+    while not (is_prime(p) and fastpath._dp_tier(p, n, t)[3] >= comb(t, t // 2)):
         p -= 1
     return p, largest_supported_prime(t, n)
 
@@ -592,10 +700,15 @@ def test_join_exact_at_boundary_primes(t, n):
     # t < 2n, so s_t of dense factors near p - 1 is not zero; dp_batch's
     # join and the sparse pass, whose children sum all k + 1 terms of size
     # up to n * (p-1)^2, agree with the exact DP at the largest primes of
-    # the int32 rule and of the int64 one, with and without reductions
+    # the pass's int32 rule, dp_batch's int32 rule and the int64 gate, and
+    # at t = 8 at the largest prime whose int64 join does not reduce on the
+    # way (at t = 6 none of the 20 join products needs it)
     unreduced, largest = join_boundary_primes(t, n)
-    assert int32_boundary_primes(t, n)[0] < unreduced < largest
-    for p in (int32_boundary_primes(t, n)[0], unreduced, largest):
+    assert (unreduced < largest) == (t == 8)
+    primes = [layer_int32_boundary_primes(t, n)[0], int32_boundary_primes(t, n)[0],
+              *([unreduced] if unreduced < largest else []), largest]
+    assert primes == sorted(set(primes))
+    for p in primes:
         ring = GF(p)
         rng = random.Random(p)
         mats = [Matrix(ring, n, n, [p - rng.randrange(1, 40) for _ in range(n * n)])
@@ -618,6 +731,18 @@ def test_layer_tables_fit_the_budget_up_to_m5():
     assert combos.shape == (0, 10) and values.shape == (0, 5, 5)
 
 
+def test_sparse_layers_keep_their_own_int32_residues():
+    # dp_batch runs int16 at p = 101; the pass keeps int32 layers of
+    # residues in [0, p), which _layer_hit reads as they are
+    a = full_matrix_algebra(F, 3)
+    assert fastpath._dp_tier(101, 3, 5)[0] is np.int16
+    layers = list(fastpath.sparse_layers(fastpath.basis_to_flat(a.mats), 3, 101, 5))
+    assert len(layers) == 5 and all(len(keys) for keys, _ in layers)
+    for keys, values in layers:
+        assert values.dtype == np.int32 and keys.dtype == np.int64
+        assert values.min() >= 0 and values.max() < 101
+
+
 def test_sparse_layer_declines_past_its_budget(monkeypatch):
     m4 = fastpath.basis_to_flat(full_matrix_algebra(F, 4).mats)
     assert lex_layer(m4, 4, 101, 8)[0].shape == (0, 8)
@@ -634,24 +759,26 @@ def test_sparse_layer_rejects_unsupported_bounds():
 # -- bounded working sets: dp_batch slices, naive_single chunks, layer ranges -----
 
 @pytest.mark.parametrize("t", [1, 2, 7, 10])
-@pytest.mark.parametrize("p", [101, 65537], ids=["int32", "int64"])
+@pytest.mark.parametrize("p", [101, 1009, 65537], ids=["int16", "int32", "int64"])
 def test_dp_batch_slices_agree(monkeypatch, t, p):
     # slices of one item, a slice boundary inside the batch, and the batch
-    # as one slice give the same values; s_t does not vanish on M_6 at t < 12
+    # as one slice give the same values in each tier; s_t does not vanish
+    # on M_6 at t < 12
     n, batch = 6, 5
-    dtype = fastpath._dtype_and_every(p, n, t)[0]
-    assert dtype is (np.int32 if p == 101 else np.int64)
+    dtype = fastpath._dp_tier(p, n, t)[0]
+    assert dtype is {101: np.int16, 1009: np.int32, 65537: np.int64}[p]
     stack = np.random.default_rng(t).integers(0, p, size=(t, batch, n, n))
     per_item = 2 * comb(t, t // 2) * n * n * np.dtype(dtype).itemsize
     sizes = []
     dp = fastpath.half_depth_dp
     monkeypatch.setattr(fastpath, "half_depth_dp",
                         lambda x, signed_sum: sizes.append(x.shape[-1]) or dp(x, signed_sum))
-    got = []
+    got, before = [], stack.copy()
     for items in (1, 2, batch):
         monkeypatch.setattr(fastpath, "SLICE_BUDGET_BYTES", items * per_item)
         got.append(fastpath.dp_batch(stack, p))
     assert sizes == [1] * batch + [2, 2, 1] + [batch]
+    assert (stack == before).all()  # the arguments are centred in a copy
     assert got[-1].dtype == np.int64 and got[-1].shape == (batch, n, n)
     assert got[-1].reshape(batch, -1).any(axis=1).all()
     for values in got[:-1]:
