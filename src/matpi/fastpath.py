@@ -3,14 +3,17 @@
 This module holds only numpy integer arithmetic, and each of its three
 kernels has one caller.  :func:`dp_batch` runs the half-depth subset DP
 of :func:`standardpoly.half_depth_dp`, the one copy of that recurrence,
-over a batch of argument tuples, for the row sweep identities._row_hits,
-whose stacks :func:`coords_to_stack` builds from coefficient rows (an
-exhaustive sweep's combination is the row of its unit vectors).  It works
+over a batch of argument tuples, for identities._dp_hits.  Its stacks are
+built one slice (:func:`slice_items`) at a time, by :func:`coords_to_stack`
+from coefficient rows or by :func:`combos_to_stack` as a gather of the
+basis elements of an exhaustive sweep's combinations.  It works
 on batch-last (n, n, B) arrays of centred residues, in [-m, m] for
 m = floor(p/2), and forms each product with one einsum over the
 contiguous batch axis: in int16, summing a few products there before an
 int32 accumulator takes them, when n * m^2 + m < 2^15 (every p <= 157 at
-n = 5); in int32 when t * n * m^2 + p < 2^31; in int64 otherwise.
+n = 5); in int32 when t * n * m^2 + p < 2^31; in int64 otherwise.  The DP
+frees each g(S) after its last child, so a slice holds at most 275 of the
+462 g values of two whole layers at t = 10.
 Exhaustive sweeps decide all basis combinations past their probe block
 at once instead:
 :func:`sparse_layers` (called by identities._sparse_pass) runs the DP's
@@ -58,7 +61,7 @@ from .standardpoly import NAIVE_MAX_DEGREE, half_depth_dp, term_negate
 
 INT64_BUDGET = 2**62
 BATCH_BUDGET_BYTES = 256 * 2**20
-# dp_batch: bytes of the two live DP layers of one slice of its batch
+# dp_batch: bytes that two whole DP layers of one slice of its batch would take
 SLICE_BUDGET_BYTES = 32 * 2**20
 # sparse_layers: basis sizes whose subset bitmasks fit int64, and products per chunk
 KEY_BITS = 63
@@ -135,13 +138,21 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
     then copied to int16.  The arguments are centred the same way on
     entry, where x + m < p + m fits every tier's dtype.
 
-    Memory: the DP runs over slices of the batch axis, each of as many
-    items as keep two layers of C(t, floor(t/2)) g values at the product
-    dtype inside SLICE_BUDGET_BYTES, and at least one (1,331 items at
-    t = 10, n = 5 in int16, 665 in int32).  Besides the caller's stack and
-    the (B, n, n) int64 result, the kernel holds one slice at a time: its
-    layers, its batch-last copy of the arguments and the four buffers of
-    its signed sums (two g-sized ones at the product dtype and two at the
+    Memory: the DP runs over slices of the batch axis of
+    :func:`slice_items` items each: as many as two whole layers of
+    C(t, floor(t/2)) g values at the product dtype would take inside
+    SLICE_BUDGET_BYTES, and at least one (1,331 items at t = 10, n = 5 in
+    int16, 665 in int32).  :func:`standardpoly.half_depth_dp` frees each
+    parent after its last child, so a slice holds fewer g values than
+    that: at most 275 of those 462 at t = 10 and 79 of 126 at t = 8, while
+    an odd t keeps both layers whole at its last step, whose lower layer
+    the join reads (252 at t = 9).  The slices keep the size of two whole
+    layers, so the freed values lower the peak: 19.0 MiB traced on the
+    (10, 1959, 5, 5) s_10 sweep of `verify-al --n 5`, against 30.9 MiB
+    with two whole layers.  Besides the caller's stack and the (B, n, n)
+    int64 result, the kernel holds one slice at a time: its live g values,
+    its batch-last copy of the arguments and the four buffers of its
+    signed sums (two g-sized ones at the product dtype and two at the
     accumulator's), so its working set does not grow with B.
 
     Layout: each slice of the stack is copied once to batch-last
@@ -156,8 +167,7 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
         raise DegreeGuardError(f"int64 bound needs residues in [0, {p})")
     tier = _dp_tier(p, n, t)
     product = tier[0]
-    per_item = 2 * comb(t, t // 2) * n * n * np.dtype(product).itemsize
-    step = max(1, SLICE_BUDGET_BYTES // per_item)
+    step = slice_items(t, n, p)
     out = np.empty((batch, n, n), dtype=np.int64)
     for lo in range(0, batch, step):
         x = np.ascontiguousarray(stack[:, lo:lo + step].transpose(0, 2, 3, 1), dtype=product)
@@ -165,6 +175,16 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
         value = half_depth_dp(x, _signed_sum(p, tier, x.shape[1:]))
         out[lo:lo + step] = value.transpose(2, 0, 1)
     return _reduce(out, p)
+
+
+def slice_items(t: int, n: int, p: int) -> int:
+    """Items per slice of :func:`dp_batch`'s batch axis: as many as two
+    DP layers of C(t, floor(t/2)) g values at the product dtype of
+    :func:`_dp_tier` take inside SLICE_BUDGET_BYTES, and at least one
+    (1,331 at t = 10, n = 5, p = 101).  The row sweep stacks at most this
+    many rows per call, so it never stacks more than one slice."""
+    per_item = 2 * comb(t, t // 2) * n * n * np.dtype(_dp_tier(p, n, t)[0]).itemsize
+    return max(1, SLICE_BUDGET_BYTES // per_item)
 
 
 def _dp_tier(p: int, n: int, t: int) -> tuple:
@@ -616,15 +636,23 @@ def coords_to_stack(basis_arr: np.ndarray, coords, n: int, p: int) -> np.ndarray
     return np.ascontiguousarray(flat.reshape(B, t, n, n).transpose(1, 0, 2, 3))
 
 
-def suggested_batch(t: int, n: int) -> int:
-    """Rows per :func:`dp_batch` call in the row sweep, and so the size of
-    its probe block (identities.PROBE_SHARE): as many as two DP layers of
-    8-byte entries would hold inside BATCH_BUDGET_BYTES, at most 4096.
+def combos_to_stack(basis_arr: np.ndarray, combos, n: int) -> np.ndarray:
+    """The (t, B, n, n) stack of the basis combinations combos, a list of
+    B increasing index t-tuples into basis_arr: one gather of its rows,
+    equal to :func:`coords_to_stack` of the combinations' unit rows."""
+    index = np.array(combos, dtype=np.intp).T
+    return basis_arr[index].reshape(*index.shape, n, n)
 
-    It does not bound the kernel's memory: :func:`dp_batch` slices any
-    batch so that its layers stay inside SLICE_BUDGET_BYTES.  It sets how
-    many rows a sweep gathers and stacks per call (coords_to_stack holds a
-    few int64 copies of them) and where its probe block ends.
+
+def suggested_batch(t: int, n: int) -> int:
+    """The batch that sizes the sweeps' probe block, of
+    max(1, batch // identities.PROBE_SHARE) tuples: as many as two DP
+    layers of 8-byte entries would hold inside BATCH_BUDGET_BYTES, at most
+    4096 (64-tuple probes at n <= 5, t <= 10).
+
+    It sizes nothing else: past the probe, the sweeps stack one
+    :func:`dp_batch` slice (:func:`slice_items`) per call, and the kernel's
+    memory is bounded by its slices.
     """
     per_item = 2 * comb(t, t // 2) * n * n * 8
     return max(1, min(4096, BATCH_BUDGET_BYTES // max(per_item, 1)))

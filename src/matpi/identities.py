@@ -18,18 +18,20 @@ mode, the block-assembly and corner-vanishing checks; :func:`_row_hits`)?
 Each picks its kernel once: numpy over GF(p) when the int64 bound of
 :func:`int64_eligible` holds, and the exact pure-Python DP otherwise (QQ,
 Z/m, large p), which never imports numpy.  Each numpy kernel has one
-caller.  :func:`_row_hits` evaluates rows by :func:`fastpath.dp_batch`,
-and an exhaustive sweep hands it combinations as the coefficient rows of
-their unit vectors: a first, small probe block, where early witnesses are
-found, and past it whatever the sparse pass leaves.  That pass
+caller.  :func:`_dp_hits` evaluates stacks by :func:`fastpath.dp_batch`:
+:func:`_row_hits` stacks coefficient rows, and an exhaustive sweep
+(:func:`_block_hit`) gathers the basis elements of its combinations, both
+one block at a time: a first, small probe block, where early witnesses
+are found, and past it one kernel slice per block.  The exhaustive sweep
+sends past its probe only what the sparse pass leaves.  That pass
 (:func:`_sparse_pass`, the caller of :func:`fastpath.sparse_layers`)
 decides every combination past the probe at once: it builds s_k of the
 basis subsets layer by layer from the nonzero ones alone, so layer t holds
 exactly the nonzero combinations, and :func:`_layer_hit` reads its
 lex-first row.  Where the pass stops (over fastpath.BATCH_BUDGET_BYTES, or
-more than fastpath.KEY_BITS basis elements) the rows left go to
-:func:`_row_hits`.  Every position a sweep reports is the combination's
-lexicographic rank plus 1 (:func:`_lex_rank`).
+more than fastpath.KEY_BITS basis elements) the combinations left go on
+in blocks, with no second probe.  Every position a sweep reports is the
+combination's lexicographic rank plus 1 (:func:`_lex_rank`).
 :func:`min_standard_degree` needs no probe and makes no sweep per degree
 over GF(p): one pass yields its layers one at a time, layer t decides s_t,
 the least degree is the first empty layer and the unital cross-check the
@@ -329,16 +331,15 @@ def _first_combination_hit(a, t: int):
     combinations(range(a.dim), t).
 
     Combinations zero by weight are skipped unevaluated.  Inside the int64
-    bound of :func:`int64_eligible` each combination becomes the
-    coefficient row of its unit vectors, and :func:`_row_hits` evaluates
-    the probe block of them (PROBE_SHARE).  Past a full probe, layer t of
-    :func:`_sparse_pass` decides the rest (:func:`_layer_hit`).  The probe
-    found every combination in it zero, so a layer whose first row is not
-    past it contradicts the probe and raises.  Where the pass stops,
-    :func:`_row_hits` goes on with the rows left, a batch at a time, each
-    batch gathered from the unit rows by one fancy index.  A witness found
-    in rows gets its basis indices back from a.mats.  Outside the bound each
-    combination is its own :func:`eval_standard_dp`.
+    bound of :func:`int64_eligible` the combinations are evaluated in
+    blocks by :func:`_block_hit`, first the probe block of them
+    (PROBE_SHARE).  Past a full probe, layer t of :func:`_sparse_pass`
+    decides the rest (:func:`_layer_hit`).  The probe found every
+    combination in it zero, so a layer whose first row is not past it
+    contradicts the probe and raises.  Where the pass stops, the
+    combinations left go on in blocks of one :func:`fastpath.dp_batch`
+    slice (:func:`fastpath.slice_items`), with no second probe.  Outside
+    the bound each combination is its own :func:`eval_standard_dp`.
     """
     d = a.dim
     combos = combinations(range(d), t)
@@ -352,34 +353,62 @@ def _first_combination_hit(a, t: int):
             if not value.is_zero():
                 return _lex_rank(combo, d) + 1, _checked_witness(a, combo, mats, value)
         return None
-    import numpy as np
-
     from . import fastpath
 
-    unit = np.eye(d, dtype=np.int64)
-    batch = fastpath.suggested_batch(t, a.n)
-    size = max(1, batch // PROBE_SHARE)
+    basis_arr = fastpath.basis_to_flat(a.mats)
+    size = max(1, fastpath.suggested_batch(t, a.n) // PROBE_SHARE)
     probe = list(islice(combos, size))
-    hit = next(_row_hits(a, t, unit[probe]), None)
-    if hit is None and len(probe) == size:
-        layer = next(islice(_sparse_pass(a, t), t - 1, None), None)
-        if layer is not None:
-            hit = _layer_hit(a, t, layer)
-            if hit is not None and hit[0] <= _lex_rank(probe[-1], d) + 1:
-                raise ContractViolationError(
-                    f"the sparse pass finds s_{t} nonzero at combination {hit[0]}, "
-                    f"which the probe found zero"
-                )
+    hit = _block_hit(a, basis_arr, probe)
+    if hit is not None or len(probe) < size:
+        return hit
+    layer = next(islice(_sparse_pass(a, t), t - 1, None), None)
+    if layer is not None:
+        hit = _layer_hit(a, t, layer)
+        if hit is not None and hit[0] <= _lex_rank(probe[-1], d) + 1:
+            raise ContractViolationError(
+                f"the sparse pass finds s_{t} nonzero at combination {hit[0]}, "
+                f"which the probe found zero"
+            )
+        return hit
+    for block in _chunked(combos, repeat(fastpath.slice_items(t, a.n, a.ring.p))):
+        hit = _block_hit(a, basis_arr, block)
+        if hit is not None:
             return hit
-        for block in _chunked(combos, repeat(batch)):
-            hit = next(_row_hits(a, t, unit[block]), None)
-            if hit is not None:
-                break
-    if hit is None:
+    return None
+
+
+def _block_hit(a, basis_arr, block):
+    """(pos, witness) of the first combination in block, a list of
+    t-combinations of a.mats in lexicographic order, on which s_t is
+    nonzero, or None.  The block's stack is a gather of the basis rows
+    basis_arr (:func:`fastpath.combos_to_stack`), evaluated by
+    :func:`_dp_hits`; pos is as in :func:`_first_combination_hit`."""
+    from . import fastpath
+
+    if not block:
         return None
-    mats, value = hit[1].mats, hit[1].value
-    combo = tuple(map(a.mats.index, mats))
-    return _lex_rank(combo, d) + 1, Witness(tuple(i + 1 for i in combo), mats, value)
+    stack = fastpath.combos_to_stack(basis_arr, block, a.n)
+    for b, mats, value in _dp_hits(a.ring, stack):
+        combo = block[b]
+        return _lex_rank(combo, a.dim) + 1, _checked_witness(a, combo, mats, value)
+    return None
+
+
+def _dp_hits(ring, stack, entries=None):
+    """Yield (b, mats, value) for every item b (from 0) of the (t, B, n, n)
+    residue stack on which s_t is nonzero, counting only the flat indices
+    `entries` of the value if given: mats are its arguments and value is
+    s_t, as matrices over the prime field ring.  The one caller of
+    :func:`fastpath.dp_batch`."""
+    from . import fastpath
+
+    values = fastpath.dp_batch(stack, ring.p)
+    flat = values.reshape(len(values), -1)
+    if entries is not None:
+        flat = flat[:, entries]
+    for b in flat.any(axis=1).nonzero()[0].tolist():
+        mats = tuple(fastpath.array_to_matrix(ring, x) for x in stack[:, b])
+        yield b, mats, fastpath.array_to_matrix(ring, values[b])
 
 
 def _row_hits(a, t: int, rows, entries=None):
@@ -388,8 +417,11 @@ def _row_hits(a, t: int, rows, entries=None):
     t arguments; with `entries`, a list of flat indices into the n x n
     value, only those entries count.  Inside the int64 bound of
     :func:`int64_eligible` the rows, a (rows, t, dim) array or a list of
-    rows, are evaluated by :func:`fastpath.dp_batch`, its one caller, on
-    slices of them: a probe block (PROBE_SHARE) and then full batches.
+    rows, are held as one array of residues, in int16 when p < 2^15, and
+    evaluated by :func:`_dp_hits` in blocks: a probe block (PROBE_SHARE)
+    and then one :func:`fastpath.dp_batch` slice
+    (:func:`fastpath.slice_items`) at a time, each block stacked by
+    :func:`fastpath.coords_to_stack` just before it is evaluated.
     Otherwise rows is any iterable, evaluated one by one by
     :func:`eval_standard_dp`."""
     ring, n = a.ring, a.n
@@ -406,21 +438,17 @@ def _row_hits(a, t: int, rows, entries=None):
 
     from . import fastpath
 
-    rows = np.asarray(rows, dtype=np.int64)
+    p = ring.p
+    rows = np.asarray(rows).astype(np.int16 if p < 2**15 else np.int64, copy=False)
     basis_arr = fastpath.basis_to_flat(a.mats)
-    batch = fastpath.suggested_batch(t, n)
-    done, size = 0, max(1, batch // PROBE_SHARE)
-    while done < len(rows):
-        stack = fastpath.coords_to_stack(basis_arr, rows[done:done + size], n, ring.p)
-        values = fastpath.dp_batch(stack, ring.p)
-        flat = values.reshape(len(values), -1)
-        if entries is not None:
-            flat = flat[:, entries]
-        for b in flat.any(axis=1).nonzero()[0].tolist():
-            mats = tuple(fastpath.array_to_matrix(ring, x) for x in stack[:, b])
-            value = fastpath.array_to_matrix(ring, values[b])
-            yield done + b + 1, _checked_witness(a, None, mats, value)
-        done, size = done + len(values), batch
+    step = fastpath.slice_items(t, n, p)
+    lo, hi = 0, max(1, fastpath.suggested_batch(t, n) // PROBE_SHARE)
+    while lo < len(rows):
+        stack = fastpath.coords_to_stack(basis_arr, rows[lo:hi], n, p)
+        for b, mats, value in _dp_hits(ring, stack, entries):
+            yield lo + b + 1, _checked_witness(a, None, mats, value)
+        del stack
+        lo, hi = hi, hi + step
 
 
 def _sparse_pass(a, t: int):

@@ -24,6 +24,7 @@ match the 1-based matrix unit convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence
@@ -322,7 +323,15 @@ def half_depth_dp(x: Sequence, signed_sum):
     X^t = X^a * X^b for X = sum of x_i e_i over the Grassmann algebra.  The
     layers and the join form sum_{k=2..b} k * C(t, k) + C(t, a) products
     (2,802 at t = 10), against t * 2^(t-1) = 5,120 for all t layers.
-    Layers are kept two at a time, keyed by subset bitmask.
+
+    Layers are keyed by subset bitmask and built in lexicographic order of
+    their subsets, by the schedule of :func:`_dp_schedule`.  Each parent
+    g(S - {i}) is deleted right after its last child is built, so a step
+    holds the parents that still have children to come and the children
+    built so far: at most 275 g values at t = 10, against the 462 of two
+    whole layers, and 79 against 126 at t = 8.  The one exception is the
+    last step of an odd t, whose lower layer (the a-subsets) the join
+    reads, so it stays whole there: 252 values at t = 9.
 
     The arithmetic is the caller's: signed_sum takes a list of
     (left, right, negate) triples and returns the sum of
@@ -331,25 +340,56 @@ def half_depth_dp(x: Sequence, signed_sum):
     t = len(x)
     if t == 1:
         return x[0]
-    a, b = t // 2, t - t // 2
+    steps, join = _dp_schedule(t)
     layer = {1 << i: x[i] for i in range(t)}
-    lower = layer
-    for k in range(2, b + 1):
+    for step in steps:
         lower, layer = layer, {}
+        for mask, terms, last in step:
+            layer[mask] = signed_sum([(lower[parent], x[i], negate)
+                                      for parent, i, negate in terms])
+            for parent in last:
+                del lower[parent]
+    if t % 2 == 0:
+        lower = layer
+    return signed_sum([(lower[mask], layer[rest], negate) for mask, rest, negate in join])
+
+
+@lru_cache(maxsize=None)
+def _dp_schedule(t: int) -> tuple:
+    """The schedule of :func:`half_depth_dp` for t >= 2, built once per t
+    and kept for the process (0.35 MiB at t = 10, 1.7 MiB at t = 12,
+    35 MiB at t = 16), so a call pays only for its products.
+
+    Returns (steps, join).  steps holds one tuple per layer k = 2, ...,
+    ceil(t/2) of (mask, terms, last) per k-subset S in lexicographic
+    order: mask is the bitmask of S, terms the (parent, i, negate) triples
+    of its recurrence, the parent being the bitmask of S - {i} and negate
+    :func:`term_negate` of i's position, and last the parents whose last
+    child S is.  At the last step of an odd t, last is empty throughout,
+    because the join reads that step's lower layer.  join holds
+    (mask, complement, negate) per split of :func:`join_splits`.
+    """
+    a, b = t // 2, t - t // 2
+    steps = []
+    for k in range(2, b + 1):
         negates = [term_negate(k, pos) for pos in range(k)]
+        keep = k == b and a < b
+        step = []
         for comb in combinations(range(t), k):
             mask = sum(1 << i for i in comb)
-            layer[mask] = signed_sum(
-                [(lower[mask ^ (1 << i)], x[i], negates[pos])
-                 for pos, i in enumerate(comb)])
-    if a == b:
-        lower = layer
+            terms = tuple((mask ^ (1 << i), i, negates[pos]) for pos, i in enumerate(comb))
+            # the children S - {i} + {c} of S - {i} come in the order of c,
+            # so S is the last one exactly when i exceeds every non-member
+            top = max(set(range(t)).difference(comb))
+            last = () if keep else tuple(mask ^ (1 << i) for i in comb if i > top)
+            step.append((mask, terms, last))
+        steps.append(tuple(step))
     full = (1 << t) - 1
-    pairs = []
+    join = []
     for comb, negate in join_splits(t):
         mask = sum(1 << i for i in comb)
-        pairs.append((lower[mask], layer[full ^ mask], negate))
-    return signed_sum(pairs)
+        join.append((mask, full ^ mask, negate))
+    return tuple(steps), tuple(join)
 
 
 def term_negate(k: int, pos: int) -> int:

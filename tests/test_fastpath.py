@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import weakref
 from itertools import combinations, islice, permutations
 from math import comb, factorial, isqrt, perm
 
@@ -460,6 +461,50 @@ def test_dp_batch_t10_product_count(monkeypatch, kernel, t):
         assert want == 2802
 
 
+class _Tracked(list):
+    """A flat g value of the exact DP that weak references can follow."""
+
+
+@pytest.mark.parametrize("kernel", ["int64", "exact"])
+@pytest.mark.parametrize("t,peak", [(8, 79), (9, 252), (10, 275)])
+def test_half_depth_dp_frees_each_parent_after_its_last_child(monkeypatch, kernel, t, peak):
+    # live g values, counted as each signed sum of a layer step returns:
+    # two whole layers held C(t, 4) + C(t, 5) = 462 at t = 10 and 126 at
+    # t = 8; an odd t keeps its lower layer whole at its last step, which
+    # the join reads (C(9, 4) + C(9, 5) = 252).  The last signed sum is the
+    # join, whose value is s_t, not a g value
+    live, counts = [0], []
+
+    def track(value):
+        if value is not None:
+            value = value if kernel == "int64" else _Tracked(value)
+            live[0] += 1
+            weakref.finalize(value, _release, live)
+        counts.append(live[0])
+        return value
+
+    if kernel == "int64":
+        real = fastpath._signed_sum
+
+        def tracking(*args):
+            signed_sum = real(*args)
+            return lambda pairs: track(signed_sum(pairs))
+
+        monkeypatch.setattr(fastpath, "_signed_sum", tracking)
+        fastpath.dp_batch(np.random.default_rng(t).integers(0, 101, size=(t, 2, 3, 3)), 101)
+    else:
+        real = standardpoly._signed_sum
+        monkeypatch.setattr(standardpoly, "_signed_sum",
+                            lambda pairs, n, ring: track(real(pairs, n, ring)))
+        eval_standard_dp(random_mats(np.random.default_rng(t), t, 3))
+    assert len(counts) == sum(comb(t, k) for k in range(2, (t + 1) // 2 + 1)) + 1
+    assert max(counts[:-1]) == peak
+
+
+def _release(live):
+    live[0] -= 1
+
+
 # -- reduction mod p by floor division ------------------------------------------
 
 def largest_supported_prime(t, n):
@@ -796,6 +841,20 @@ def test_dp_batch_peak_memory_stays_in_its_slice_budget():
     finally:
         tracemalloc.stop()
     assert peak < fastpath.SLICE_BUDGET_BYTES + stack.nbytes + out.nbytes
+
+
+def test_dp_batch_peak_memory_with_parents_freed():
+    # the same 1,959 items: a slice of 1,331 int16 items holds at most 275
+    # g values (18.3 MB) where two whole layers held 462 (30.9 MiB traced)
+    stack = np.random.default_rng(5).integers(0, 101, size=(10, 1959, 5, 5))
+    assert fastpath.slice_items(10, 5, 101) == 1331
+    tracemalloc.start()
+    try:
+        fastpath.dp_batch(stack, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 2**20
 
 
 def _naive_cases(t):

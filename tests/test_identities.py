@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import combinations, islice, permutations, product
@@ -133,24 +134,24 @@ def test_randomized_deterministic_per_seed(monkeypatch, t, trials):
     assert r1.to_dict() == r2.to_dict()
     if t == 6:
         # s_6 vanishes on M_3, so all 5000 trials run: a probe block of
-        # batch // 64, one full batch, and the rest
+        # batch // 64, and the rest, which fit one dp_batch slice
         assert r1.is_identity and r1.tuples_checked == 5000
-        batch = fastpath.suggested_batch(6, 3)
-        probe = batch // 64
-        assert probe + batch < 5000
-        assert sizes == [probe, batch, 5000 - probe - batch] * 2
+        probe = fastpath.suggested_batch(6, 3) // 64
+        assert 5000 - probe <= fastpath.slice_items(6, 3, 101)
+        assert sizes == [probe, 5000 - probe] * 2
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
 def test_witness_outside_algebra_is_rejected(monkeypatch, mode):
-    real = fastpath.coords_to_stack
+    # exhaustive sweeps gather their stacks, randomized ones combine rows
+    real = fastpath.combos_to_stack if mode == "exhaustive" else fastpath.coords_to_stack
 
     def corrupted(*args, **kwargs):
         stack = real(*args, **kwargs)
         stack[..., 2, 0] = 1  # below the diagonal: outside U_3
         return stack
 
-    monkeypatch.setattr(fastpath, "coords_to_stack", corrupted)
+    monkeypatch.setattr(fastpath, real.__name__, corrupted)
     with pytest.raises(ContractViolationError, match="outside the algebra"):
         is_standard_identity(upper_triangular(F, 3), 2, mode=mode, trials=20)
 
@@ -793,7 +794,8 @@ def test_tables_over_budget_fall_back_to_dp_batch(monkeypatch):
     sizes.clear()
     _over_budget(monkeypatch)
     assert is_standard_identity(a, 8).to_dict() == sparse
-    assert sizes == [64, 64, 3978 - 128]
+    # the probe, then the rest as one dp_batch slice, with no second probe
+    assert sizes == [64, 3978 - 64]
 
 
 def test_basis_past_key_bits_falls_back_to_dp_batch(monkeypatch):
@@ -809,7 +811,65 @@ def test_basis_past_key_bits_falls_back_to_dp_batch(monkeypatch):
     sizes = _count_dp_items(monkeypatch)
     monkeypatch.setattr(fastpath, "KEY_BITS", a.dim - 1)
     assert is_standard_identity(a, 8).to_dict() == sparse
-    assert sizes == [64, 64, 3978 - 128]
+    assert sizes == [64, 3978 - 64]
+
+
+def _slice_items(monkeypatch, t, n, items):
+    """Make dp_batch's slices hold `items` items at (t, n) over GF(101)."""
+    itemsize = np.dtype(fastpath._dp_tier(101, n, t)[0]).itemsize
+    monkeypatch.setattr(fastpath, "SLICE_BUDGET_BYTES",
+                        items * 2 * math.comb(t, t // 2) * n * n * itemsize)
+    assert fastpath.slice_items(t, n, 101) == items
+
+
+def test_stopped_pass_probes_once_and_gathers_its_stacks(monkeypatch):
+    # M_4 s_8 with no pass (KEY_BITS = 0) and slices of 1,000 items: the
+    # probe, then the 3,914 combinations left in slice-sized blocks, each
+    # stack a gather of basis elements equal to coords_to_stack of the
+    # combinations' unit rows; the report is byte-identical to the pass's
+    a = full_matrix_algebra(F, 4)
+    want = json.dumps(is_standard_identity(a, 8).to_dict())
+    stacks = []
+    dp_batch = fastpath.dp_batch
+    monkeypatch.setattr(fastpath, "dp_batch",
+                        lambda stack, p: stacks.append(stack) or dp_batch(stack, p))
+    monkeypatch.setattr(fastpath, "KEY_BITS", 0)
+    _slice_items(monkeypatch, 8, 4, 1000)
+    assert json.dumps(is_standard_identity(a, 8).to_dict()) == want
+    assert [s.shape[1] for s in stacks] == [64, 1000, 1000, 1000, 914]
+    feasible = identities._weight_feasible(a, 8)
+    combos = [c for c in combinations(range(a.dim), 8) if feasible(c)]
+    units = np.eye(a.dim, dtype=np.int64)[combos]
+    want_stack = fastpath.coords_to_stack(fastpath.basis_to_flat(a.mats), units, a.n, 101)
+    assert np.array_equal(np.concatenate(stacks, axis=1), want_stack)
+
+
+def test_row_sweep_streams_compact_rows_one_slice_at_a_time(monkeypatch):
+    # 5,000 randomized M_3 s_6 rows with slices of 700 items: the rows are
+    # held in int16, and after the probe each dp_batch call gets one slice,
+    # stacked just before it; the report matches one whole-batch sweep
+    a = full_matrix_algebra(F, 3)
+    held, sizes = [], []
+    coords_to_stack, dp_batch = fastpath.coords_to_stack, fastpath.dp_batch
+
+    def stacking(basis_arr, coords, n, p):
+        held.append(coords.dtype)
+        return coords_to_stack(basis_arr, coords, n, p)
+
+    def slicing(stack, p):
+        sizes.append(stack.shape[1])
+        assert stack.shape[1] <= fastpath.slice_items(6, 3, p)
+        return dp_batch(stack, p)
+
+    want = is_standard_identity(a, 6, mode="randomized", trials=5000, seed=3).to_dict()
+    monkeypatch.setattr(fastpath, "coords_to_stack", stacking)
+    monkeypatch.setattr(fastpath, "dp_batch", slicing)
+    _slice_items(monkeypatch, 6, 3, 700)
+    assert is_standard_identity(a, 6, mode="randomized", trials=5000, seed=3).to_dict() == want
+    probe = fastpath.suggested_batch(6, 3) // identities.PROBE_SHARE
+    steps = -(-(5000 - probe) // 700)
+    assert sizes == [probe] + [700] * (steps - 1) + [5000 - probe - 700 * (steps - 1)]
+    assert held == [np.int16] * len(sizes)
 
 
 @pytest.mark.parametrize("a,t", [(full_matrix_algebra(F, 3), 5), (upper_triangular(F, 5), 9),
