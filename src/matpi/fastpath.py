@@ -3,10 +3,12 @@
 This module holds only numpy integer arithmetic, and each of its three
 kernels has one caller.  :func:`dp_batch` runs the half-depth subset DP
 of :func:`standardpoly.half_depth_dp`, the one copy of that recurrence,
-over a batch of argument tuples, for identities._dp_hits.  Its stacks are
-built one slice (:func:`slice_items`) at a time, by :func:`coords_to_stack`
-from coefficient rows or by :func:`combos_to_stack` as a gather of the
-basis elements of an exhaustive sweep's combinations.  It works
+over a batch of argument tuples, for identities._dp_hits, in equal slices
+of at most :func:`slice_items` items (:func:`equal_slices`).  Its stacks
+are built one slice at a time, by :func:`coords_to_stack` from
+coefficient rows, at the kernel's product dtype, or by
+:func:`combos_to_stack` as a gather of the basis elements of an
+exhaustive sweep's combinations.  It works
 on batch-last (n, n, B) arrays of centred residues, in [-m, m] for
 m = floor(p/2), and forms each product with one einsum over the
 contiguous batch axis: in int16, summing a few products there before an
@@ -25,8 +27,9 @@ hold residues in [0, p), in int32 or int64 by a rule of its own.
 :func:`naive_single` sums the t! signed permutation products of one tuple
 in int64 for :func:`standardpoly.eval_standard_naive`, at every t <= 8,
 and so re-checks witnesses.  It shares nothing with the DP: it
-walks the words prefix by prefix, one batched matmul per prefix length,
-so words share their prefixes' products, a zero prefix drops every word
+walks the words prefix by prefix, level by level, each level a chunk of
+SPARSE_CHUNK prefixes at a time once it is larger than that, so words
+share their prefixes' products, a zero prefix drops every word
 that extends it, and each word's sign rides along as a parity (the
 batched form of :func:`standardpoly.word_products`).  All three are exact
 only inside proven overflow bounds.  Products of residues in [0, p) have
@@ -138,21 +141,24 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
     then copied to int16.  The arguments are centred the same way on
     entry, where x + m < p + m fits every tier's dtype.
 
-    Memory: the DP runs over slices of the batch axis of
-    :func:`slice_items` items each: as many as two whole layers of
-    C(t, floor(t/2)) g values at the product dtype would take inside
-    SLICE_BUDGET_BYTES, and at least one (1,331 items at t = 10, n = 5 in
-    int16, 665 in int32).  :func:`standardpoly.half_depth_dp` frees each
-    parent after its last child, so a slice holds fewer g values than
-    that: at most 275 of those 462 at t = 10 and 79 of 126 at t = 8, while
-    an odd t keeps both layers whole at its last step, whose lower layer
-    the join reads (252 at t = 9).  The slices keep the size of two whole
-    layers, so the freed values lower the peak: 19.0 MiB traced on the
-    (10, 1959, 5, 5) s_10 sweep of `verify-al --n 5`, against 30.9 MiB
-    with two whole layers.  Besides the caller's stack and the (B, n, n)
-    int64 result, the kernel holds one slice at a time: its live g values,
-    its batch-last copy of the arguments and the four buffers of its
-    signed sums (two g-sized ones at the product dtype and two at the
+    Memory: the DP runs over the fewest equal slices of the batch axis
+    (:func:`equal_slices`) that hold at most :func:`slice_items` items
+    each: as many as two whole layers of C(t, floor(t/2)) g values at the
+    product dtype would take inside SLICE_BUDGET_BYTES, and at least one
+    (1,331 items at t = 10, n = 5 in int16, 665 in int32).
+    :func:`standardpoly.half_depth_dp` frees each parent after its last
+    child, so a slice holds fewer g values than that: at most 275 of those
+    462 at t = 10 and 79 of 126 at t = 8, while an odd t keeps both layers
+    whole at its last step, whose lower layer the join reads (252 at
+    t = 9).  The slices keep the size of two whole layers, so the freed
+    values lower the peak, and equal slices cut it where the batch is not
+    a whole number of slices: 14.2 MiB traced on the (10, 1959, 5, 5) s_10
+    sweep of `verify-al --n 5` in slices of 980 and 979 items, against
+    19.0 MiB in slices of 1,331 and 628, and 30.9 MiB with two whole
+    layers.  Besides the caller's stack and the (B, n, n) int64 result,
+    the kernel holds one slice at a time: its live g values, its
+    batch-last copy of the arguments and the four buffers of its signed
+    sums (two g-sized ones at the product dtype and two at the
     accumulator's), so its working set does not grow with B.
 
     Layout: each slice of the stack is copied once to batch-last
@@ -167,13 +173,14 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
         raise DegreeGuardError(f"int64 bound needs residues in [0, {p})")
     tier = _dp_tier(p, n, t)
     product = tier[0]
-    step = slice_items(t, n, p)
     out = np.empty((batch, n, n), dtype=np.int64)
-    for lo in range(0, batch, step):
-        x = np.ascontiguousarray(stack[:, lo:lo + step].transpose(0, 2, 3, 1), dtype=product)
+    lo = 0
+    for size in equal_slices(batch, slice_items(t, n, p)):
+        x = np.ascontiguousarray(stack[:, lo:lo + size].transpose(0, 2, 3, 1), dtype=product)
         x = _centre(x, p, np.empty_like(x))
         value = half_depth_dp(x, _signed_sum(p, tier, x.shape[1:]))
-        out[lo:lo + step] = value.transpose(2, 0, 1)
+        out[lo:lo + size] = value.transpose(2, 0, 1)
+        lo += size
     return _reduce(out, p)
 
 
@@ -181,10 +188,22 @@ def slice_items(t: int, n: int, p: int) -> int:
     """Items per slice of :func:`dp_batch`'s batch axis: as many as two
     DP layers of C(t, floor(t/2)) g values at the product dtype of
     :func:`_dp_tier` take inside SLICE_BUDGET_BYTES, and at least one
-    (1,331 at t = 10, n = 5, p = 101).  The row sweep stacks at most this
-    many rows per call, so it never stacks more than one slice."""
+    (1,331 at t = 10, n = 5, p = 101).  Both :func:`dp_batch` and the row
+    sweep (identities._row_hits) cut their items into the fewest equal
+    slices of at most this many (:func:`equal_slices`), so the row sweep
+    draws and stacks one slice per call: its s_10 sweep of M_5 at 2,000
+    trials traces 14.4 MiB."""
     per_item = 2 * comb(t, t // 2) * n * n * np.dtype(_dp_tier(p, n, t)[0]).itemsize
     return max(1, SLICE_BUDGET_BYTES // per_item)
+
+
+def equal_slices(items: int, most: int) -> list:
+    """Sizes of the fewest slices of `items` items with at most `most`
+    each, equal to within one, the larger first: 1,959 items at most
+    1,331 make 980 + 979, not 1,331 + 628."""
+    count = -(-items // most)
+    size, extra = divmod(items, max(count, 1))
+    return [size + 1] * extra + [size] * (count - extra)
 
 
 def _dp_tier(p: int, n: int, t: int) -> tuple:
@@ -307,8 +326,10 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
     an (n, n) int64 array of residues mod p.  The walk is the batched twin
     of :func:`standardpoly.word_products` over the tables of
     :func:`_walk_tables`: level k forms every k-letter prefix product at
-    once, as one gather of the parent products and one batched matmul
-    with the appended factors.  Prefixes share their parent's product,
+    once, as gathers of the parent products and of the appended factors
+    and one batched matmul (:func:`_extend`); a level of more than
+    SPARSE_CHUNK rows is formed a chunk at a time into one array made
+    first, so its gathers hold one chunk.  Prefixes share their parent's product,
     and a zero product drops its prefix and every prefix that extends it,
     so sparse tuples form few products; while no row has died the tables
     are used as they are, and after that the parent indices are remapped.
@@ -325,7 +346,9 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
     prefix's sign).  The last level, sorted by missing letter, is formed
     SPARSE_CHUNK rows at a time, and np.add.reduceat adds each chunk into
     the group sums, so the (t-1)! products of a dense last level (40,320
-    at t = 8) are never held at once.
+    at t = 8) are never held at once.  A dense t = 8 tuple at n = 5 holds
+    at most its 20,160-row level, the level before it and one chunk's
+    gathers: 7.0 MiB traced.
     Each word's product up to its last letter is still formed, and a
     dense tuple forms sum over k = 2..t-1 of t!/(t-k)! products plus t:
     69,280 at t = 8, against 7 * 8! = 282,240 for the words one by one.
@@ -404,9 +427,20 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
 def _extend(prod, parent, factor, signed) -> np.ndarray:
     """One level of :func:`naive_single`'s walk for the given table rows:
     the products prod[parent] @ signed[factor], or the factors alone at
-    the first level, where prod is None."""
-    step = signed.take(factor, axis=0)
-    return step if prod is None else np.matmul(prod.take(parent, axis=0), step)
+    the first level, where prod is None.  A level of more than SPARSE_CHUNK
+    rows is formed SPARSE_CHUNK rows at a time into one array made first,
+    so its gathers hold one chunk at a time; a smaller one is one gather
+    of each side and one matmul."""
+    if prod is None:
+        return signed.take(factor, axis=0)
+    if len(parent) <= SPARSE_CHUNK:
+        return np.matmul(prod.take(parent, axis=0), signed.take(factor, axis=0))
+    level = np.empty((len(parent),) + prod.shape[1:], dtype=prod.dtype)
+    for lo in range(0, len(parent), SPARSE_CHUNK):
+        part = slice(lo, lo + SPARSE_CHUNK)
+        np.matmul(prod.take(parent[part], axis=0), signed.take(factor[part], axis=0),
+                  out=level[part])
+    return level
 
 
 def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
@@ -617,38 +651,57 @@ def layer_combos(keys: np.ndarray, d: int, k: int) -> np.ndarray:
 
 
 def coords_to_stack(basis_arr: np.ndarray, coords, n: int, p: int) -> np.ndarray:
-    """Random-linear-combination stack: coords is (B, t, d) residues.
+    """The (t, B, n, n) stack of random linear combinations of the basis:
+    coords is a (B, t, d) array of residues in [0, p), and argument k of
+    item b is the sum over c of coords[b, k, c] * basis_arr[c], mod p.
 
-    A single matmul would sum d products of size up to (p-1)^2, which can
-    wrap int64 even where :func:`supports` holds, so the combination is
-    summed over column chunks short enough that each partial sum stays
-    below 2^63.  Partial sums and the running total reduce by
-    :func:`_reduce`.
+    The stack holds residues in [0, p) at the product dtype of
+    :func:`dp_batch` (:func:`_dp_tier`), which takes them without a cast.
+    It is built one argument k at a time, each as a (B, n*n) int64 sum of
+    column chunks, so besides the stack only three such arrays live.  A
+    chunk of `step` = floor((2^63 - 1) / (p-1)^2) columns sums at most
+    step * (p-1)^2 <= 2^63 - 1 in size, so one matmul of it cannot wrap
+    int64 even where :func:`supports` holds; it is reduced to [0, p)
+    (:func:`_reduce`), added to the running sum, which is below p, and the
+    sum, below 2p, is reduced again.  The residues fit the product dtype:
+    the int16 tier needs p < 2^15 and the int32 tier p < 2^31.
     """
-    coords = np.asarray(coords, dtype=np.int64)
+    coords = np.asarray(coords)
     B, t, d = coords.shape
     step = (2**63 - 1) // (p - 1) ** 2
-    flat = np.zeros((B, t, basis_arr.shape[1]), dtype=np.int64)
-    scratch = np.empty_like(flat)
-    for lo in range(0, d, step):
-        flat += _reduce(coords[..., lo : lo + step] @ basis_arr[lo : lo + step], p, scratch)
-        _reduce(flat, p, scratch)
-    return np.ascontiguousarray(flat.reshape(B, t, n, n).transpose(1, 0, 2, 3))
+    out = np.empty((t, B, basis_arr.shape[1]), dtype=_dp_tier(p, n, t)[0])
+    flat = np.empty((B, basis_arr.shape[1]), dtype=np.int64)
+    part, scratch = np.empty_like(flat), np.empty_like(flat)
+    for k in range(t):
+        flat.fill(0)
+        for lo in range(0, d, step):
+            np.matmul(coords[:, k, lo:lo + step], basis_arr[lo:lo + step], out=part)
+            flat += _reduce(part, p, scratch)
+            _reduce(flat, p, scratch)
+        out[k] = flat
+    return out.reshape(t, B, n, n)
 
 
 def combos_to_stack(basis_arr: np.ndarray, combos, n: int) -> np.ndarray:
     """The (t, B, n, n) stack of the basis combinations combos, a list of
     B increasing index t-tuples into basis_arr: one gather of its rows,
-    equal to :func:`coords_to_stack` of the combinations' unit rows."""
+    in int64, equal in value to :func:`coords_to_stack` of the
+    combinations' unit rows."""
     index = np.array(combos, dtype=np.intp).T
     return basis_arr[index].reshape(*index.shape, n, n)
 
 
 def suggested_batch(t: int, n: int) -> int:
     """The batch that sizes the sweeps' probe block, of
-    max(1, batch // identities.PROBE_SHARE) tuples: as many as two DP
-    layers of 8-byte entries would hold inside BATCH_BUDGET_BYTES, at most
-    4096 (64-tuple probes at n <= 5, t <= 10).
+    max(1, batch // identities.PROBE_SHARE) tuples: as many items as two
+    layers of C(t, floor(t/2)) n x n values at 8 bytes an entry would take
+    inside BATCH_BUDGET_BYTES, at most 4096.  So probes hold 64 tuples
+    where 2 * C(t, floor(t/2)) * n^2 * 8 <= 65,536 bytes (n = 5 up to
+    t = 9, n = 4 up to t = 10), and fewer past that: 41 at t = 10, n = 5.
+    The 8 bytes are a fixed yardstick that keeps the probe sizes, and
+    with them where early witnesses are found, independent of the
+    kernel's dtype; :func:`dp_batch` forms its layers at the product
+    dtype of :func:`_dp_tier` (2 bytes an entry at p = 101, n = 5).
 
     It sizes nothing else: past the probe, the sweeps stack one
     :func:`dp_batch` slice (:func:`slice_items`) per call, and the kernel's

@@ -22,7 +22,9 @@ caller.  :func:`_dp_hits` evaluates stacks by :func:`fastpath.dp_batch`:
 :func:`_row_hits` stacks coefficient rows, and an exhaustive sweep
 (:func:`_block_hit`) gathers the basis elements of its combinations, both
 one block at a time: a first, small probe block, where early witnesses
-are found, and past it one kernel slice per block.  The exhaustive sweep
+are found, and past it one kernel slice per block, the row sweep's
+slices equal in size (:func:`fastpath.equal_slices`) and each block of
+its seeded rows drawn just before it is stacked (:func:`_random_rows`).  The exhaustive sweep
 sends past its probe only what the sparse pass leaves.  That pass
 (:func:`_sparse_pass`, the caller of :func:`fastpath.sparse_layers`)
 decides every combination past the probe at once: it builds s_k of the
@@ -411,44 +413,45 @@ def _dp_hits(ring, stack, entries=None):
         yield b, mats, fastpath.array_to_matrix(ring, values[b])
 
 
-def _row_hits(a, t: int, rows, entries=None):
-    """Yield (pos, witness) for every row, counted from 1, on which s_t is
-    nonzero.  Each row is a t x dim array of coefficients in a.mats of the
-    t arguments; with `entries`, a list of flat indices into the n x n
-    value, only those entries count.  Inside the int64 bound of
-    :func:`int64_eligible` the rows, a (rows, t, dim) array or a list of
-    rows, are held as one array of residues, in int16 when p < 2^15, and
-    evaluated by :func:`_dp_hits` in blocks: a probe block (PROBE_SHARE)
-    and then one :func:`fastpath.dp_batch` slice
-    (:func:`fastpath.slice_items`) at a time, each block stacked by
-    :func:`fastpath.coords_to_stack` just before it is evaluated.
-    Otherwise rows is any iterable, evaluated one by one by
+def _row_hits(a, t: int, trials: int, draw, entries=None):
+    """Yield (pos, witness) for every one of `trials` coefficient rows,
+    counted from 1, on which s_t is nonzero.  Each row is a t x dim array
+    of coefficients in a.mats of the t arguments, and draw(k) returns the
+    next k rows (:func:`_random_rows`); with `entries`, a list of flat
+    indices into the n x n value, only those entries count.  Inside the
+    int64 bound of :func:`int64_eligible` the rows are evaluated by
+    :func:`_dp_hits` in blocks: a probe block (PROBE_SHARE), and then the
+    rest in equal slices of at most :func:`fastpath.slice_items` items
+    (:func:`fastpath.equal_slices`), each drawn as a (k, t, dim) array and
+    stacked by :func:`fastpath.coords_to_stack` just before it is
+    evaluated, so that no array of the sweep holds more than one slice
+    and its peak is bounded by a full slice, not by the trials: the s_10
+    sweep of `verify-al --n 5` (M_5) evaluates 41, 980 and 979 rows at
+    2,000 trials and traces 14.4 MiB, and 41 rows and 31 slices of 1,289
+    at 40,000 trials, 18.9 MiB.  Otherwise the rows are drawn and evaluated one by one by
     :func:`eval_standard_dp`."""
     ring, n = a.ring, a.n
     if not int64_eligible(ring, n, t):
         zero = ring.zero
         counted = range(n * n) if entries is None else entries
-        for pos, row in enumerate(rows, 1):
-            mats = tuple(_linear_combination(a, coords) for coords in row)
+        for pos in range(1, trials + 1):
+            mats = tuple(_linear_combination(a, coords) for coords in draw(1)[0])
             value = eval_standard_dp(list(mats))
             if any(value.data[e] != zero for e in counted):
                 yield pos, _checked_witness(a, None, mats, value)
         return
-    import numpy as np
-
     from . import fastpath
 
     p = ring.p
-    rows = np.asarray(rows).astype(np.int16 if p < 2**15 else np.int64, copy=False)
     basis_arr = fastpath.basis_to_flat(a.mats)
-    step = fastpath.slice_items(t, n, p)
-    lo, hi = 0, max(1, fastpath.suggested_batch(t, n) // PROBE_SHARE)
-    while lo < len(rows):
-        stack = fastpath.coords_to_stack(basis_arr, rows[lo:hi], n, p)
+    probe = min(trials, max(1, fastpath.suggested_batch(t, n) // PROBE_SHARE))
+    lo = 0
+    for size in [probe, *fastpath.equal_slices(trials - probe, fastpath.slice_items(t, n, p))]:
+        stack = fastpath.coords_to_stack(basis_arr, draw(size), n, p)
         for b, mats, value in _dp_hits(ring, stack, entries):
             yield lo + b + 1, _checked_witness(a, None, mats, value)
         del stack
-        lo, hi = hi, hi + step
+        lo += size
 
 
 def _sparse_pass(a, t: int):
@@ -480,23 +483,29 @@ def _layer_hit(a, t: int, layer):
     return _lex_rank(combo, a.dim) + 1, witness
 
 
-def _random_rows(a: SubalgebraBasis, t: int, trials: int, seed: int):
-    """`trials` seeded t x dim coefficient rows of random elements of a.
+def _random_rows(a: SubalgebraBasis, t: int, seed: int):
+    """The seeded stream of t x dim coefficient rows of random elements of
+    a, as a function draw(k) that returns the next k rows.
 
     The numpy kernel (:func:`fastpath.dp_batch`, taken when
-    :func:`int64_eligible` holds) draws all rows at once as int64 from
-    numpy's generator, and the exact kernel draws them one by one from
+    :func:`int64_eligible` holds) draws (k, t, dim) int64 arrays from
+    numpy's generator, and the exact kernel lists of rows from
     random.Random: the streams that seeded randomized-mode reports have
-    always been computed from.
+    always been computed from.  Drawing the rows in blocks gives the very
+    rows of one rng.integers(0, p, (trials, t, dim), int64) draw, whatever
+    the block sizes: the generator keeps what it has not yet used of a
+    64-bit word between calls.  So a sweep holds the int64 rows of one
+    block at a time, 2 MB for a 980-row s_10 slice on M_5, not
+    trials * t * dim * 8 bytes.
     """
     ring = a.ring
     if int64_eligible(ring, a.n, t):
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        return rng.integers(0, ring.p, size=(trials, t, a.dim), dtype=np.int64)
+        return lambda k: rng.integers(0, ring.p, size=(k, t, a.dim), dtype=np.int64)
     rng = random.Random(seed)
-    return ([_random_coords(ring, a.dim, rng) for _ in range(t)] for _ in range(trials))
+    return lambda k: [[_random_coords(ring, a.dim, rng) for _ in range(t)] for _ in range(k)]
 
 
 def _report(a, t: int, mode: str, started: float, checked: int, witness,
@@ -560,7 +569,7 @@ def is_standard_identity(a, t: int, mode: str = "exhaustive", trials: int = 2000
             raise DimensionError(f"need trials >= 1, got {trials}")
         if a.dim == 0:
             return _report(a, t, mode, started, 0, None, trials, VACUOUS_NOTE, trials, seed)
-        hit = next(_row_hits(a, t, _random_rows(a, t, trials, seed)), None)
+        hit = next(_row_hits(a, t, trials, _random_rows(a, t, seed)), None)
         checked, witness = hit or (trials, None)
         return _report(a, t, mode, started, checked, witness, trials, RANDOM_NOTE,
                        trials, seed, probabilistic=witness is None)
@@ -845,7 +854,7 @@ def block_assembly_check(a_top: SubalgebraBasis, a_bot: SubalgebraBasis,
     span = SubalgebraBasis(ring, n, parts, label=f"{a_top.label}+{a_bot.label}")
     violations = 0
     first: Optional[Witness] = None
-    for _, witness in _row_hits(span, q + r, _random_rows(span, q + r, trials, seed)):
+    for _, witness in _row_hits(span, q + r, trials, _random_rows(span, q + r, seed)):
         violations += 1
         first = first or witness
     return BlockAssemblyReport(
@@ -901,7 +910,7 @@ def ur_vanishing_check(ring: Ring, l: int, m: int, trials: int = 200, seed: int 
     t = 2 * (l + m)
     n = 2 * l + m
     corner = [i * n + j for i in range(l) for j in range(l + m, n)]
-    violations = sum(1 for _ in _row_hits(span, t, _random_rows(span, t, trials, seed),
+    violations = sum(1 for _ in _row_hits(span, t, trials, _random_rows(span, t, seed),
                                           entries=corner))
     return CornerVanishingReport(
         ring=ring.name, l=l, m=m, degree=t, trials=trials, seed=seed,

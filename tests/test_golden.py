@@ -29,6 +29,12 @@ empty layer of the sparse pass, its randomized run sweeps coefficient rows
 (a probe block, then one batch), and classify runs the exhaustive sweeps
 of its stages on U_5.
 
+The three verify-al --n 5 randomized digests, seeds 0-2 at 2,000 trials,
+were recorded while every trial's rows were still drawn at once and
+stacked in int64.  They pin the seeded row stream through per-slice draws:
+its s_10 sweep evaluates all 2,000 rows, and its s_8 witness, the first
+row, is re-checked by the dense t = 8 naive walk.
+
 The exact-arithmetic commands (over QQ and Z/m) also run in a fresh
 interpreter that must finish without importing numpy: those paths stay on
 pure-Python arithmetic, which keeps their memory footprint small.
@@ -127,6 +133,12 @@ GOLDEN = {
         "ec26f7fa213ef05419a31a7cbf6dec7118286a513d72349b69c0ef4d1fba763c",
     ("classify", "--spec", "u5-gf.yaml"):
         "680d00959553ec54e447e3c744ae8412c600423041d6e94111615bb63169eca0",
+    ("verify-al", "--n", "5", "--mode", "randomized", "--seed", "0"):
+        "520eb4580e227b6a46465f21b16a438da40c8650581eea3f6e3cd4fef3bdb5cd",
+    ("verify-al", "--n", "5", "--mode", "randomized", "--seed", "1"):
+        "129ea44f7bc6c069d4e5dd2db761a98a44d777faf45c679e9b15a2dbd195a99a",
+    ("verify-al", "--n", "5", "--mode", "randomized", "--seed", "2"):
+        "5bd51b82d55c71ff5f332758f709d3e69fc1bf6cdab53ec8c512db957ccb58a5",
 }
 
 EXACT_ONLY = [argv for argv in GOLDEN

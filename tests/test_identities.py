@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from itertools import combinations, islice, permutations, product
 
 import numpy as np
@@ -354,10 +355,11 @@ def test_counted_hits_agree_across_kernels(monkeypatch):
 
     def hits(t, entries):
         rng = random.Random(0)
-        rows = [[[rng.randrange(101) for _ in range(a.dim)] for _ in range(t)]
-                for _ in range(40)]
+        rows = iter([[[rng.randrange(101) for _ in range(a.dim)] for _ in range(t)]
+                     for _ in range(40)])
         return [(pos, w.mats, w.value) for pos, w in
-                identities._row_hits(a, t, rows, entries=entries)]
+                identities._row_hits(a, t, 40, lambda k: list(islice(rows, k)),
+                                     entries=entries)]
 
     fast = hits(4, corner)
     assert fast and len(fast) < len(hits(4, None)) == 40
@@ -845,16 +847,19 @@ def test_stopped_pass_probes_once_and_gathers_its_stacks(monkeypatch):
 
 
 def test_row_sweep_streams_compact_rows_one_slice_at_a_time(monkeypatch):
-    # 5,000 randomized M_3 s_6 rows with slices of 700 items: the rows are
-    # held in int16, and after the probe each dp_batch call gets one slice,
-    # stacked just before it; the report matches one whole-batch sweep
+    # 5,000 randomized M_3 s_6 rows with slices of at most 700 items: after
+    # the probe the 4,936 rows left come in 8 equal slices, and each
+    # dp_batch call gets one slice, drawn and stacked in int16 just before
+    # it; the report matches one whole-batch sweep
     a = full_matrix_algebra(F, 3)
     held, sizes = [], []
     coords_to_stack, dp_batch = fastpath.coords_to_stack, fastpath.dp_batch
 
     def stacking(basis_arr, coords, n, p):
-        held.append(coords.dtype)
-        return coords_to_stack(basis_arr, coords, n, p)
+        held.append(len(coords))
+        stack = coords_to_stack(basis_arr, coords, n, p)
+        assert stack.dtype == np.int16
+        return stack
 
     def slicing(stack, p):
         sizes.append(stack.shape[1])
@@ -867,9 +872,65 @@ def test_row_sweep_streams_compact_rows_one_slice_at_a_time(monkeypatch):
     _slice_items(monkeypatch, 6, 3, 700)
     assert is_standard_identity(a, 6, mode="randomized", trials=5000, seed=3).to_dict() == want
     probe = fastpath.suggested_batch(6, 3) // identities.PROBE_SHARE
-    steps = -(-(5000 - probe) // 700)
-    assert sizes == [probe] + [700] * (steps - 1) + [5000 - probe - 700 * (steps - 1)]
-    assert held == [np.int16] * len(sizes)
+    assert sizes == [probe] + [617] * 8 == [probe] + fastpath.equal_slices(5000 - probe, 700)
+    assert held == sizes
+
+
+@pytest.mark.parametrize("p", [2, 101, 65537])
+@pytest.mark.parametrize("blocks", [(41, 1331, 628), (1, 1, 1998), (3, 997, 1000), (5, 7, 11)],
+                         ids=lambda b: "-".join(map(str, b)))
+def test_random_rows_drawn_in_blocks_equal_one_draw(p, blocks):
+    # a sweep draws each block's rows just before it stacks them; the
+    # blocks, odd sizes included, concatenate to the single draw of every
+    # trial at once that seeded reports were computed from
+    a, t, seed = full_matrix_algebra(GF(p), 3), 6, 4
+    assert standardpoly.int64_eligible(a.ring, a.n, t)
+    draw = identities._random_rows(a, t, seed)
+    got = np.concatenate([draw(k) for k in blocks])
+    want = np.random.default_rng(seed).integers(0, p, size=(sum(blocks), t, a.dim),
+                                                dtype=np.int64)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _traced(run):
+    """run()'s result and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_randomized_sweep_peak_does_not_grow_with_trials(monkeypatch):
+    # M_3 s_6 with slices of at most 500 items: 40,000 trials trace the
+    # peak of 2,000 to within 10%, since rows are drawn, stacked and
+    # evaluated one slice at a time (0.39 and 0.41 MiB; one int64 draw of
+    # all 40,000 rows alone takes 16.5 MiB)
+    a = full_matrix_algebra(F, 3)
+    _slice_items(monkeypatch, 6, 3, 500)
+    is_standard_identity(a, 6, mode="randomized", trials=50, seed=1)  # imports, caches
+    peaks = []
+    for trials in (2000, 40000):
+        rep, peak = _traced(lambda: is_standard_identity(a, 6, mode="randomized",
+                                                         trials=trials, seed=0))
+        assert rep.is_identity and rep.tuples_checked == trials
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_randomized_s10_sweep_on_m5_stays_inside_one_slice(monkeypatch):
+    # the s_10 sweep of `verify-al --n 5`: a 41-row probe and two equal
+    # slices of 980 and 979 rows (not 1,331 and 628), each drawn and
+    # stacked in int16 just before its dp_batch call: 14.4 MiB traced,
+    # where whole int64 draws, int64 stacks and 1,331-item slices took 22.4
+    a = full_matrix_algebra(F, 5)
+    is_standard_identity(a, 10, mode="randomized", trials=50, seed=1)  # imports, caches
+    sizes = _count_dp_items(monkeypatch)
+    rep, peak = _traced(lambda: is_standard_identity(a, 10, mode="randomized",
+                                                     trials=2000, seed=0))
+    assert rep.is_identity and rep.tuples_checked == 2000
+    assert sizes == [41, 980, 979] == [41, *fastpath.equal_slices(1959, 1331)]
+    assert peak <= 17 * 2**20
 
 
 @pytest.mark.parametrize("a,t", [(full_matrix_algebra(F, 3), 5), (upper_triangular(F, 5), 9),
