@@ -3,10 +3,9 @@
 This module holds only numpy integer arithmetic, and each of its three
 kernels has one caller.  :func:`dp_batch` runs the half-depth subset DP
 of :func:`standardpoly.half_depth_dp`, the one copy of that recurrence,
-over a batch of argument tuples, for identities._dp_hits, in equal slices
-of at most :func:`slice_items` items (:func:`equal_slices`).  Its stacks
-are built one slice at a time, by :func:`coords_to_stack` from
-coefficient rows, at the kernel's product dtype, or by
+over a batch of argument tuples, for identities._dp_hits.  Its stacks are
+built one slice (:func:`slice_items`) at a time, by :func:`coords_to_stack`
+from coefficient rows, at the kernel's product dtype, or by
 :func:`combos_to_stack` as a gather of the basis elements of an
 exhaustive sweep's combinations.  It works
 on batch-last (n, n, B) arrays of centred residues, in [-m, m] for
@@ -27,11 +26,11 @@ hold residues in [0, p), in int32 or int64 by a rule of its own.
 :func:`naive_single` sums the t! signed permutation products of one tuple
 in int64 for :func:`standardpoly.eval_standard_naive`, at every t <= 8,
 and so re-checks witnesses.  It shares nothing with the DP: it
-walks the words prefix by prefix, level by level, each level a chunk of
-SPARSE_CHUNK prefixes at a time once it is larger than that, so words
-share their prefixes' products, a zero prefix drops every word
-that extends it, and each word's sign rides along as a parity (the
-batched form of :func:`standardpoly.word_products`).  All three are exact
+walks the words prefix by prefix, level by level, each level
+SPARSE_CHUNK prefixes at a time, so words share their prefixes'
+products, a zero prefix drops every word that extends it, and each
+word's sign rides along as a parity (the batched form of
+:func:`standardpoly.word_products`).  All three are exact
 only inside proven overflow bounds.  Products of residues in [0, p) have
 entries at most n * (p-1)^2, and products of centred ones at most
 n * m^2.  The int64 gate, t * n * (p-1)^2 < 2^62
@@ -141,25 +140,24 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
     then copied to int16.  The arguments are centred the same way on
     entry, where x + m < p + m fits every tier's dtype.
 
-    Memory: the DP runs over the fewest equal slices of the batch axis
-    (:func:`equal_slices`) that hold at most :func:`slice_items` items
-    each: as many as two whole layers of C(t, floor(t/2)) g values at the
-    product dtype would take inside SLICE_BUDGET_BYTES, and at least one
-    (1,331 items at t = 10, n = 5 in int16, 665 in int32).
-    :func:`standardpoly.half_depth_dp` frees each parent after its last
-    child, so a slice holds fewer g values than that: at most 275 of those
-    462 at t = 10 and 79 of 126 at t = 8, while an odd t keeps both layers
-    whole at its last step, whose lower layer the join reads (252 at
-    t = 9).  The slices keep the size of two whole layers, so the freed
-    values lower the peak, and equal slices cut it where the batch is not
-    a whole number of slices: 14.2 MiB traced on the (10, 1959, 5, 5) s_10
-    sweep of `verify-al --n 5` in slices of 980 and 979 items, against
-    19.0 MiB in slices of 1,331 and 628, and 30.9 MiB with two whole
-    layers.  Besides the caller's stack and the (B, n, n) int64 result,
-    the kernel holds one slice at a time: its live g values, its
-    batch-last copy of the arguments and the four buffers of its signed
-    sums (two g-sized ones at the product dtype and two at the
-    accumulator's), so its working set does not grow with B.
+    Memory: the DP runs over slices of the batch axis of
+    :func:`slice_items` items each: as many as two whole layers of
+    C(t, floor(t/2)) g values at the product dtype would take inside
+    SLICE_BUDGET_BYTES, and at least one (1,331 items at t = 10, n = 5 in
+    int16, 665 in int32).  :func:`standardpoly.half_depth_dp` frees each
+    parent after its last child, so a slice holds fewer g values than
+    that: at most 275 of those 462 at t = 10 and 79 of 126 at t = 8, while
+    an odd t keeps both layers whole at its last step, whose lower layer
+    the join reads (252 at t = 9).  The slices keep the size of two whole
+    layers, so the freed values lower the peak: 19.0 MiB traced on a
+    (10, 1959, 5, 5) int64 stack, against 30.9 MiB with two whole layers.
+    Both sweeps hand it at most one slice per call (identities._row_hits
+    in equal slices), so their calls run as one slice.  Besides the
+    caller's stack and the (B, n, n) int64 result, the kernel holds one
+    slice at a time: its live g values, its batch-last copy of the
+    arguments and the four buffers of its signed sums (two g-sized ones
+    at the product dtype and two at the accumulator's), so its working
+    set does not grow with B.
 
     Layout: each slice of the stack is copied once to batch-last
     (t, n, n, B') at the product dtype, so each g(S) is an (n, n, B') array
@@ -173,14 +171,13 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
         raise DegreeGuardError(f"int64 bound needs residues in [0, {p})")
     tier = _dp_tier(p, n, t)
     product = tier[0]
+    step = slice_items(t, n, p)
     out = np.empty((batch, n, n), dtype=np.int64)
-    lo = 0
-    for size in equal_slices(batch, slice_items(t, n, p)):
-        x = np.ascontiguousarray(stack[:, lo:lo + size].transpose(0, 2, 3, 1), dtype=product)
+    for lo in range(0, batch, step):
+        x = np.ascontiguousarray(stack[:, lo:lo + step].transpose(0, 2, 3, 1), dtype=product)
         x = _centre(x, p, np.empty_like(x))
         value = half_depth_dp(x, _signed_sum(p, tier, x.shape[1:]))
-        out[lo:lo + size] = value.transpose(2, 0, 1)
-        lo += size
+        out[lo:lo + step] = value.transpose(2, 0, 1)
     return _reduce(out, p)
 
 
@@ -188,22 +185,12 @@ def slice_items(t: int, n: int, p: int) -> int:
     """Items per slice of :func:`dp_batch`'s batch axis: as many as two
     DP layers of C(t, floor(t/2)) g values at the product dtype of
     :func:`_dp_tier` take inside SLICE_BUDGET_BYTES, and at least one
-    (1,331 at t = 10, n = 5, p = 101).  Both :func:`dp_batch` and the row
-    sweep (identities._row_hits) cut their items into the fewest equal
-    slices of at most this many (:func:`equal_slices`), so the row sweep
+    (1,331 at t = 10, n = 5, p = 101).  The row sweep (identities._row_hits)
+    cuts its rows into the fewest equal slices of at most this many, and
     draws and stacks one slice per call: its s_10 sweep of M_5 at 2,000
     trials traces 14.4 MiB."""
     per_item = 2 * comb(t, t // 2) * n * n * np.dtype(_dp_tier(p, n, t)[0]).itemsize
     return max(1, SLICE_BUDGET_BYTES // per_item)
-
-
-def equal_slices(items: int, most: int) -> list:
-    """Sizes of the fewest slices of `items` items with at most `most`
-    each, equal to within one, the larger first: 1,959 items at most
-    1,331 make 980 + 979, not 1,331 + 628."""
-    count = -(-items // most)
-    size, extra = divmod(items, max(count, 1))
-    return [size + 1] * extra + [size] * (count - extra)
 
 
 def _dp_tier(p: int, n: int, t: int) -> tuple:
@@ -327,12 +314,12 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
     of :func:`standardpoly.word_products` over the tables of
     :func:`_walk_tables`: level k forms every k-letter prefix product at
     once, as gathers of the parent products and of the appended factors
-    and one batched matmul (:func:`_extend`); a level of more than
-    SPARSE_CHUNK rows is formed a chunk at a time into one array made
-    first, so its gathers hold one chunk.  Prefixes share their parent's product,
-    and a zero product drops its prefix and every prefix that extends it,
-    so sparse tuples form few products; while no row has died the tables
-    are used as they are, and after that the parent indices are remapped.
+    and batched matmuls (:func:`_extend`), SPARSE_CHUNK rows at a time
+    into one array made first, so its gathers hold one chunk.  Prefixes
+    share their parent's product, and a zero product drops its prefix and
+    every prefix that extends it, so sparse tuples form few products;
+    while no row has died the tables are used as they are, and after that
+    the parent indices are remapped.
 
     Sign: picking the k-th smallest free letter (k from 0) puts it before
     k smaller letters, adding k inversions, so a word's sign is the parity
@@ -427,14 +414,11 @@ def naive_single(arr: np.ndarray, p: int) -> np.ndarray:
 def _extend(prod, parent, factor, signed) -> np.ndarray:
     """One level of :func:`naive_single`'s walk for the given table rows:
     the products prod[parent] @ signed[factor], or the factors alone at
-    the first level, where prod is None.  A level of more than SPARSE_CHUNK
-    rows is formed SPARSE_CHUNK rows at a time into one array made first,
-    so its gathers hold one chunk at a time; a smaller one is one gather
-    of each side and one matmul."""
+    the first level, where prod is None.  The products are formed
+    SPARSE_CHUNK rows at a time into one array made first, so the gathers
+    hold one chunk at a time."""
     if prod is None:
         return signed.take(factor, axis=0)
-    if len(parent) <= SPARSE_CHUNK:
-        return np.matmul(prod.take(parent, axis=0), signed.take(factor, axis=0))
     level = np.empty((len(parent),) + prod.shape[1:], dtype=prod.dtype)
     for lo in range(0, len(parent), SPARSE_CHUNK):
         part = slice(lo, lo + SPARSE_CHUNK)

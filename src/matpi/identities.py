@@ -23,7 +23,7 @@ caller.  :func:`_dp_hits` evaluates stacks by :func:`fastpath.dp_batch`:
 (:func:`_block_hit`) gathers the basis elements of its combinations, both
 one block at a time: a first, small probe block, where early witnesses
 are found, and past it one kernel slice per block, the row sweep's
-slices equal in size (:func:`fastpath.equal_slices`) and each block of
+slices equal in size (:func:`_equal_slices`) and each block of
 its seeded rows drawn just before it is stacked (:func:`_random_rows`).  The exhaustive sweep
 sends past its probe only what the sparse pass leaves.  That pass
 (:func:`_sparse_pass`, the caller of :func:`fastpath.sparse_layers`)
@@ -422,7 +422,7 @@ def _row_hits(a, t: int, trials: int, draw, entries=None):
     int64 bound of :func:`int64_eligible` the rows are evaluated by
     :func:`_dp_hits` in blocks: a probe block (PROBE_SHARE), and then the
     rest in equal slices of at most :func:`fastpath.slice_items` items
-    (:func:`fastpath.equal_slices`), each drawn as a (k, t, dim) array and
+    (:func:`_equal_slices`), each drawn as a (k, t, dim) array and
     stacked by :func:`fastpath.coords_to_stack` just before it is
     evaluated, so that no array of the sweep holds more than one slice
     and its peak is bounded by a full slice, not by the trials: the s_10
@@ -440,18 +440,29 @@ def _row_hits(a, t: int, trials: int, draw, entries=None):
             if any(value.data[e] != zero for e in counted):
                 yield pos, _checked_witness(a, None, mats, value)
         return
+    if not trials:
+        return
     from . import fastpath
 
     p = ring.p
     basis_arr = fastpath.basis_to_flat(a.mats)
     probe = min(trials, max(1, fastpath.suggested_batch(t, n) // PROBE_SHARE))
     lo = 0
-    for size in [probe, *fastpath.equal_slices(trials - probe, fastpath.slice_items(t, n, p))]:
+    for size in [probe, *_equal_slices(trials - probe, fastpath.slice_items(t, n, p))]:
         stack = fastpath.coords_to_stack(basis_arr, draw(size), n, p)
         for b, mats, value in _dp_hits(ring, stack, entries):
             yield lo + b + 1, _checked_witness(a, None, mats, value)
         del stack
         lo += size
+
+
+def _equal_slices(items: int, most: int) -> list:
+    """Sizes of the fewest slices of `items` items with at most `most`
+    each, equal to within one, the larger first: 1,959 items at most
+    1,331 make 980 + 979, not 1,331 + 628."""
+    count = -(-items // most)
+    size, extra = divmod(items, max(count, 1))
+    return [size + 1] * extra + [size] * (count - extra)
 
 
 def _sparse_pass(a, t: int):

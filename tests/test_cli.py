@@ -227,6 +227,12 @@ def test_lemma_suite(capsys):
     assert "mod-ring-witness(n=3)" in out
 
 
+def test_lemma_suite_with_no_trials(capsys):
+    code, out, _ = run(capsys, "lemma-suite", "--trials", "0")
+    assert code == 0
+    assert "[FAIL]" not in out
+
+
 def test_missing_spec_file_exits_1(capsys):
     code, out, err = run(capsys, "classify", "--spec", "/no/such/file.yaml")
     assert code == 1

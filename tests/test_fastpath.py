@@ -806,9 +806,9 @@ def test_sparse_layer_rejects_unsupported_bounds():
 @pytest.mark.parametrize("t", [1, 2, 7, 10])
 @pytest.mark.parametrize("p", [101, 1009, 65537], ids=["int16", "int32", "int64"])
 def test_dp_batch_slices_agree(monkeypatch, t, p):
-    # slices of one item, a slice boundary inside the batch, equal slices
-    # (3 + 2 items at most 4, not 4 + 1), and the batch as one slice give
-    # the same values in each tier; s_t does not vanish on M_6 at t < 12
+    # slices of one item, a slice boundary inside the batch, and the batch
+    # as one slice give the same values in each tier; s_t does not vanish
+    # on M_6 at t < 12
     n, batch = 6, 5
     dtype = fastpath._dp_tier(p, n, t)[0]
     assert dtype is {101: np.int16, 1009: np.int32, 65537: np.int64}[p]
@@ -819,10 +819,10 @@ def test_dp_batch_slices_agree(monkeypatch, t, p):
     monkeypatch.setattr(fastpath, "half_depth_dp",
                         lambda x, signed_sum: sizes.append(x.shape[-1]) or dp(x, signed_sum))
     got, before = [], stack.copy()
-    for items in (1, 2, 4, batch):
+    for items in (1, 2, batch):
         monkeypatch.setattr(fastpath, "SLICE_BUDGET_BYTES", items * per_item)
         got.append(fastpath.dp_batch(stack, p))
-    assert sizes == [1] * batch + [2, 2, 1] + [3, 2] + [batch]
+    assert sizes == [1] * batch + [2, 2, 1] + [batch]
     assert (stack == before).all()  # the arguments are centred in a copy
     assert got[-1].dtype == np.int64 and got[-1].shape == (batch, n, n)
     assert got[-1].reshape(batch, -1).any(axis=1).all()
@@ -844,9 +844,8 @@ def test_dp_batch_peak_memory_stays_in_its_slice_budget():
 
 
 def test_dp_batch_peak_memory_with_parents_freed():
-    # the same 1,959 items, in equal slices of 980 and 979 int16 items: a
-    # slice holds at most 275 g values (13.5 MB) where two whole layers of
-    # 1,331 items held 462 (30.9 MiB traced); 14.2 MiB traced
+    # the same 1,959 items: a slice of 1,331 int16 items holds at most 275
+    # g values (18.3 MB) where two whole layers held 462 (30.9 MiB traced)
     stack = np.random.default_rng(5).integers(0, 101, size=(10, 1959, 5, 5))
     assert fastpath.slice_items(10, 5, 101) == 1331
     tracemalloc.start()
@@ -890,10 +889,10 @@ def test_naive_single_chunked_matches_unchunked(monkeypatch, t):
 
 def test_naive_single_dense_t8_walk_peaks_below_8_mib(monkeypatch):
     # a dense t = 8 tuple at n = 5 forms levels of 6,720 and 20,160
-    # prefixes before its last; each level past SPARSE_CHUNK rows is formed
-    # a chunk at a time into one array (7.0 MiB traced, against 12.8 when
-    # each level and its two gathers were whole), and the value is the one
-    # the walk gives with every level formed whole
+    # prefixes before its last; each level is formed SPARSE_CHUNK rows at
+    # a time into one array (7.0 MiB traced, against 12.8 when each level
+    # and its two gathers were whole), and the value is the one the walk
+    # gives with every level formed in one chunk
     arr = np.random.default_rng(8).integers(0, 101, size=(8, 5, 5))
     chunk = fastpath.SPARSE_CHUNK
     monkeypatch.setattr(fastpath, "SPARSE_CHUNK", factorial(8))

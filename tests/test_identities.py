@@ -347,6 +347,16 @@ def test_block_assembly_ok_and_invalid():
         assert bad.status == "invalid-instance"
 
 
+def test_block_assembly_with_no_trials_is_ok():
+    # zero trials evaluate no assembly on either kernel, so there is
+    # nothing to violate
+    for ring in LEMMA_RINGS:
+        top = full_matrix_algebra(ring, 1)
+        bot = full_matrix_algebra(ring, 2)
+        rep = block_assembly_check(top, bot, 2, 4, trials=0, seed=0)
+        assert (rep.status, rep.violations, rep.first_violation) == ("ok", 0, None), ring
+
+
 def test_counted_hits_agree_across_kernels(monkeypatch):
     # Rep(1,2) in M_4 satisfies s_6 but not s_4; at t = 4 its corner entry
     # (1, 4), flat index 3, is zero on some tuples whose value is not
@@ -872,7 +882,7 @@ def test_row_sweep_streams_compact_rows_one_slice_at_a_time(monkeypatch):
     _slice_items(monkeypatch, 6, 3, 700)
     assert is_standard_identity(a, 6, mode="randomized", trials=5000, seed=3).to_dict() == want
     probe = fastpath.suggested_batch(6, 3) // identities.PROBE_SHARE
-    assert sizes == [probe] + [617] * 8 == [probe] + fastpath.equal_slices(5000 - probe, 700)
+    assert sizes == [probe] + [617] * 8 == [probe] + identities._equal_slices(5000 - probe, 700)
     assert held == sizes
 
 
@@ -929,7 +939,7 @@ def test_randomized_s10_sweep_on_m5_stays_inside_one_slice(monkeypatch):
     rep, peak = _traced(lambda: is_standard_identity(a, 10, mode="randomized",
                                                      trials=2000, seed=0))
     assert rep.is_identity and rep.tuples_checked == 2000
-    assert sizes == [41, 980, 979] == [41, *fastpath.equal_slices(1959, 1331)]
+    assert sizes == [41, 980, 979] == [41, *identities._equal_slices(1959, 1331)]
     assert peak <= 17 * 2**20
 
 
