@@ -16,9 +16,9 @@ n = 5); in int32 when t * n * m^2 + p < 2^31; in int64 otherwise.  The DP
 frees each g(S) after its last child, so a slice holds at most 275 of the
 462 g values of two whole layers at t = 10.
 Exhaustive sweeps decide all basis combinations past their probe block
-at once instead:
-:func:`sparse_layers` (called by identities._sparse_pass) runs the DP's
-recurrence and signs (:func:`standardpoly.term_negate`) forward over
+at once instead: :func:`sparse_layers` (called by
+identities._first_combination_hit and identities._layer_reports) runs the
+DP's recurrence and signs (:func:`standardpoly.term_negate`) forward over
 basis subsets, keeping only the subsets whose s_k is nonzero, and yields
 the layers one at a time, so layer k holds exactly the combinations on
 which s_k does not vanish (:func:`layer_combos` names them).  Its layers
@@ -427,8 +427,7 @@ def _extend(prod, parent, factor, signed) -> np.ndarray:
     return level
 
 
-def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
-                  targets=None):
+def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int):
     """Yield the layers k = 1, ..., t of one sparse pass over basis subsets.
 
     basis_arr is the (d, n*n) residue array of the basis.  Layer k is a
@@ -448,13 +447,14 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
     parents' side: each row A and each c not in A contribute
     (-1)^negate * g(A) * b_c to g(A + {c}), with negate
     :func:`standardpoly.term_negate` of c's position in A + {c}.  A zero
-    g(A) would contribute nothing, so its row is dropped.  Given the torus
-    weights of a graded basis (weights, the packed weight of each element
-    as in identities._torus_weights, and targets, the packed weights a
-    nonzero product can have; all sums of up to t weights must fit int64),
-    a candidate whose weight is not a target is zero and is not formed:
-    one vectorized lookup in the sorted targets (np.searchsorted) per
-    chunk of SPARSE_CHUNK rows.
+    g(A) would contribute nothing, so its row is dropped.  Nor is a
+    candidate (A, c) formed where the columns in which g(A) is nonzero miss
+    the rows in which b_c is nonzero: their product is then zero, on any
+    basis.  On matrix units, as in Swan's graph view, g(A) * e_uv is zero
+    unless column u of g(A) is nonzero, and this prunes most candidates;
+    on a dense basis it prunes none.  The filter is one boolean matmul per
+    chunk of SPARSE_CHUNK rows, of their column masks (R, n) by the row
+    masks (n, d) of the basis, made once per pass.
 
     Memory: the candidates (row, c) of a layer are sorted by child key,
     and their products are formed SPARSE_CHUNK at a time and summed per
@@ -464,7 +464,7 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
     the layers' dtype (4 bytes an entry in int32) and every other array
     at its own size: per row its value, key and three d-wide byte arrays
     (members, free places, members below each place); a chunk of rows'
-    weight sums and lookup, four 8-byte arrays of its shape; 40 bytes of
+    column masks and support test, n + d bytes a row; 40 bytes of
     indices, keys and sort order per candidate of a run; one chunk's
     three product-sized arrays; and a slice's children's sums and the
     copy of their nonzero rows.  A step whose candidates do not fit as
@@ -480,9 +480,9 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
     process: the interpreter and imports (about 35 MB), the temporaries
     the count leaves out (cand // d, a chunk's gathers) and the memory
     the allocator keeps after numpy frees it come on top.  With the
-    256 MiB budget, E(1,5) and E(5,1) peak at 290-346 MB of RSS, by how
-    the allocator happens to place the freed arrays, while the arrays
-    numpy traces peak at 214 MiB.
+    256 MiB budget, min_standard_degree on E(1,5) and E(5,1) peaks at 277
+    and 224 MB of RSS in-process on x86-64, while the arrays numpy traces
+    peak at 192 and 164 MiB.
 
     Dtype and overflow: the layers are int32 when t * n * (p-1)^2 + p
     < 2^31 and int64 otherwise, a rule of their own: :func:`dp_batch`'s
@@ -502,32 +502,32 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int, weights=None,
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
     if d > KEY_BITS:
         return
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.int64)
-        targets = np.sort(np.fromiter(targets, dtype=np.int64))
     dtype = np.int32 if t * n * (p - 1) ** 2 + p < 2**31 else np.int64
     bits = np.left_shift(1, np.arange(d - 1, -1, -1, dtype=np.int64))
     basis = basis_arr.reshape(d, n, n).astype(dtype)
     signed = np.concatenate([basis, -basis])
+    rowsup = basis.any(axis=2).T  # rowsup[i, c]: row i of b_c is nonzero
     live = np.flatnonzero(basis.reshape(d, -1).any(axis=1))[::-1]  # ascending keys
     keys, values = bits[live], basis[live]
     yield keys, values
     for k in range(1, t):
         if len(keys):
-            layer = _grow_layer(keys, values, signed, bits, k, p, weights, targets)
+            layer = _grow_layer(keys, values, signed, rowsup, bits, k, p)
             if layer is None:
                 return
             keys, values = layer
         yield keys, values
 
 
-def _grow_layer(keys, values, signed, bits, k: int, p: int, weights, targets):
+def _grow_layer(keys, values, signed, rowsup, bits, k: int, p: int):
     """Layer k+1 of :func:`sparse_layers` from its nonempty layer k, or None
     where one member's run, or the join of the parts, would not fit
     BATCH_BUDGET_BYTES, counted as that docstring says.  signed holds each
     basis element b_c at c and -b_c at d + c, so a term's sign picks its
-    factor.  The work arrays are this call's locals, so they are freed
-    before the pass yields the layer.
+    factor, and rowsup is the (n, d) bool row support of the basis, which
+    clears the free places whose products are zero by support.  The work
+    arrays are this call's locals, so they are freed before the pass
+    yields the layer.
 
     The step is built in runs lo..hi of the child's smallest member s,
     from the largest s down.  A child's smallest member is its top key
@@ -546,18 +546,15 @@ def _grow_layer(keys, values, signed, bits, k: int, p: int, weights, targets):
     bytes left."""
     rows, d, n = len(keys), len(bits), signed.shape[1]
     entry = n * n * signed.itemsize
-    held = rows * (entry + 8 + 3 * d) + 3 * SPARSE_CHUNK * entry
-    if weights is not None:
-        held += 4 * min(rows, SPARSE_CHUNK) * d * 8
+    held = (rows * (entry + 8 + 3 * d) + 3 * SPARSE_CHUNK * entry
+            + min(rows, SPARSE_CHUNK) * (n + d))
     if held > BATCH_BUDGET_BYTES:
         return None
     member = (keys[:, None] & bits) != 0
     free = ~member
-    if weights is not None:
-        for lo in range(0, rows, SPARSE_CHUNK):
-            part = slice(lo, lo + SPARSE_CHUNK)
-            sums = (member[part] @ weights)[:, None] + weights
-            free[part] &= targets.take(np.searchsorted(targets, sums), mode="clip") == sums
+    for lo in range(0, rows, SPARSE_CHUNK):
+        part = slice(lo, lo + SPARSE_CHUNK)
+        free[part] &= values[part].any(axis=1) @ rowsup
     # the members of row r below c, for each c not in row r
     below = np.cumsum(member, axis=1, dtype=np.int8).ravel()
     del member

@@ -26,11 +26,10 @@ are found, and past it one kernel slice per block, the row sweep's
 slices equal in size (:func:`_equal_slices`) and each block of
 its seeded rows drawn just before it is stacked (:func:`_random_rows`).  The exhaustive sweep
 sends past its probe only what the sparse pass leaves.  That pass
-(:func:`_sparse_pass`, the caller of :func:`fastpath.sparse_layers`)
-decides every combination past the probe at once: it builds s_k of the
-basis subsets layer by layer from the nonzero ones alone, so layer t holds
-exactly the nonzero combinations, and :func:`_layer_hit` reads its
-lex-first row.  Where the pass stops (over fastpath.BATCH_BUDGET_BYTES, or
+(:func:`fastpath.sparse_layers`) decides every combination past the probe
+at once: it builds s_k of the basis subsets layer by layer from the
+nonzero ones alone, so layer t holds exactly the nonzero combinations,
+and :func:`_layer_hit` reads its lex-first row.  Where the pass stops (over fastpath.BATCH_BUDGET_BYTES, or
 more than fastpath.KEY_BITS basis elements) the combinations left go on
 in blocks, with no second probe.  Every position a sweep reports is the
 combination's lexicographic rank plus 1 (:func:`_lex_rank`).
@@ -56,8 +55,11 @@ as the block triangular and full block algebras.  When some element of the
 basis or spanning set is not a weight vector the sweep evaluates every
 tuple.  A tuple skipped this way is proved zero, so it counts in
 `tuples_checked` and `tuples_swept` as an evaluated one would, and
-witnesses stay the lex-first nonzero tuples.  The sparse pass applies the
-same test to every basis subset before it forms it.
+witnesses stay the lex-first nonzero tuples.  The sparse pass needs no
+grading: it forms no product s_k(b_A) * b_c where the columns in which
+s_k(b_A) is nonzero miss the rows in which b_c is nonzero.  That test is
+sound on any basis, and on a graded one it drops every pair the weights
+would, since a nonzero weight vector off the diagonal has one entry.
 
 Verdicts of "not an identity" always carry a witness tuple whose arguments
 are checked to lie in the algebra and whose value is re-evaluated before
@@ -283,24 +285,16 @@ def _torus_weights(a, t: int) -> Optional[list]:
     return weights
 
 
-def _weight_targets(a, t: int) -> Optional[tuple]:
-    """(weights, targets), None for ungraded a: the packed torus weights
-    of a.mats (:func:`_torus_weights`) and those of nonzero n x n weight
-    vectors, 0 and every eps_i - eps_j."""
+def _weight_feasible(a, t: int):
+    """Predicate on index t-tuples into a.mats that is False only where
+    every product of the tuple is zero by weight: where the packed torus
+    weights (:func:`_torus_weights`) do not sum to that of a nonzero n x n
+    weight vector, 0 or some eps_i - eps_j; None for ungraded a."""
     weights = _torus_weights(a, t)
     if weights is None:
         return None
     base = 2 * t + 1
-    return weights, frozenset(base**i - base**j for i in range(a.n) for j in range(a.n))
-
-
-def _weight_feasible(a, t: int):
-    """Predicate on index t-tuples into a.mats that is False only where
-    every product of the tuple is zero by weight; None for ungraded a."""
-    graded = _weight_targets(a, t)
-    if graded is None:
-        return None
-    weights, targets = graded
+    targets = frozenset(base**i - base**j for i in range(a.n) for j in range(a.n))
     return lambda tup: sum(map(weights.__getitem__, tup)) in targets
 
 
@@ -335,13 +329,14 @@ def _first_combination_hit(a, t: int):
     Combinations zero by weight are skipped unevaluated.  Inside the int64
     bound of :func:`int64_eligible` the combinations are evaluated in
     blocks by :func:`_block_hit`, first the probe block of them
-    (PROBE_SHARE).  Past a full probe, layer t of :func:`_sparse_pass`
-    decides the rest (:func:`_layer_hit`).  The probe found every
-    combination in it zero, so a layer whose first row is not past it
-    contradicts the probe and raises.  Where the pass stops, the
-    combinations left go on in blocks of one :func:`fastpath.dp_batch`
-    slice (:func:`fastpath.slice_items`), with no second probe.  Outside
-    the bound each combination is its own :func:`eval_standard_dp`.
+    (PROBE_SHARE).  Past a full probe, layer t of the sparse pass
+    :func:`fastpath.sparse_layers` decides the rest (:func:`_layer_hit`).
+    The probe found every combination in it zero, so a layer whose first
+    row is not past it contradicts the probe and raises.  Where the pass
+    stops, the combinations left go on in blocks of one
+    :func:`fastpath.dp_batch` slice (:func:`fastpath.slice_items`), with no
+    second probe.  Outside the bound each combination is its own
+    :func:`eval_standard_dp`.
     """
     d = a.dim
     combos = combinations(range(d), t)
@@ -363,7 +358,7 @@ def _first_combination_hit(a, t: int):
     hit = _block_hit(a, basis_arr, probe)
     if hit is not None or len(probe) < size:
         return hit
-    layer = next(islice(_sparse_pass(a, t), t - 1, None), None)
+    layer = next(islice(fastpath.sparse_layers(basis_arr, a.n, a.ring.p, t), t - 1, None), None)
     if layer is not None:
         hit = _layer_hit(a, t, layer)
         if hit is not None and hit[0] <= _lex_rank(probe[-1], d) + 1:
@@ -463,18 +458,6 @@ def _equal_slices(items: int, most: int) -> list:
     count = -(-items // most)
     size, extra = divmod(items, max(count, 1))
     return [size + 1] * extra + [size] * (count - extra)
-
-
-def _sparse_pass(a, t: int):
-    """The sparse layer pass :func:`fastpath.sparse_layers` over a.mats up
-    to layer t, pruned by the torus weights of :func:`_weight_targets`
-    unless a is ungraded or a sum of t packed weights, below
-    (2t+1)^n / 2 in size, might not fit int64."""
-    from . import fastpath
-
-    graded = _weight_targets(a, t) if (2 * t + 1) ** a.n < 2**63 else None
-    return fastpath.sparse_layers(fastpath.basis_to_flat(a.mats), a.n, a.ring.p, t,
-                                  *(graded or ()))
 
 
 def _layer_hit(a, t: int, layer):
@@ -605,8 +588,8 @@ class MinDegreeResult:
 
 def _layer_reports(a, t_last: int):
     """Exhaustive reports of s_t for t = 2, 3, ..., t_last, read one layer
-    at a time from one sparse pass (:func:`_sparse_pass`) whose dtype and
-    weight packing are sized for t_last.
+    at a time from one sparse pass (:func:`fastpath.sparse_layers`) whose
+    dtype is sized for t_last.
 
     Yields nothing unless a is a nonzero basis inside the int64 bound of
     :func:`int64_eligible` at t_last, and stops at the degree where the
@@ -619,7 +602,10 @@ def _layer_reports(a, t_last: int):
     """
     if not (isinstance(a, SubalgebraBasis) and a.dim and int64_eligible(a.ring, a.n, t_last)):
         return
-    layers = islice(_sparse_pass(a, t_last), 1, None)
+    from . import fastpath
+
+    layers = islice(fastpath.sparse_layers(fastpath.basis_to_flat(a.mats), a.n, a.ring.p,
+                                           t_last), 1, None)
     for t in range(2, t_last + 1):
         started = time.perf_counter()
         total = comb(a.dim, t)

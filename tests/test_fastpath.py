@@ -9,7 +9,8 @@ import pytest
 
 from matpi import fastpath, identities, standardpoly
 from matpi.blocks import BlockShape, staircase_units
-from matpi.constructions import full_block_algebra, full_matrix_algebra, upper_triangular
+from matpi.constructions import (full_block_algebra, full_matrix_algebra, repetition_algebra,
+                                 repetition_units, upper_triangular)
 from matpi.errors import ContractViolationError, DegreeGuardError
 from matpi.identities import _reverify_witness, is_standard_identity, random_triangular_closures
 from matpi.matrices import Matrix, identity_matrix, matrix_unit
@@ -685,7 +686,10 @@ def conjugated_closure():
 
 
 SPARSE_CASES = [full_matrix_algebra(F, 3), upper_triangular(F, 4),
-                full_block_algebra(F, BlockShape((1, 2))), conjugated_closure()]
+                full_block_algebra(F, BlockShape((1, 2))), conjugated_closure(),
+                repetition_algebra(F, 1, 2),
+                span_basis(F, 4, repetition_units(F, 1, 2, include_corner=False),
+                           label="zero-corner (1,2)")]
 
 
 def nonzero_rows(basis_arr, n, t, p=101):
@@ -698,13 +702,12 @@ def nonzero_rows(basis_arr, n, t, p=101):
     return block[keep], values[keep]
 
 
-def lex_layer(basis_arr, n, p, t, weights=None, targets=None):
+def lex_layer(basis_arr, n, p, t):
     """Layer t of fastpath.sparse_layers (same arguments) as (combos,
     values): the t-combinations with s_t nonzero, an (R, t) array in
     lexicographic order, and their values as int64; None where the pass
     stops before layer t."""
-    layer = next(islice(fastpath.sparse_layers(basis_arr, n, p, t, weights, targets), t - 1, None),
-                 None)
+    layer = next(islice(fastpath.sparse_layers(basis_arr, n, p, t), t - 1, None), None)
     if layer is None:
         return None
     keys, values = layer
@@ -716,13 +719,35 @@ def lex_layer(basis_arr, n, p, t, weights=None, targets=None):
 def test_sparse_layer_matches_dp_batch_on_every_combination(a):
     basis_arr = fastpath.basis_to_flat(a.mats)
     for t in range(1, min(8, a.dim) + 1):
-        graded = identities._weight_targets(a, t)
-        for pruning in [(None, None)] + ([graded] if graded else []):
-            combos, values = lex_layer(basis_arr, a.n, 101, t, *pruning)
-            want_combos, want_values = nonzero_rows(basis_arr, a.n, t)
-            assert combos.shape == (len(want_combos), t) and values.dtype == np.int64
-            assert (combos == want_combos).all() and (values == want_values).all(), t
-            assert values.any(axis=(1, 2)).all()  # no zero row
+        combos, values = lex_layer(basis_arr, a.n, 101, t)
+        want_combos, want_values = nonzero_rows(basis_arr, a.n, t)
+        assert combos.shape == (len(want_combos), t) and values.dtype == np.int64
+        assert (combos == want_combos).all() and (values == want_values).all(), t
+        assert values.any(axis=(1, 2)).all()  # no zero row
+
+
+@pytest.mark.parametrize("a", [repetition_algebra(F, 1, 2), full_matrix_algebra(F, 3)],
+                         ids=lambda a: a.label)
+def test_support_filter_drops_only_zero_products(monkeypatch, a):
+    # brute force up to layer 5: every pair of a row A of layer k and an
+    # element c not in A that the pass does not form (its one run's
+    # candidate mask is clear there) has s_k(b_A) * b_c = 0, multiplied
+    # out exactly, and the supports drop at least one pair
+    masks, flatnonzero = [], np.flatnonzero
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "flatnonzero",
+                   lambda x: (x.ndim == 2 and masks.append(x.copy())) or flatnonzero(x))
+        layers = _layers(a, 5)
+    dropped = 0
+    for k, ((keys, values), formed) in enumerate(zip(layers, masks), 1):
+        for r, combo in enumerate(fastpath.layer_combos(keys, a.dim, k).tolist()):
+            g = Matrix(F, a.n, a.n, values[r].ravel().tolist())
+            assert g == eval_standard_dp([a.mats[i] for i in combo])
+            for c in set(range(a.dim)) - set(combo):
+                if not formed[r, c]:
+                    dropped += 1
+                    assert (g * a.mats[c]).is_zero(), (combo, c)
+    assert len(masks) == 4 and dropped > 0  # one run per step
 
 
 def test_conjugated_closure_is_ungraded():
@@ -771,8 +796,7 @@ def test_layer_tables_fit_the_budget_up_to_m5():
     # the sparse pass proves s_10 on M_5 inside BATCH_BUDGET_BYTES: its
     # largest layer, 9, holds 96,365 rows
     m5 = fastpath.basis_to_flat(full_matrix_algebra(F, 5).mats)
-    weights, targets = identities._weight_targets(full_matrix_algebra(F, 5), 10)
-    combos, values = lex_layer(m5, 5, 101, 10, weights, targets)
+    combos, values = lex_layer(m5, 5, 101, 10)
     assert combos.shape == (0, 10) and values.shape == (0, 5, 5)
 
 
@@ -911,7 +935,8 @@ def test_naive_single_dense_t8_walk_peaks_below_8_mib(monkeypatch):
 
 
 def _layers(a, t):
-    return [(keys.copy(), values.copy()) for keys, values in identities._sparse_pass(a, t)]
+    layers = fastpath.sparse_layers(fastpath.basis_to_flat(a.mats), a.n, 101, t)
+    return [(keys.copy(), values.copy()) for keys, values in layers]
 
 
 # layers the pass built, with 64-product chunks, when a step that did not
@@ -942,41 +967,54 @@ def test_budget_limited_layer_steps_build_the_same_layers(monkeypatch, a, budget
         assert np.array_equal(keys, want_keys) and np.array_equal(values, want_values)
 
 
-def _step_candidates(a, t: int, layers) -> list:
+def _step_candidates(a, layers) -> list:
     """Per step from a nonempty layer k: the pairs of a row of layer k and
-    a basis element c not in it whose weights sum to a target."""
-    weights, targets = identities._weight_targets(a, t)
-    weights = np.asarray(weights, dtype=np.int64)
+    a basis element c not in it such that some column where the row's
+    value is nonzero is a row where b_c is nonzero."""
+    basis_rows = (fastpath.basis_to_flat(a.mats).reshape(a.dim, a.n, a.n) != 0).any(axis=2)
     counts = []
-    for k, (keys, _) in enumerate(layers, 1):
+    for k, (keys, values) in enumerate(layers, 1):
         if len(keys):
             combos = fastpath.layer_combos(keys, a.dim, k)
-            feasible = np.isin(weights[combos].sum(axis=1)[:, None] + weights, list(targets))
-            feasible[np.arange(len(combos))[:, None], combos] = False
-            counts.append(np.count_nonzero(feasible))
+            columns = (values != 0).any(axis=1)
+            meet = (columns[:, None, :] & basis_rows[None, :, :]).any(axis=2)
+            meet[np.arange(len(combos))[:, None], combos] = False
+            counts.append(np.count_nonzero(meet))
     return counts
 
 
-@pytest.mark.parametrize("a,budget_kib", [(full_matrix_algebra(F, 4), 1024),
-                                          (full_block_algebra(F, BlockShape((1, 2, 1))), 42)],
+# the steps that these budgets split into runs, and the candidates of the
+# first step (M_4: 60 of its 240 free pairs)
+SPLIT_STEPS = {"M_4": ([6, 7], 60), "M_3": ([4, 5], 24)}
+
+
+@pytest.mark.parametrize("a,budget_kib", [(full_matrix_algebra(F, 4), 512),
+                                          (full_matrix_algebra(F, 3), 20)],
                          ids=lambda x: getattr(x, "label", x))
 def test_each_layer_step_sorts_its_candidates_once(monkeypatch, a, budget_kib):
-    # at these budgets some steps do not fit as one run (M_4 steps 6 and 7,
-    # E(1,2,1) steps 3 and 4); each of a step's candidates is still sorted
-    # exactly once
+    # at these budgets some steps do not fit as one run; each of a step's
+    # candidates, the pairs whose supports meet, is still sorted exactly once
     t = 2 * a.n + 1
-    want = _step_candidates(a, t, _layers(a, t))
+    split, first = SPLIT_STEPS[a.label]
+    want = _step_candidates(a, _layers(a, t))
+    assert want[0] == first
     monkeypatch.setattr(fastpath, "SPARSE_CHUNK", 64)
     monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", budget_kib * 2**10)
-    sorted_per_step = []
+    sorted_per_step, runs = [], []
     grow, argsort = fastpath._grow_layer, np.argsort
 
     def counting(arr, *args, **kwargs):
         sorted_per_step[-1] += len(arr)
+        runs[-1] += 1
         return argsort(arr, *args, **kwargs)
 
-    monkeypatch.setattr(fastpath, "_grow_layer",
-                        lambda *args: sorted_per_step.append(0) or grow(*args))
+    def growing(*args):
+        sorted_per_step.append(0)
+        runs.append(0)
+        return grow(*args)
+
+    monkeypatch.setattr(fastpath, "_grow_layer", growing)
     monkeypatch.setattr(np, "argsort", counting)
     assert len(_layers(a, t)) == t
     assert sorted_per_step == want
+    assert [k for k, r in enumerate(runs, 1) if r > 1] == split

@@ -532,21 +532,23 @@ def test_m4_s8_evaluates_only_weight_feasible_combinations(monkeypatch):
     # the probe takes the first 64 weight-feasible combinations, and the
     # sparse pass the rest
     assert sizes == [64]
-    # the pass forms only subsets of feasible weight, so every row of every
-    # layer has one, and it forms fewer children than the unpruned pass
-    weights, targets = identities._weight_targets(a, 8)
-    basis_arr = fastpath.basis_to_flat(a.mats)
-    for k in range(1, 9):
-        keys, _ = _sparse_layer(basis_arr, 4, k, weights, targets)
-        combos = fastpath.layer_combos(keys, a.dim, k)
-        assert all(sum(weights[i] for i in c) in targets for c in combos.tolist())
+    # the pass forms a child only from a parent and an element whose
+    # supports meet: every row of every layer has a feasible weight, and
+    # each step forms fewer children than the subsets of feasible weight
+    # that extend a row of the layer before (84, 272, ..., 3,372)
     formed = _count_sparse_children(monkeypatch)
-    assert len(_sparse_layer(basis_arr, 4, 8, weights, targets)[0]) == 0
-    pruned = list(formed)
-    formed.clear()
-    assert len(_sparse_layer(basis_arr, 4, 8)[0]) == 0
-    assert len(pruned) == len(formed) == 7
-    assert all(p <= u for p, u in zip(pruned, formed)) and sum(pruned) < sum(formed)
+    layers = list(fastpath.sparse_layers(fastpath.basis_to_flat(a.mats), 4, 101, 8))
+    assert len(layers[-1][0]) == 0
+    assert formed == [54, 176, 504, 1128, 2116, 2596, 2796]
+    feasible = identities._weight_feasible(a, 8)
+    extended = []
+    for k, (keys, _) in enumerate(layers, 1):
+        combos = fastpath.layer_combos(keys, a.dim, k).tolist()
+        assert all(feasible(c) for c in combos)
+        children = {tuple(sorted(c + [e])) for c in combos for e in range(a.dim) if e not in c}
+        extended.append(sum(map(feasible, children)))
+    assert extended[:-1] == [84, 272, 704, 1452, 2524, 3220, 3372]
+    assert all(f < e for f, e in zip(formed, extended))
 
 
 def test_infeasible_tuples_have_only_zero_products():
@@ -590,11 +592,11 @@ def _over_budget(monkeypatch):
     monkeypatch.setattr(fastpath, "SPARSE_CHUNK", fastpath.BATCH_BUDGET_BYTES)
 
 
-def _sparse_layer(basis_arr, n: int, t: int, weights=None, targets=None):
+def _sparse_layer(basis_arr, n: int, t: int):
     """Layer t, as (keys, values), of the sparse pass over basis_arr at
     p = 101 (fastpath.sparse_layers), or None where the pass stops before
     it."""
-    layers = fastpath.sparse_layers(basis_arr, n, 101, t, weights, targets)
+    layers = fastpath.sparse_layers(basis_arr, n, 101, t)
     return next(islice(layers, t - 1, None), None)
 
 
@@ -720,10 +722,10 @@ def test_one_pass_min_degree_matches_the_per_degree_route(monkeypatch, a):
 
 
 def test_min_degree_goes_on_per_degree_where_the_pass_stops(monkeypatch):
-    # with 448 KiB the pass over M_3 builds layers 1 to 3 and stops before 4
+    # with 439 KiB the pass over M_3 builds layers 1 to 3 and stops before 4
     a = full_matrix_algebra(F, 3)
     want = min_standard_degree(a).to_dict()
-    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 448 * 2**10)
+    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 439 * 2**10)
     sweeps = _count_sweeps(monkeypatch)
     assert min_standard_degree(a).to_dict() == want
     assert sweeps == [4, 5, 6, 7]
