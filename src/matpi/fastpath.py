@@ -188,7 +188,7 @@ def slice_items(t: int, n: int, p: int) -> int:
     (1,331 at t = 10, n = 5, p = 101).  The row sweep (identities._row_hits)
     cuts its rows into the fewest equal slices of at most this many, and
     draws and stacks one slice per call: its s_10 sweep of M_5 at 2,000
-    trials traces 14.4 MiB."""
+    trials traces 14.2 MiB."""
     per_item = 2 * comb(t, t // 2) * n * n * np.dtype(_dp_tier(p, n, t)[0]).itemsize
     return max(1, SLICE_BUDGET_BYTES // per_item)
 
@@ -466,8 +466,9 @@ def sparse_layers(basis_arr: np.ndarray, n: int, p: int, t: int):
     (members, free places, members below each place); a chunk of rows'
     column masks and support test, n + d bytes a row; 40 bytes of
     indices, keys and sort order per candidate of a run; one chunk's
-    three product-sized arrays; and a slice's children's sums and the
-    copy of their nonzero rows.  A step whose candidates do not fit as
+    three product-sized arrays, a chunk holding at most the step's
+    rows * (d - k) pairs of a row and a free place; and a slice's
+    children's sums and the copy of their nonzero rows.  A step whose candidates do not fit as
     one run is built in runs of the child's smallest member, planned from
     the exact count of each member's candidates: a run holds only its own
     candidates, at most rows + rows_s * d for one member s, where rows_s
@@ -546,7 +547,7 @@ def _grow_layer(keys, values, signed, rowsup, bits, k: int, p: int):
     bytes left."""
     rows, d, n = len(keys), len(bits), signed.shape[1]
     entry = n * n * signed.itemsize
-    held = (rows * (entry + 8 + 3 * d) + 3 * SPARSE_CHUNK * entry
+    held = (rows * (entry + 8 + 3 * d) + 3 * min(rows * (d - k), SPARSE_CHUNK) * entry
             + min(rows, SPARSE_CHUNK) * (n + d))
     if held > BATCH_BUDGET_BYTES:
         return None
@@ -670,23 +671,3 @@ def combos_to_stack(basis_arr: np.ndarray, combos, n: int) -> np.ndarray:
     combinations' unit rows."""
     index = np.array(combos, dtype=np.intp).T
     return basis_arr[index].reshape(*index.shape, n, n)
-
-
-def suggested_batch(t: int, n: int) -> int:
-    """The batch that sizes the sweeps' probe block, of
-    max(1, batch // identities.PROBE_SHARE) tuples: as many items as two
-    layers of C(t, floor(t/2)) n x n values at 8 bytes an entry would take
-    inside BATCH_BUDGET_BYTES, at most 4096.  So probes hold 64 tuples
-    where 2 * C(t, floor(t/2)) * n^2 * 8 <= 65,536 bytes (n = 5 up to
-    t = 9, n = 4 up to t = 10), and fewer past that: 41 at t = 10, n = 5.
-    The 8 bytes are a fixed yardstick that keeps the probe sizes, and
-    with them where early witnesses are found, independent of the
-    kernel's dtype; :func:`dp_batch` forms its layers at the product
-    dtype of :func:`_dp_tier` (2 bytes an entry at p = 101, n = 5).
-
-    It sizes nothing else: past the probe, the sweeps stack one
-    :func:`dp_batch` slice (:func:`slice_items`) per call, and the kernel's
-    memory is bounded by its slices.
-    """
-    per_item = 2 * comb(t, t // 2) * n * n * 8
-    return max(1, min(4096, BATCH_BUDGET_BYTES // max(per_item, 1)))

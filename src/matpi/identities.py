@@ -21,17 +21,18 @@ Z/m, large p), which never imports numpy.  Each numpy kernel has one
 caller.  :func:`_dp_hits` evaluates stacks by :func:`fastpath.dp_batch`:
 :func:`_row_hits` stacks coefficient rows, and an exhaustive sweep
 (:func:`_block_hit`) gathers the basis elements of its combinations, both
-one block at a time: a first, small probe block, where early witnesses
-are found, and past it one kernel slice per block, the row sweep's
-slices equal in size (:func:`_equal_slices`) and each block of
-its seeded rows drawn just before it is stacked (:func:`_random_rows`).  The exhaustive sweep
-sends past its probe only what the sparse pass leaves.  That pass
-(:func:`fastpath.sparse_layers`) decides every combination past the probe
-at once: it builds s_k of the basis subsets layer by layer from the
-nonzero ones alone, so layer t holds exactly the nonzero combinations,
-and :func:`_layer_hit` reads its lex-first row.  Where the pass stops (over fastpath.BATCH_BUDGET_BYTES, or
-more than fastpath.KEY_BITS basis elements) the combinations left go on
-in blocks, with no second probe.  Every position a sweep reports is the
+one block at a time: a first probe block of PROBE_ITEMS items, where
+early witnesses are found, and past it one kernel slice per block, the
+row sweep's slices equal in size (:func:`_equal_slices`) and each block
+of its seeded rows drawn just before it is stacked (:func:`_random_rows`).
+The exhaustive sweep sends past its probe only what the sparse pass
+leaves.  That pass (:func:`fastpath.sparse_layers`) decides every
+combination past the probe at once: it builds s_k of the basis subsets
+layer by layer from the nonzero ones alone, so layer t holds exactly the
+nonzero combinations, and :func:`_layer_hit` reads its lex-first row.
+Where the pass stops (over fastpath.BATCH_BUDGET_BYTES, which bounds
+that pass alone, or more than fastpath.KEY_BITS basis elements) the
+combinations left go on in blocks, with no second probe.  Every position a sweep reports is the
 combination's lexicographic rank plus 1 (:func:`_lex_rank`).
 :func:`min_standard_degree` needs no probe and makes no sweep per degree
 over GF(p): one pass yields its layers one at a time, layer t decides s_t,
@@ -76,7 +77,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice, product, repeat
+from itertools import combinations, islice, product
 from math import comb, factorial, perm
 from typing import Optional, Sequence
 
@@ -104,11 +105,9 @@ from .subalgebra import SubalgebraBasis, _linear_combination, close_generators
 QQ_RANDOM_BOUND = 100
 SPANNING_SWEEP_LIMIT = 5_000_000
 IDENTITY_SPACE_MAX_DEGREE = 6
-# the numpy sweeps' first, probe block holds max(1, batch // PROBE_SHARE)
-# tuples, batch = fastpath.suggested_batch: a DP's cost grows with its batch,
-# so an early witness costs one small DP, while a sweep of up to that many
-# tuples (64 when batch is 4096) still runs as one block
-PROBE_SHARE = 64
+# tuples in the numpy sweeps' first, probe block: a DP's cost grows with its
+# batch, so an early witness costs one small DP
+PROBE_ITEMS = 64
 # products the witness re-check's naive walk may form (_reverify_witness)
 WALK_BUDGET = 2**15
 
@@ -252,17 +251,6 @@ def _random_coords(ring: Ring, d: int, rng: random.Random) -> list:
     return [rng.randint(-QQ_RANDOM_BOUND, QQ_RANDOM_BOUND) for _ in range(d)]
 
 
-def _chunked(iterable, sizes):
-    """Consecutive lists of items of iterable, sized by the iterable sizes,
-    until the items run out."""
-    it = iter(iterable)
-    for size in sizes:
-        block = list(islice(it, size))
-        if not block:
-            return
-        yield block
-
-
 def _torus_weights(a, t: int) -> Optional[list]:
     """Torus weight of each element of a.mats packed into one int, or None.
 
@@ -328,8 +316,8 @@ def _first_combination_hit(a, t: int):
 
     Combinations zero by weight are skipped unevaluated.  Inside the int64
     bound of :func:`int64_eligible` the combinations are evaluated in
-    blocks by :func:`_block_hit`, first the probe block of them
-    (PROBE_SHARE).  Past a full probe, layer t of the sparse pass
+    blocks by :func:`_block_hit`, first a probe block of PROBE_ITEMS of
+    them.  Past a full probe, layer t of the sparse pass
     :func:`fastpath.sparse_layers` decides the rest (:func:`_layer_hit`).
     The probe found every combination in it zero, so a layer whose first
     row is not past it contradicts the probe and raises.  Where the pass
@@ -353,10 +341,9 @@ def _first_combination_hit(a, t: int):
     from . import fastpath
 
     basis_arr = fastpath.basis_to_flat(a.mats)
-    size = max(1, fastpath.suggested_batch(t, a.n) // PROBE_SHARE)
-    probe = list(islice(combos, size))
+    probe = list(islice(combos, PROBE_ITEMS))
     hit = _block_hit(a, basis_arr, probe)
-    if hit is not None or len(probe) < size:
+    if hit is not None or len(probe) < PROBE_ITEMS:
         return hit
     layer = next(islice(fastpath.sparse_layers(basis_arr, a.n, a.ring.p, t), t - 1, None), None)
     if layer is not None:
@@ -367,7 +354,8 @@ def _first_combination_hit(a, t: int):
                 f"which the probe found zero"
             )
         return hit
-    for block in _chunked(combos, repeat(fastpath.slice_items(t, a.n, a.ring.p))):
+    size = fastpath.slice_items(t, a.n, a.ring.p)
+    while block := list(islice(combos, size)):
         hit = _block_hit(a, basis_arr, block)
         if hit is not None:
             return hit
@@ -415,16 +403,16 @@ def _row_hits(a, t: int, trials: int, draw, entries=None):
     next k rows (:func:`_random_rows`); with `entries`, a list of flat
     indices into the n x n value, only those entries count.  Inside the
     int64 bound of :func:`int64_eligible` the rows are evaluated by
-    :func:`_dp_hits` in blocks: a probe block (PROBE_SHARE), and then the
+    :func:`_dp_hits` in blocks: a probe block of PROBE_ITEMS, and then the
     rest in equal slices of at most :func:`fastpath.slice_items` items
     (:func:`_equal_slices`), each drawn as a (k, t, dim) array and
     stacked by :func:`fastpath.coords_to_stack` just before it is
     evaluated, so that no array of the sweep holds more than one slice
     and its peak is bounded by a full slice, not by the trials: the s_10
-    sweep of `verify-al --n 5` (M_5) evaluates 41, 980 and 979 rows at
-    2,000 trials and traces 14.4 MiB, and 41 rows and 31 slices of 1,289
-    at 40,000 trials, 18.9 MiB.  Otherwise the rows are drawn and evaluated one by one by
-    :func:`eval_standard_dp`."""
+    sweep of `verify-al --n 5` (M_5) evaluates 64, 968 and 968 rows at
+    2,000 trials and traces 14.2 MiB, and 64 rows and 31 slices of 1,288
+    or 1,289 at 40,000 trials, 18.9 MiB.  Otherwise the rows are drawn and
+    evaluated one by one by :func:`eval_standard_dp`."""
     ring, n = a.ring, a.n
     if not int64_eligible(ring, n, t):
         zero = ring.zero
@@ -441,7 +429,7 @@ def _row_hits(a, t: int, trials: int, draw, entries=None):
 
     p = ring.p
     basis_arr = fastpath.basis_to_flat(a.mats)
-    probe = min(trials, max(1, fastpath.suggested_batch(t, n) // PROBE_SHARE))
+    probe = min(trials, PROBE_ITEMS)
     lo = 0
     for size in [probe, *_equal_slices(trials - probe, fastpath.slice_items(t, n, p))]:
         stack = fastpath.coords_to_stack(basis_arr, draw(size), n, p)
@@ -453,8 +441,8 @@ def _row_hits(a, t: int, trials: int, draw, entries=None):
 
 def _equal_slices(items: int, most: int) -> list:
     """Sizes of the fewest slices of `items` items with at most `most`
-    each, equal to within one, the larger first: 1,959 items at most
-    1,331 make 980 + 979, not 1,331 + 628."""
+    each, equal to within one, the larger first: 1,936 items at most
+    1,331 make 968 + 968, not 1,331 + 605."""
     count = -(-items // most)
     size, extra = divmod(items, max(count, 1))
     return [size + 1] * extra + [size] * (count - extra)
@@ -489,7 +477,7 @@ def _random_rows(a: SubalgebraBasis, t: int, seed: int):
     rows of one rng.integers(0, p, (trials, t, dim), int64) draw, whatever
     the block sizes: the generator keeps what it has not yet used of a
     64-bit word between calls.  So a sweep holds the int64 rows of one
-    block at a time, 2 MB for a 980-row s_10 slice on M_5, not
+    block at a time, 2 MB for a 968-row s_10 slice on M_5, not
     trials * t * dim * 8 bytes.
     """
     ring = a.ring

@@ -434,7 +434,7 @@ def test_criterion_13_evaluator_equivalence():
         fastpath.naive_single(arr8, 101)
         reps += 1
     naive_rate = reps / (time.perf_counter() - t0)
-    B = fastpath.suggested_batch(8, 2)
+    B = 4096
     stack = rng_np.integers(0, 101, size=(8, B, 2, 2), dtype=np.int64)
     t0 = time.perf_counter()
     reps = 0

@@ -205,11 +205,6 @@ def test_coords_to_stack_exact_at_int64_edge():
             assert stack[slot, b].ravel().tolist() == want
 
 
-def test_suggested_batch_positive():
-    assert fastpath.suggested_batch(8, 2) >= 1
-    assert fastpath.suggested_batch(16, 4) >= 1
-
-
 # -- the half-depth split: layers to ceil(t/2), then one join ------------------
 
 @pytest.mark.parametrize("t", [1, 2, 5, 7, 9])
@@ -939,30 +934,68 @@ def _layers(a, t):
     return [(keys.copy(), values.copy()) for keys, values in layers]
 
 
-# layers the pass built, with 64-product chunks, when a step that did not
-# fit was sorted whole, thrown away and built again in ranges: a floor
-# for the step that sorts each run once
-RANGE_LAYERS = {
-    "M_4": {16: 1, 24: 1, 32: 2, 42: 2, 64: 2, 128: 3, 256: 5, 448: 5, 1024: 9, 2048: 9},
-    "E(1,2,1)": {16: 1, 24: 2, 32: 3, 42: 9, 2048: 9},
-    "M_3": {16: 2, 24: 3, 32: 4, 42: 7, 2048: 7},
+# per budget in KiB, with 64-product chunks: the layers the pass builds,
+# and the steps (layer k to k+1, numbered k) built in more than one run of
+# the child's smallest member or whose children are summed in more than one
+# slice.  From 1 MiB on M_4, 24 KiB on E(1,2,1) and 32 KiB on M_3 every
+# step is built whole, as at the default budget.  The conjugated closure's
+# dense basis splits steps into runs
+BUDGET_CASES = {
+    "M_4": {16: (1, [1]), 24: (2, [2]), 32: (2, [2]), 42: (2, [2]), 64: (3, [3]),
+            128: (4, [4]), 256: (5, [4, 5]), 448: (6, [5, 6]), 512: (9, [5, 6, 7]),
+            1024: (9, []), 2048: (9, [])},
+    "E(1,2,1)": {16: (1, [1]), 20: (3, [2, 3]), 22: (9, [3, 4]), 24: (9, []), 32: (9, []),
+                 42: (9, []), 2048: (9, [])},
+    "M_3": {16: (4, [3, 4]), 18: (7, [3, 4, 5]), 24: (7, [4]), 32: (7, []), 42: (7, []),
+            2048: (7, [])},
+    "conj rand11[0]<=U_4": {18: (3, [2, 3]), 20: (9, [2, 3, 4])},
 }
 BUDGET_ALGEBRAS = [full_matrix_algebra(F, 4), full_block_algebra(F, BlockShape((1, 2, 1))),
-                   full_matrix_algebra(F, 3)]
+                   full_matrix_algebra(F, 3), conjugated_closure()]
+
+
+def _count_runs_and_slices(monkeypatch) -> list:
+    """Record [runs, slices, sorted] per _grow_layer call: the np.argsort
+    calls that sort a run's candidates, the _reduce calls that reduce a
+    slice of children's sums, and the candidates sorted."""
+    steps = []
+    grow, argsort, reduce = fastpath._grow_layer, np.argsort, fastpath._reduce
+
+    def growing(*args):
+        steps.append([0, 0, 0])
+        return grow(*args)
+
+    def sorting(arr, *args, **kwargs):
+        steps[-1][0] += 1
+        steps[-1][2] += len(arr)
+        return argsort(arr, *args, **kwargs)
+
+    def reducing(*args):
+        steps[-1][1] += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(fastpath, "_grow_layer", growing)
+    monkeypatch.setattr(np, "argsort", sorting)
+    monkeypatch.setattr(fastpath, "_reduce", reducing)
+    return steps
 
 
 @pytest.mark.parametrize("a,budget_kib", [(a, kib) for a in BUDGET_ALGEBRAS
-                                          for kib in RANGE_LAYERS[a.label]],
+                                          for kib in BUDGET_CASES[a.label]],
                          ids=lambda x: getattr(x, "label", x))
 def test_budget_limited_layer_steps_build_the_same_layers(monkeypatch, a, budget_kib):
-    # with 64 products per chunk and these budgets, steps are built in runs
-    # of the child's smallest member and their children summed in slices
+    # with 64 products per chunk and this budget the pass splits exactly
+    # the listed steps into runs or slices, and every layer it builds is
+    # the one whole steps build
     t = 2 * a.n + 1
+    layers, split = BUDGET_CASES[a.label][budget_kib]
     want = _layers(a, t)
     monkeypatch.setattr(fastpath, "SPARSE_CHUNK", 64)
     monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", budget_kib * 2**10)
+    steps = _count_runs_and_slices(monkeypatch)
     got = _layers(a, t)
-    assert len(want) == t and len(got) >= RANGE_LAYERS[a.label][budget_kib]
+    assert len(want) == t and len(got) == layers
+    assert [k for k, (runs, slices, _) in enumerate(steps, 1) if runs > 1 or slices > 1] == split
     for (keys, values), (want_keys, want_values) in zip(got, want):
         assert np.array_equal(keys, want_keys) and np.array_equal(values, want_values)
 
@@ -1000,21 +1033,7 @@ def test_each_layer_step_sorts_its_candidates_once(monkeypatch, a, budget_kib):
     assert want[0] == first
     monkeypatch.setattr(fastpath, "SPARSE_CHUNK", 64)
     monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", budget_kib * 2**10)
-    sorted_per_step, runs = [], []
-    grow, argsort = fastpath._grow_layer, np.argsort
-
-    def counting(arr, *args, **kwargs):
-        sorted_per_step[-1] += len(arr)
-        runs[-1] += 1
-        return argsort(arr, *args, **kwargs)
-
-    def growing(*args):
-        sorted_per_step.append(0)
-        runs.append(0)
-        return grow(*args)
-
-    monkeypatch.setattr(fastpath, "_grow_layer", growing)
-    monkeypatch.setattr(np, "argsort", counting)
+    steps = _count_runs_and_slices(monkeypatch)
     assert len(_layers(a, t)) == t
-    assert sorted_per_step == want
-    assert [k for k, r in enumerate(runs, 1) if r > 1] == split
+    assert [sorted_ for _, _, sorted_ in steps] == want
+    assert [k for k, (runs, _, _) in enumerate(steps, 1) if runs > 1] == split

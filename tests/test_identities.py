@@ -135,9 +135,9 @@ def test_randomized_deterministic_per_seed(monkeypatch, t, trials):
     assert r1.to_dict() == r2.to_dict()
     if t == 6:
         # s_6 vanishes on M_3, so all 5000 trials run: a probe block of
-        # batch // 64, and the rest, which fit one dp_batch slice
+        # PROBE_ITEMS, and the rest, which fit one dp_batch slice
         assert r1.is_identity and r1.tuples_checked == 5000
-        probe = fastpath.suggested_batch(6, 3) // 64
+        probe = identities.PROBE_ITEMS
         assert 5000 - probe <= fastpath.slice_items(6, 3, 101)
         assert sizes == [probe, 5000 - probe] * 2
 
@@ -437,41 +437,44 @@ def _count_dp_items(monkeypatch) -> list:
     return sizes
 
 
-# -- the probe block: a sweep's first numpy block is batch // 64 tuples -------------
+# -- the probe block: a sweep's first numpy block is PROBE_ITEMS tuples -------------
 
 def _unprobed(monkeypatch):
-    """Make the first block a whole batch: no probe block."""
-    monkeypatch.setattr(identities, "PROBE_SHARE", 1)
+    """Make the first block a whole batch of 4,096 tuples."""
+    monkeypatch.setattr(identities, "PROBE_ITEMS", 4096)
 
 
 def test_randomized_witness_at_first_trial_evaluates_only_the_probe(monkeypatch):
     # s_4 is nonzero on almost every random 4-tuple of M_3
     a = full_matrix_algebra(F, 3)
-    batch = fastpath.suggested_batch(4, 3)
     sizes = _count_dp_items(monkeypatch)
     rep = is_standard_identity(a, 4, mode="randomized", trials=5000, seed=7)
     assert not rep.is_identity and rep.tuples_checked == 1
-    assert sizes == [batch // 64]
+    assert sizes == [identities.PROBE_ITEMS]
     _unprobed(monkeypatch)
     sizes.clear()
     assert is_standard_identity(a, 4, mode="randomized", trials=5000, seed=7).to_dict() \
         == rep.to_dict()
-    assert sizes == [batch]
+    assert sizes == [4096]
 
 
 def test_exhaustive_m4_s6_evaluates_only_the_probe(monkeypatch):
     a = full_matrix_algebra(F, 4)
-    batch = fastpath.suggested_batch(6, 4)
     feasible_check = identities._weight_feasible(a, 6)
     feasible = sum(1 for c in combinations(range(a.dim), 6) if feasible_check(c))
     sizes = _count_dp_items(monkeypatch)
     rep = is_standard_identity(a, 6)
     assert not rep.is_identity and rep.tuples_checked == 4
-    assert sizes == [min(feasible, batch // 64)]
+    assert sizes == [min(feasible, identities.PROBE_ITEMS)]
+    # the pass budget does not size the probe
+    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 0)
+    sizes.clear()
+    assert is_standard_identity(a, 6).to_dict() == rep.to_dict()
+    assert sizes == [min(feasible, identities.PROBE_ITEMS)]
     _unprobed(monkeypatch)
     sizes.clear()
     assert is_standard_identity(a, 6).to_dict() == rep.to_dict()
-    assert sizes == [min(feasible, batch)]
+    assert sizes == [min(feasible, 4096)]
 
 
 PRUNING_CASES = [
@@ -587,9 +590,9 @@ def test_torus_weights_decline_on_mixed_support(mats):
 # -- the sparse layer pass past the probe ------------------------------------------
 
 def _over_budget(monkeypatch):
-    """Make every sparse pass exceed its memory budget, by a product chunk
-    larger than the budget itself, so that sweeps go on in dp_batch blocks."""
-    monkeypatch.setattr(fastpath, "SPARSE_CHUNK", fastpath.BATCH_BUDGET_BYTES)
+    """Make every sparse pass exceed its memory budget, a budget of 0
+    bytes, so that sweeps go on in dp_batch blocks past layer 1."""
+    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 0)
 
 
 def _sparse_layer(basis_arr, n: int, t: int):
@@ -647,14 +650,14 @@ SPARSE_SWEEPS = [
 ]
 
 
-@pytest.mark.parametrize("share", [identities.PROBE_SHARE, 4096],
+@pytest.mark.parametrize("probe", [identities.PROBE_ITEMS, 1],
                          ids=["default-probe", "one-tuple-probe"])
-def test_sparse_pass_on_and_off_agree(monkeypatch, share):
+def test_sparse_pass_on_and_off_agree(monkeypatch, probe):
     # the pass proves M_4 s_8; with a one-tuple probe it also finds the
     # M_3 s_5, M_4 s_7 and E(2,3) witnesses.  Reports, witnesses and counts
     # are byte-equal with the pass over its budget, where dp_batch runs on
-    one_tuple_probe = share > identities.PROBE_SHARE
-    monkeypatch.setattr(identities, "PROBE_SHARE", share)
+    one_tuple_probe = probe == 1
+    monkeypatch.setattr(identities, "PROBE_ITEMS", probe)
     sizes = _count_dp_items(monkeypatch)
     passes = _count_sparse_passes(monkeypatch)
     reports = [is_standard_identity(a, t).to_dict() for a, degrees in SPARSE_SWEEPS for t in degrees]
@@ -677,7 +680,7 @@ def test_sparse_pass_on_and_off_agree_on_closures(monkeypatch):
     # s_t at t = 2n-3, 2n-2 and 2n-1 decide past that probe from layer t of
     # a pass, or from dp_batch blocks over budget; on these closures every
     # witness the pass gives is at t = 2n-3, graded and ungraded
-    monkeypatch.setattr(identities, "PROBE_SHARE", 4096)
+    monkeypatch.setattr(identities, "PROBE_ITEMS", 1)
     algs = []
     for ring in (F, GF(7)):
         algs += random_triangular_closures(ring, 4, 6, seed=5)
@@ -722,10 +725,10 @@ def test_one_pass_min_degree_matches_the_per_degree_route(monkeypatch, a):
 
 
 def test_min_degree_goes_on_per_degree_where_the_pass_stops(monkeypatch):
-    # with 439 KiB the pass over M_3 builds layers 1 to 3 and stops before 4
+    # with 28 KiB the pass over M_3 builds layers 1 to 3 and stops before 4
     a = full_matrix_algebra(F, 3)
     want = min_standard_degree(a).to_dict()
-    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 439 * 2**10)
+    monkeypatch.setattr(fastpath, "BATCH_BUDGET_BYTES", 28 * 2**10)
     sweeps = _count_sweeps(monkeypatch)
     assert min_standard_degree(a).to_dict() == want
     assert sweeps == [4, 5, 6, 7]
@@ -883,7 +886,7 @@ def test_row_sweep_streams_compact_rows_one_slice_at_a_time(monkeypatch):
     monkeypatch.setattr(fastpath, "dp_batch", slicing)
     _slice_items(monkeypatch, 6, 3, 700)
     assert is_standard_identity(a, 6, mode="randomized", trials=5000, seed=3).to_dict() == want
-    probe = fastpath.suggested_batch(6, 3) // identities.PROBE_SHARE
+    probe = identities.PROBE_ITEMS
     assert sizes == [probe] + [617] * 8 == [probe] + identities._equal_slices(5000 - probe, 700)
     assert held == sizes
 
@@ -931,17 +934,17 @@ def test_randomized_sweep_peak_does_not_grow_with_trials(monkeypatch):
 
 
 def test_randomized_s10_sweep_on_m5_stays_inside_one_slice(monkeypatch):
-    # the s_10 sweep of `verify-al --n 5`: a 41-row probe and two equal
-    # slices of 980 and 979 rows (not 1,331 and 628), each drawn and
-    # stacked in int16 just before its dp_batch call: 14.4 MiB traced,
-    # where whole int64 draws, int64 stacks and 1,331-item slices took 22.4
+    # the s_10 sweep of `verify-al --n 5`: a 64-row probe and two equal
+    # slices of 968 rows (not 1,331 and 605), each drawn and stacked in
+    # int16 just before its dp_batch call: 14.2 MiB traced, where whole
+    # int64 draws, int64 stacks and 1,331-item slices took 22.4
     a = full_matrix_algebra(F, 5)
     is_standard_identity(a, 10, mode="randomized", trials=50, seed=1)  # imports, caches
     sizes = _count_dp_items(monkeypatch)
     rep, peak = _traced(lambda: is_standard_identity(a, 10, mode="randomized",
                                                      trials=2000, seed=0))
     assert rep.is_identity and rep.tuples_checked == 2000
-    assert sizes == [41, 980, 979] == [41, *identities._equal_slices(1959, 1331)]
+    assert sizes == [64, 968, 968] == [64, *identities._equal_slices(1936, 1331)]
     assert peak <= 17 * 2**20
 
 
@@ -951,7 +954,7 @@ def test_randomized_s10_sweep_on_m5_stays_inside_one_slice(monkeypatch):
 def test_sparse_pass_witness_is_the_lex_first_nonzero_combination(monkeypatch, a, t):
     # with a one-tuple probe the pass finds the witness; its position is
     # its lexicographic rank plus 1, as a one-by-one sweep counts it
-    monkeypatch.setattr(identities, "PROBE_SHARE", 4096)
+    monkeypatch.setattr(identities, "PROBE_ITEMS", 1)
     rep = is_standard_identity(a, t)
     combos = list(combinations(range(a.dim), t))
     want = rep.tuples_checked - 1
