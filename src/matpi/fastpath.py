@@ -3,18 +3,19 @@
 This module holds only numpy integer arithmetic, and each of its three
 kernels has one caller.  :func:`dp_batch` runs the half-depth subset DP
 of :func:`standardpoly.half_depth_dp`, the one copy of that recurrence,
-over a batch of argument tuples, for identities._dp_hits.  Its stacks are
-built one slice (:func:`slice_items`) at a time, by :func:`coords_to_stack`
-from coefficient rows, at the kernel's product dtype, or by
+over a batch of argument tuples, for identities._dp_hits, in one DP per
+call.  The sweeps there alone size its blocks, at most :func:`slice_items`
+items each, and build their stacks by :func:`coords_to_stack` from
+coefficient rows, at the kernel's product dtype, or by
 :func:`combos_to_stack` as a gather of the basis elements of an
-exhaustive sweep's combinations.  It works
-on batch-last (n, n, B) arrays of centred residues, in [-m, m] for
-m = floor(p/2), and forms each product with one einsum over the
-contiguous batch axis: in int16, summing a few products there before an
-int32 accumulator takes them, when n * m^2 + m < 2^15 (every p <= 157 at
-n = 5); in int32 when t * n * m^2 + p < 2^31; in int64 otherwise.  The DP
-frees each g(S) after its last child, so a slice holds at most 275 of the
-462 g values of two whole layers at t = 10.
+exhaustive sweep's combinations.  It works on batch-last (n, n, B)
+arrays of centred residues, in [-m, m] for m = floor(p/2), and forms
+each product with one einsum over the contiguous batch axis: in int16,
+summing a few products there before an int32 accumulator takes them,
+when n * m^2 + m < 2^15 (every p <= 157 at n = 5); in int32 when
+t * n * m^2 + p < 2^31; in int64 otherwise.  The DP frees each g(S)
+after its last child, so a call holds at most 275 of the 462 g values
+of two whole layers at t = 10.
 Exhaustive sweeps decide all basis combinations past their probe block
 at once instead: :func:`sparse_layers` (called by
 identities._first_combination_hit and identities._layer_reports) runs the
@@ -63,7 +64,7 @@ from .standardpoly import NAIVE_MAX_DEGREE, half_depth_dp, term_negate
 
 INT64_BUDGET = 2**62
 BATCH_BUDGET_BYTES = 256 * 2**20
-# dp_batch: bytes that two whole DP layers of one slice of its batch would take
+# slice_items, read by the sweeps: bytes that two whole DP layers of one block take
 SLICE_BUDGET_BYTES = 32 * 2**20
 # sparse_layers: basis sizes whose subset bitmasks fit int64, and products per chunk
 KEY_BITS = 63
@@ -140,55 +141,43 @@ def dp_batch(stack: np.ndarray, p: int) -> np.ndarray:
     then copied to int16.  The arguments are centred the same way on
     entry, where x + m < p + m fits every tier's dtype.
 
-    Memory: the DP runs over slices of the batch axis of
-    :func:`slice_items` items each: as many as two whole layers of
-    C(t, floor(t/2)) g values at the product dtype would take inside
-    SLICE_BUDGET_BYTES, and at least one (1,331 items at t = 10, n = 5 in
-    int16, 665 in int32).  :func:`standardpoly.half_depth_dp` frees each
-    parent after its last child, so a slice holds fewer g values than
-    that: at most 275 of those 462 at t = 10 and 79 of 126 at t = 8, while
-    an odd t keeps both layers whole at its last step, whose lower layer
-    the join reads (252 at t = 9).  The slices keep the size of two whole
-    layers, so the freed values lower the peak: 19.0 MiB traced on a
-    (10, 1959, 5, 5) int64 stack, against 30.9 MiB with two whole layers.
-    Both sweeps hand it at most one slice per call (identities._row_hits
-    in equal slices), so their calls run as one slice.  Besides the
-    caller's stack and the (B, n, n) int64 result, the kernel holds one
-    slice at a time: its live g values, its batch-last copy of the
-    arguments and the four buffers of its signed sums (two g-sized ones
-    at the product dtype and two at the accumulator's), so its working
-    set does not grow with B.
+    Memory: callers hand it at most :func:`slice_items` items (the sweeps
+    in identities cut every block to that size), and it evaluates the
+    whole stack in one :func:`standardpoly.half_depth_dp` call.  Besides
+    the caller's stack and the (B, n, n) int64 result, one call holds the
+    live g values of its items, its batch-last copy of the arguments and
+    the four buffers of its signed sums (two g-sized ones at the product
+    dtype and two at the accumulator's).  :func:`standardpoly.half_depth_dp`
+    frees each parent after its last child, so the live g values are at
+    most 275 of the 462 of two whole layers at t = 10 and 79 of 126 at
+    t = 8, while an odd t keeps both layers whole at its last step, whose
+    lower layer the join reads (252 at t = 9).
 
-    Layout: each slice of the stack is copied once to batch-last
-    (t, n, n, B') at the product dtype, so each g(S) is an (n, n, B') array
-    whose batch axis is contiguous, and every product is one einsum over
-    that axis.
+    Layout: the stack is copied once to batch-last (t, n, n, B) at the
+    product dtype, so each g(S) is an (n, n, B) array whose batch axis is
+    contiguous, and every product is one einsum over that axis.
     """
-    t, batch, n, _ = stack.shape
+    t, _, n, _ = stack.shape
     if not supports(p, n, t):
         raise DegreeGuardError(f"int64 budget exceeded for p={p}, n={n}, t={t}")
     if stack.min() < 0 or stack.max() >= p:
         raise DegreeGuardError(f"int64 bound needs residues in [0, {p})")
     tier = _dp_tier(p, n, t)
-    product = tier[0]
-    step = slice_items(t, n, p)
-    out = np.empty((batch, n, n), dtype=np.int64)
-    for lo in range(0, batch, step):
-        x = np.ascontiguousarray(stack[:, lo:lo + step].transpose(0, 2, 3, 1), dtype=product)
-        x = _centre(x, p, np.empty_like(x))
-        value = half_depth_dp(x, _signed_sum(p, tier, x.shape[1:]))
-        out[lo:lo + step] = value.transpose(2, 0, 1)
-    return _reduce(out, p)
+    x = np.ascontiguousarray(stack.transpose(0, 2, 3, 1), dtype=tier[0])
+    x = _centre(x, p, np.empty_like(x))
+    value = half_depth_dp(x, _signed_sum(p, tier, x.shape[1:]))
+    return _reduce(value.transpose(2, 0, 1).astype(np.int64, order="C"), p)
 
 
 def slice_items(t: int, n: int, p: int) -> int:
-    """Items per slice of :func:`dp_batch`'s batch axis: as many as two
-    DP layers of C(t, floor(t/2)) g values at the product dtype of
-    :func:`_dp_tier` take inside SLICE_BUDGET_BYTES, and at least one
-    (1,331 at t = 10, n = 5, p = 101).  The row sweep (identities._row_hits)
-    cuts its rows into the fewest equal slices of at most this many, and
-    draws and stacks one slice per call: its s_10 sweep of M_5 at 2,000
-    trials traces 14.2 MiB."""
+    """The most items one :func:`dp_batch` call holds, read by the sweeps
+    (identities._first_combination_hit and identities._row_hits) to cut
+    every block, their probes included: as many as two DP layers of
+    C(t, floor(t/2)) g values at the product dtype of :func:`_dp_tier`
+    take inside SLICE_BUDGET_BYTES, and at least one (1,331 at t = 10,
+    n = 5, p = 101).  The row sweep cuts its rows into the fewest equal
+    slices of at most this many, and draws and stacks one slice per call:
+    its s_10 sweep of M_5 at 2,000 trials traces 14.2 MiB."""
     per_item = 2 * comb(t, t // 2) * n * n * np.dtype(_dp_tier(p, n, t)[0]).itemsize
     return max(1, SLICE_BUDGET_BYTES // per_item)
 

@@ -21,8 +21,9 @@ Z/m, large p), which never imports numpy.  Each numpy kernel has one
 caller.  :func:`_dp_hits` evaluates stacks by :func:`fastpath.dp_batch`:
 :func:`_row_hits` stacks coefficient rows, and an exhaustive sweep
 (:func:`_block_hit`) gathers the basis elements of its combinations, both
-one block at a time: a first probe block of PROBE_ITEMS items, where
-early witnesses are found, and past it one kernel slice per block, the
+one block of at most one kernel slice (:func:`fastpath.slice_items`) at
+a time: a first probe block of PROBE_ITEMS items, or one slice if fewer,
+where early witnesses are found, and past it one slice per block, the
 row sweep's slices equal in size (:func:`_equal_slices`) and each block
 of its seeded rows drawn just before it is stacked (:func:`_random_rows`).
 The exhaustive sweep sends past its probe only what the sparse pass
@@ -105,8 +106,8 @@ from .subalgebra import SubalgebraBasis, _linear_combination, close_generators
 QQ_RANDOM_BOUND = 100
 SPANNING_SWEEP_LIMIT = 5_000_000
 IDENTITY_SPACE_MAX_DEGREE = 6
-# tuples in the numpy sweeps' first, probe block: a DP's cost grows with its
-# batch, so an early witness costs one small DP
+# tuples in the numpy sweeps' first, probe block, at most one slice: a DP's
+# cost grows with its batch, so an early witness costs one small DP
 PROBE_ITEMS = 64
 # products the witness re-check's naive walk may form (_reverify_witness)
 WALK_BUDGET = 2**15
@@ -316,15 +317,15 @@ def _first_combination_hit(a, t: int):
 
     Combinations zero by weight are skipped unevaluated.  Inside the int64
     bound of :func:`int64_eligible` the combinations are evaluated in
-    blocks by :func:`_block_hit`, first a probe block of PROBE_ITEMS of
-    them.  Past a full probe, layer t of the sparse pass
-    :func:`fastpath.sparse_layers` decides the rest (:func:`_layer_hit`).
-    The probe found every combination in it zero, so a layer whose first
-    row is not past it contradicts the probe and raises.  Where the pass
-    stops, the combinations left go on in blocks of one
-    :func:`fastpath.dp_batch` slice (:func:`fastpath.slice_items`), with no
-    second probe.  Outside the bound each combination is its own
-    :func:`eval_standard_dp`.
+    blocks of at most one :func:`fastpath.dp_batch` slice
+    (:func:`fastpath.slice_items`) by :func:`_block_hit`, first a probe
+    block of PROBE_ITEMS of them, or one slice if fewer.  Past a full
+    probe, layer t of the sparse pass :func:`fastpath.sparse_layers`
+    decides the rest (:func:`_layer_hit`).  The probe found every
+    combination in it zero, so a layer whose first row is not past it
+    contradicts the probe and raises.  Where the pass stops, the
+    combinations left go on in blocks of one slice, with no second probe.
+    Outside the bound each combination is its own :func:`eval_standard_dp`.
     """
     d = a.dim
     combos = combinations(range(d), t)
@@ -341,9 +342,11 @@ def _first_combination_hit(a, t: int):
     from . import fastpath
 
     basis_arr = fastpath.basis_to_flat(a.mats)
-    probe = list(islice(combos, PROBE_ITEMS))
+    size = fastpath.slice_items(t, a.n, a.ring.p)
+    first = min(PROBE_ITEMS, size)
+    probe = list(islice(combos, first))
     hit = _block_hit(a, basis_arr, probe)
-    if hit is not None or len(probe) < PROBE_ITEMS:
+    if hit is not None or len(probe) < first:
         return hit
     layer = next(islice(fastpath.sparse_layers(basis_arr, a.n, a.ring.p, t), t - 1, None), None)
     if layer is not None:
@@ -354,7 +357,6 @@ def _first_combination_hit(a, t: int):
                 f"which the probe found zero"
             )
         return hit
-    size = fastpath.slice_items(t, a.n, a.ring.p)
     while block := list(islice(combos, size)):
         hit = _block_hit(a, basis_arr, block)
         if hit is not None:
@@ -403,9 +405,10 @@ def _row_hits(a, t: int, trials: int, draw, entries=None):
     next k rows (:func:`_random_rows`); with `entries`, a list of flat
     indices into the n x n value, only those entries count.  Inside the
     int64 bound of :func:`int64_eligible` the rows are evaluated by
-    :func:`_dp_hits` in blocks: a probe block of PROBE_ITEMS, and then the
-    rest in equal slices of at most :func:`fastpath.slice_items` items
-    (:func:`_equal_slices`), each drawn as a (k, t, dim) array and
+    :func:`_dp_hits` in blocks of at most one :func:`fastpath.dp_batch`
+    slice (:func:`fastpath.slice_items`): a probe block of PROBE_ITEMS, or
+    one slice if fewer, and then the rest in equal slices of at most that
+    many (:func:`_equal_slices`), each drawn as a (k, t, dim) array and
     stacked by :func:`fastpath.coords_to_stack` just before it is
     evaluated, so that no array of the sweep holds more than one slice
     and its peak is bounded by a full slice, not by the trials: the s_10
@@ -429,9 +432,10 @@ def _row_hits(a, t: int, trials: int, draw, entries=None):
 
     p = ring.p
     basis_arr = fastpath.basis_to_flat(a.mats)
-    probe = min(trials, PROBE_ITEMS)
+    most = fastpath.slice_items(t, n, p)
+    probe = min(trials, PROBE_ITEMS, most)
     lo = 0
-    for size in [probe, *_equal_slices(trials - probe, fastpath.slice_items(t, n, p))]:
+    for size in [probe, *_equal_slices(trials - probe, most)]:
         stack = fastpath.coords_to_stack(basis_arr, draw(size), n, p)
         for b, mats, value in _dp_hits(ring, stack, entries):
             yield lo + b + 1, _checked_witness(a, None, mats, value)
@@ -808,6 +812,8 @@ def block_assembly_check(a_top: SubalgebraBasis, a_bot: SubalgebraBasis,
     evaluates s_{q+r} on `trials` seeded random assemblies.
     """
     started = time.perf_counter()
+    if trials < 0:
+        raise DimensionError(f"need trials >= 0, got {trials}")
     if a_top.ring != a_bot.ring:
         raise RingMismatchError(f"{a_top.ring} vs {a_bot.ring}")
     ring = a_top.ring
@@ -886,6 +892,8 @@ def ur_vanishing_check(ring: Ring, l: int, m: int, trials: int = 200, seed: int 
     need not vanish; only its corner must.
     """
     started = time.perf_counter()
+    if trials < 0:
+        raise DimensionError(f"need trials >= 0, got {trials}")
     if not ring.is_field:
         raise UnsupportedRingError(f"corner check needs a field, not {ring.name}")
     units = repetition_units(ring, l, m, include_corner=False)

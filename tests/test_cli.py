@@ -233,6 +233,12 @@ def test_lemma_suite_with_no_trials(capsys):
     assert "[FAIL]" not in out
 
 
+def test_lemma_suite_rejects_negative_trials(capsys):
+    code, _, err = run(capsys, "lemma-suite", "--trials", "-1")
+    assert code == 1
+    assert err.startswith("matpi: error:") and "trials >= 0" in err
+
+
 def test_missing_spec_file_exits_1(capsys):
     code, out, err = run(capsys, "classify", "--spec", "/no/such/file.yaml")
     assert code == 1

@@ -17,7 +17,8 @@ from matpi.constructions import (
     upper_triangular,
 )
 from matpi import fastpath, identities, standardpoly
-from matpi.errors import ContractViolationError, DegreeGuardError, UnsupportedRingError
+from matpi.errors import (ContractViolationError, DegreeGuardError, DimensionError,
+                          UnsupportedRingError)
 from matpi.identities import (
     block_assembly_check,
     is_standard_identity,
@@ -355,6 +356,17 @@ def test_block_assembly_with_no_trials_is_ok():
         bot = full_matrix_algebra(ring, 2)
         rep = block_assembly_check(top, bot, 2, 4, trials=0, seed=0)
         assert (rep.status, rep.violations, rep.first_violation) == ("ok", 0, None), ring
+
+
+@pytest.mark.parametrize("ring", [F, QQ], ids=["GF(101)", "QQ"])
+def test_lemma_checks_reject_negative_trials(ring):
+    # a negative trial count is a usage error on both kernels, not an `ok`
+    # report with a negative count (QQ) or a numpy error (GF(101))
+    top, bot = full_matrix_algebra(ring, 1), full_matrix_algebra(ring, 2)
+    with pytest.raises(DimensionError, match="trials >= 0"):
+        block_assembly_check(top, bot, 2, 4, trials=-1, seed=0)
+    with pytest.raises(DimensionError, match="trials >= 0"):
+        ur_vanishing_check(ring, 1, 1, trials=-3, seed=0)
 
 
 def test_counted_hits_agree_across_kernels(monkeypatch):
@@ -859,6 +871,22 @@ def test_stopped_pass_probes_once_and_gathers_its_stacks(monkeypatch):
     units = np.eye(a.dim, dtype=np.int64)[combos]
     want_stack = fastpath.coords_to_stack(fastpath.basis_to_flat(a.mats), units, a.n, 101)
     assert np.array_equal(np.concatenate(stacks, axis=1), want_stack)
+
+
+def test_every_dp_batch_call_of_both_sweeps_holds_at_most_one_slice(monkeypatch):
+    # with slices of 20 items the probe is cut to one slice too: M_4 s_8
+    # probes 20 combinations before the pass decides the rest, and 200
+    # randomized M_3 s_6 rows come in ten blocks of 20; the reports are
+    # those of the default slices
+    exhaustive = (full_matrix_algebra(F, 4), 8, {})
+    randomized = (full_matrix_algebra(F, 3), 6, dict(mode="randomized", trials=200, seed=0))
+    for (a, t, kwargs), blocks in ((exhaustive, [20]), (randomized, [20] * 10)):
+        want = is_standard_identity(a, t, **kwargs).to_dict()
+        with monkeypatch.context() as patch:
+            sizes = _count_dp_items(patch)
+            _slice_items(patch, t, a.n, 20)
+            assert is_standard_identity(a, t, **kwargs).to_dict() == want
+        assert sizes == blocks
 
 
 def test_row_sweep_streams_compact_rows_one_slice_at_a_time(monkeypatch):
