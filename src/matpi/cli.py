@@ -34,7 +34,7 @@ from .constructions import (
     full_matrix_algebra,
     repetition_algebra,
 )
-from .errors import ContractViolationError, MatpiError
+from .errors import ContractViolationError, DimensionError, MatpiError
 from .identities import (
     block_assembly_check,
     format_matrix,
@@ -355,6 +355,8 @@ def _consecutive_factor_configs(ring, trials, seed):
 
 def cmd_lemma_suite(args) -> int:
     started = time.perf_counter()
+    if args.trials < 0:
+        raise DimensionError(f"need trials >= 0, got {args.trials}")
     ring = GF(101)
     params = {"trials": args.trials, "ring": ring.name}
     report = _base_report("lemma-suite", params, _digest_of_params(params), args.seed)

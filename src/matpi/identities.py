@@ -678,9 +678,11 @@ class IdentitySpace:
     basis: tuple
     tuples_swept: int
     verified: bool
+    sweep_ms: float
+    recheck_ms: float
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        return {
+        out = {
             "algebra": self.algebra,
             "ring": self.ring,
             "degree": self.degree,
@@ -689,6 +691,10 @@ class IdentitySpace:
             "tuples_swept": self.tuples_swept,
             "verified": self.verified,
         }
+        if include_timing:
+            out["elapsed_ms"] = {"sweep": round(self.sweep_ms, 3),
+                                 "recheck": round(self.recheck_ms, 3)}
+        return out
 
 
 def multilinear_identity_space(a: SubalgebraBasis, t: int) -> IdentitySpace:
@@ -699,8 +705,16 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int) -> IdentitySpace:
     to general multilinear polynomials, so all dim^t tuples contribute,
     except that tuples zero by weight would give only zero rows and are
     skipped (they still count as swept).  Rows feed an incremental echelon
-    and the sweep stops as soon as the rank hits t! (zero space).  Each
-    kernel vector is then re-checked against every tuple.
+    and the sweep stops as soon as the rank hits t! (zero space).
+
+    A word's product depends only on its sequence of basis indices, so the
+    sweep's walks share one :func:`word_products` memo keyed by those
+    sequences, and each distinct basis word is formed once per call, not
+    once per (tuple, word).  The memo holds at most sum over k <= t of
+    dim^k entries, fewer where zero prefixes prune, and is dropped when the
+    call returns.  Each kernel vector is then re-checked against every
+    tuple by fresh walks without the memo: a wrongly keyed memo would give
+    the sweep wrong rows, and the fresh walk would reject the kernel.
     """
     if not 1 <= t <= IDENTITY_SPACE_MAX_DEGREE:
         raise DegreeGuardError(
@@ -708,19 +722,21 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int) -> IdentitySpace:
         )
     if not isinstance(a, SubalgebraBasis) or not a.ring.is_field:
         raise UnsupportedRingError("identity space needs a field-backed basis")
+    started = time.perf_counter()
     ring, n, d = a.ring, a.n, a.dim
     fact = factorial(t)
     zero = ring.zero
     sieve = Echelon(ring, fact)
     flats = [m.data for m in a.mats]
     feasible = _weight_feasible(a, t) or (lambda tup: True)
+    memo = {}
     swept = 0
     for tup in product(range(d), repeat=t):
         swept += 1
         if not feasible(tup):
             continue
         rows = [[zero] * fact for _ in range(n * n)]
-        for r, _, prod in word_products([flats[i] for i in tup], n, ring):
+        for r, _, prod in word_products([flats[i] for i in tup], n, ring, memo=memo, keys=tup):
             for e, v in enumerate(prod):
                 rows[e][r] = v
         for row in rows:
@@ -728,6 +744,7 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int) -> IdentitySpace:
         if sieve.rank == fact:
             break
     kernel = sieve.nullspace_basis()
+    swept_at = time.perf_counter()
     if kernel:
         for tup in filter(feasible, product(range(d), repeat=t)):
             prods = list(word_products([flats[i] for i in tup], n, ring))
@@ -745,6 +762,8 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int) -> IdentitySpace:
     return IdentitySpace(
         algebra=a.label, ring=ring.name, degree=t, dimension=fact - sieve.rank,
         basis=tuple(kernel), tuples_swept=swept, verified=bool(kernel),
+        sweep_ms=(swept_at - started) * 1e3,
+        recheck_ms=(time.perf_counter() - swept_at) * 1e3,
     )
 
 

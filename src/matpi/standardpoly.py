@@ -35,6 +35,7 @@ from .rings import Ring
 
 NAIVE_MAX_DEGREE = 8
 DP_MAX_DEGREE = 24
+_UNSEEN = object()  # a prefix not yet in a word_products memo
 
 
 def signed_permutations(t: int):
@@ -186,7 +187,8 @@ def eval_multilinear(poly: MultilinearPoly, mats: Sequence[Matrix]) -> Matrix:
     return Matrix._new(ring, n, n, ring.canon_list(acc))
 
 
-def word_products(flats: Sequence, n: int, ring: Ring, budget: Optional[int] = None):
+def word_products(flats: Sequence, n: int, ring: Ring, budget: Optional[int] = None,
+                  memo: Optional[dict] = None, keys: Optional[Sequence] = None):
     """Yield (rank, sign, product) for every permutation word of the flat
     n x n matrices whose product is nonzero, in lexicographic word order.
 
@@ -200,13 +202,20 @@ def word_products(flats: Sequence, n: int, ring: Ring, budget: Optional[int] = N
     it raises DegreeGuardError instead of forming more than budget
     products: a nonzero prefix forms one product per free letter, so the
     count is kept per prefix.
+
+    With `memo`, a dict the caller owns and may share between walks, each
+    prefix product is looked up before mul_flat forms it, under the tuple
+    of `keys` (one per flat, equal for equal flats) of its letters, and
+    stored there after; a zero prefix is stored as None, so it still ends
+    its subtree.  Order, ranks and signs do not change, and walks over
+    words of one basis form each distinct basis word once between them.
     """
     if not flats:
         raise DimensionError("need at least one matrix")
     zero = ring.zero
     formed = 0
 
-    def walk(prod, rest, rank, sign):
+    def walk(prod, rest, rank, sign, prefix):
         nonlocal formed
         if budget is not None and prod is not None:
             formed += len(rest)
@@ -214,16 +223,23 @@ def word_products(flats: Sequence, n: int, ring: Ring, budget: Optional[int] = N
                 raise DegreeGuardError(f"word walk exceeds its budget of {budget} products")
         step = factorial(len(rest) - 1)
         for k, i in enumerate(rest):
-            nxt = flats[i] if prod is None else mul_flat(prod, flats[i], n, n, n, ring)
-            if flat_is_zero(nxt, zero):
+            key = None if memo is None else prefix + (keys[i],)
+            nxt = _UNSEEN if key is None else memo.get(key, _UNSEEN)
+            if nxt is _UNSEEN:
+                nxt = flats[i] if prod is None else mul_flat(prod, flats[i], n, n, n, ring)
+                if flat_is_zero(nxt, zero):
+                    nxt = None
+                if key is not None:
+                    memo[key] = nxt
+            if nxt is None:
                 continue
             word_sign = -sign if k & 1 else sign
             if len(rest) == 1:
                 yield rank, word_sign, nxt
             else:
-                yield from walk(nxt, rest[:k] + rest[k + 1:], rank + k * step, word_sign)
+                yield from walk(nxt, rest[:k] + rest[k + 1:], rank + k * step, word_sign, key)
 
-    return walk(None, tuple(range(len(flats))), 0, 1)
+    return walk(None, tuple(range(len(flats))), 0, 1, ())
 
 
 def eval_standard_naive(mats: Sequence[Matrix]) -> Matrix:

@@ -3,6 +3,7 @@ import textwrap
 
 import pytest
 
+from matpi import cli
 from matpi.cli import main, parse_ring_flag
 from matpi.errors import MatpiError
 from matpi.rings import GF, QQ, Zmod
@@ -220,6 +221,16 @@ def test_identity_space_structured(capsys):
     assert doc["checks"][0]["detail"]["dimension"] == 0
 
 
+def test_identity_space_timings_split_sweep_and_recheck(capsys):
+    argv = ("identity-space", "--n", "2", "--t", "4", "--out", "structured")
+    _, plain, _ = run(capsys, *argv)
+    _, timed, _ = run(capsys, *argv, "--timings")
+    assert "elapsed_ms" not in json.loads(plain)["checks"][0]["detail"]
+    elapsed = json.loads(timed)["checks"][0]["detail"]["elapsed_ms"]
+    assert sorted(elapsed) == ["recheck", "sweep"]
+    assert all(ms >= 0 for ms in elapsed.values())
+
+
 def test_lemma_suite(capsys):
     code, out, _ = run(capsys, "lemma-suite", "--trials", "50")
     assert code == 0
@@ -233,10 +244,15 @@ def test_lemma_suite_with_no_trials(capsys):
     assert "[FAIL]" not in out
 
 
-def test_lemma_suite_rejects_negative_trials(capsys):
-    code, _, err = run(capsys, "lemma-suite", "--trials", "-1")
-    assert code == 1
-    assert err.startswith("matpi: error:") and "trials >= 0" in err
+def test_lemma_suite_rejects_negative_trials(capsys, monkeypatch):
+    ran = []
+    for name in ("_consecutive_factor_configs", "ur_vanishing_check",
+                 "is_standard_identity", "block_assembly_check"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: ran.append(name))
+    code, out, err = run(capsys, "lemma-suite", "--trials", "-1")
+    assert code == 1 and out == ""
+    assert err == "matpi: error: need trials >= 0, got -1\n"
+    assert ran == []  # rejected before any check ran
 
 
 def test_missing_spec_file_exits_1(capsys):

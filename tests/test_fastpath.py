@@ -754,6 +754,16 @@ def test_conjugated_closure_is_ungraded():
     assert identities._torus_weights(conjugated_closure(), 2) is None
 
 
+def test_identity_space_memo_on_and_off_agree_on_a_dense_basis(monkeypatch):
+    # no zero prefix prunes the memo of an ungraded, dense basis
+    a = conjugated_closure()
+    memoized = identities.multilinear_identity_space(a, 4).to_dict()
+    walk = identities.word_products
+    monkeypatch.setattr(identities, "word_products",
+                        lambda flats, n, ring, memo=None, keys=None: walk(flats, n, ring))
+    assert identities.multilinear_identity_space(a, 4).to_dict() == memoized
+
+
 def join_boundary_primes(t, n):
     """The largest prime at which dp_batch's int64 join sums all its
     C(t, floor(t/2)) products before reducing, and the largest prime that

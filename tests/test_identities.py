@@ -323,6 +323,102 @@ def test_identity_space_degree_guard():
         multilinear_identity_space(full_matrix_algebra(F, 2), 7)
 
 
+def _without_memo(monkeypatch):
+    walk = identities.word_products
+    monkeypatch.setattr(identities, "word_products",
+                        lambda flats, n, ring, memo=None, keys=None: walk(flats, n, ring))
+
+
+def _products_by_walk(monkeypatch) -> tuple:
+    """Spy on the identity space's walks: returns a dict counting the
+    mul_flat calls inside walks with a memo ("memo") and without one
+    ("fresh"), and the list of distinct memos passed.  Each walk is
+    consumed before the next starts, so the kind of the latest walk is
+    the kind of every product formed."""
+    calls, memos, kind = {"memo": 0, "fresh": 0}, [], []
+    mul, walk = standardpoly.mul_flat, identities.word_products
+
+    def counting(*args):
+        calls[kind[-1]] += 1
+        return mul(*args)
+
+    def spying(flats, n, ring, memo=None, keys=None):
+        kind.append("fresh" if memo is None else "memo")
+        if memo is not None and not any(m is memo for m in memos):
+            memos.append(memo)
+        yield from walk(flats, n, ring, memo=memo, keys=keys)
+
+    monkeypatch.setattr(standardpoly, "mul_flat", counting)
+    monkeypatch.setattr(identities, "word_products", spying)
+    return calls, memos
+
+
+MEMO_CASES = [
+    (full_matrix_algebra(F, 2), 3), (full_matrix_algebra(F, 2), 4),
+    (full_matrix_algebra(QQ, 2), 3), (full_matrix_algebra(QQ, 2), 4),
+    (upper_triangular(F, 3), 4), (full_block_algebra(F, BlockShape((1, 2))), 4),
+    (repetition_algebra(F, 1, 1), 4),
+]
+
+
+@pytest.mark.parametrize("a,t", MEMO_CASES,
+                         ids=[f"{a.label} over {a.ring.name} t={t}" for a, t in MEMO_CASES])
+def test_identity_space_memo_on_and_off_agree(monkeypatch, a, t):
+    memoized = multilinear_identity_space(a, t).to_dict()
+    _without_memo(monkeypatch)
+    assert multilinear_identity_space(a, t).to_dict() == memoized
+
+
+@pytest.mark.parametrize("a,memoized,plain,recheck", [
+    (full_matrix_algebra(F, 2), 224, 72720, 72720),
+    (upper_triangular(F, 3), 211, 102995, 0),  # no kernel, so no re-check
+], ids=["M_2", "U_3"])
+def test_identity_space_sweep_forms_each_basis_word_once(monkeypatch, a, memoized, plain, recheck):
+    with monkeypatch.context() as mp:
+        calls, memos = _products_by_walk(mp)
+        multilinear_identity_space(a, 5)
+    [memo] = memos  # one memo, shared by every walk of the sweep
+    assert calls == {"memo": memoized, "fresh": recheck}
+    assert sum(len(key) >= 2 for key in memo) == memoized
+    calls, memos = _products_by_walk(monkeypatch)
+    _without_memo(monkeypatch)
+    multilinear_identity_space(a, 5)
+    assert memos == [] and calls == {"memo": 0, "fresh": plain + recheck}
+
+
+def test_identity_space_recheck_walks_every_feasible_tuple_afresh(monkeypatch):
+    a = full_matrix_algebra(F, 2)
+    walks, walk = [], identities.word_products
+
+    def spying(flats, n, ring, memo=None, keys=None):
+        walks.append(([next(i for i, m in enumerate(a.mats) if m.data is f) for f in flats],
+                      memo, keys))
+        return walk(flats, n, ring, memo=memo, keys=keys)
+
+    monkeypatch.setattr(identities, "word_products", spying)
+    space = multilinear_identity_space(a, 4)
+    assert space.dimension == 1 and space.verified
+    feasible = [list(tup) for tup in product(range(a.dim), repeat=4)
+                if identities._weight_feasible(a, 4)(tup)]
+    sweep = [w for w in walks if w[1] is not None]
+    recheck = walks[len(sweep):]
+    assert [tup for tup, _, keys in sweep] == [list(keys) for _, _, keys in sweep]
+    assert len({id(memo) for _, memo, _ in sweep}) == 1
+    assert [tup for tup, _, _ in recheck] == feasible
+    assert all(memo is None and keys is None for _, memo, keys in recheck)
+
+
+def test_identity_space_recheck_rejects_a_wrongly_keyed_memo(monkeypatch):
+    # keys that forget which basis element each letter is give the sweep
+    # wrong rows
+    walk = identities.word_products
+    monkeypatch.setattr(identities, "word_products",
+                        lambda flats, n, ring, memo=None, keys=None:
+                        walk(flats, n, ring, memo=memo, keys=keys and [0] * len(keys)))
+    with pytest.raises(ContractViolationError, match="re-verification"):
+        multilinear_identity_space(full_matrix_algebra(F, 2), 4)
+
+
 # -- lemma harnesses ---------------------------------------------------------------
 
 # GF(101) runs the int64 kernel; QQ and GF(2^31 - 1) the exact one
@@ -1007,8 +1103,8 @@ def _walks(monkeypatch) -> list:
     ring of each word_products walk."""
     walks, walk = [], standardpoly.word_products
     monkeypatch.setattr(standardpoly, "word_products",
-                        lambda flats, n, ring, budget=None: walks.append(ring)
-                        or walk(flats, n, ring, budget))
+                        lambda flats, n, ring, budget=None, **kw: walks.append(ring)
+                        or walk(flats, n, ring, budget, **kw))
     return walks
 
 
