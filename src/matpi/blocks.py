@@ -20,7 +20,6 @@ from .errors import (
     ContractViolationError,
     DimensionError,
     NotBlockTriangularError,
-    NotSimpleBlocksError,
     UnsupportedRingError,
 )
 from .matrices import Echelon, Matrix, matrix_unit
@@ -288,38 +287,6 @@ def intertwiner_space(a: SubalgebraBasis, shape: BlockShape, i: int, j: int) -> 
     return [Matrix._new(ring, l, l, list(vec)) for vec in ech.nullspace_basis()]
 
 
-def detect_repetition(a: SubalgebraBasis, shape: BlockShape) -> Optional[tuple]:
-    """Lex-first pair (i, j), i < j, of equal-size blocks with a nonzero
-    intertwiner; None when no pair has one.
-
-    Precondition: every diagonal projection is the full matrix algebra of
-    its block (checked; NotSimpleBlocksError otherwise).  Under that
-    precondition a nonzero intertwiner is automatically invertible, so a
-    hit means the two block actions are isomorphic.
-    """
-    for k in range(1, shape.num_blocks + 1):
-        lk = shape.parts[k - 1]
-        if project(a, shape, k, k).dim != lk * lk:
-            raise NotSimpleBlocksError(
-                f"diagonal projection {k} is proper; repetition detection "
-                f"needs full diagonal blocks"
-            )
-    for i in range(1, shape.num_blocks + 1):
-        for j in range(i + 1, shape.num_blocks + 1):
-            if shape.parts[i - 1] != shape.parts[j - 1]:
-                continue
-            if intertwiner_space(a, shape, i, j):
-                return (i, j)
-    return None
-
-
-def _first_split_coupling(a: SubalgebraBasis, shape: BlockShape) -> Optional[int]:
-    for i in range(1, shape.num_blocks):
-        if is_semisimple(project(a, shape, i, i + 1)):
-            return i
-    return None
-
-
 def staircase_units(ring: Ring, n: int) -> list:
     """The staircase sequence e_{1,1}, e_{1,2}, e_{2,2}, ..., e_{n,n}.
 
@@ -357,23 +324,31 @@ def _nonvanishing_witness(a: SubalgebraBasis) -> NonvanishingWitness:
                 "is not the full block triangular algebra it claimed to be"
             )
     value = eval_standard_dp(mats)
-    if value.is_zero():
-        raise ContractViolationError("staircase witness evaluated to zero")
+    if value != matrix_unit(ring, n, 1, n):
+        raise ContractViolationError(f"staircase witness does not evaluate to e_(1,{n})")
     return NonvanishingWitness(2 * n - 2, mats, value)
 
 
 def classify(a: SubalgebraBasis, shape: BlockShape) -> ClassificationVerdict:
     """Sort a subalgebra presented against a block shape.
 
-    Pipeline, in order: (1) any basis element below-block nonzero entry
-    gives NotCanonical; (2) a proper diagonal block projection, (3) a
-    repeated block action, or (4) a semisimple adjacent coupling each give
-    SatisfiesLowDegree with that reason; (5) otherwise the span must be the
-    whole block upper triangular algebra of the shape, returned with an
-    explicit tuple where the degree 2n-2 standard polynomial is nonzero.
-    Step (5) cross-checks dimensions and raises ContractViolationError on
-    any mismatch, since the first four steps exhaust the structural ways a
-    proper subalgebra can sit inside the shape.
+    One pass, which builds each projection it reaches once, in order:
+    (1) any basis element below-block nonzero entry gives NotCanonical;
+    (2) the diagonal projections pi_i, in block order, return at the first
+    that is not the full M_(l_i), with ProperSimpleBlock(i) as reason of
+    SatisfiesLowDegree or an OutsideHypotheses verdict (below); (3) the
+    lex-first pair i < j of equal-size blocks with a nonzero intertwiner
+    (:func:`intertwiner_space`) gives Repetition(i, j): every diagonal
+    block is full by now, so a nonzero intertwiner is invertible and the
+    two block actions are isomorphic; (4) the couplings pi_(i,i+1), in
+    order, give NotUniserial(i) at the first that is semisimple; (5)
+    otherwise the span must be the whole block upper triangular algebra
+    of the shape, returned with an explicit tuple where the degree 2n-2
+    standard polynomial is nonzero.  Step (5) reads the dimensions of the
+    couplings of step (4) and of the span, and raises
+    ContractViolationError on any mismatch, since the first four steps
+    exhaust the structural ways a proper subalgebra can sit inside the
+    shape.  So a full verdict on k blocks projects 2k - 1 times.
 
     Reading a SatisfiesLowDegree verdict as "s_(2n-2) vanishes on the
     algebra" is a theorem when every diagonal projection that step (2)
@@ -415,20 +390,23 @@ def classify(a: SubalgebraBasis, shape: BlockShape) -> ClassificationVerdict:
             if not is_semisimple(block):
                 return OutsideHypotheses(NonSemisimpleBlock(i))
             return SatisfiesLowDegree(ProperSimpleBlock(i))
-    pair = detect_repetition(a, shape)
-    if pair is not None:
-        return SatisfiesLowDegree(Repetition(pair[0], pair[1]))
-    split = _first_split_coupling(a, shape)
-    if split is not None:
-        return SatisfiesLowDegree(NotUniserial(split))
-    # no structural obstruction: the span must be everything
+    for i in range(1, shape.num_blocks + 1):
+        for j in range(i + 1, shape.num_blocks + 1):
+            if shape.parts[i - 1] == shape.parts[j - 1] and intertwiner_space(a, shape, i, j):
+                return SatisfiesLowDegree(Repetition(i, j))
+    couplings = []
     for i in range(1, shape.num_blocks):
+        coupling = project(a, shape, i, i + 1)
+        if is_semisimple(coupling):
+            return SatisfiesLowDegree(NotUniserial(i))
+        couplings.append(coupling)
+    # no structural obstruction: the span must be everything
+    for i, coupling in enumerate(couplings, start=1):
         li, lj = shape.parts[i - 1], shape.parts[i]
         want = li * li + lj * lj + li * lj
-        got = project(a, shape, i, i + 1).dim
-        if got != want:
+        if coupling.dim != want:
             raise ContractViolationError(
-                f"coupling {i},{i + 1} has dimension {got}, expected full {want}; "
+                f"coupling {i},{i + 1} has dimension {coupling.dim}, expected full {want}; "
                 f"input span is inconsistent with the pipeline invariants"
             )
     if a.dim != shape.triangular_dim():

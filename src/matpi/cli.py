@@ -12,6 +12,7 @@ mathematical claim failed (never expected).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -114,11 +115,8 @@ def verdict_to_dict(v) -> dict:
         }
     else:
         raise TypeError(f"not a classification verdict: {v!r}")
-    r = v.reason
-    out["reason"] = type(r).__name__
-    for field in ("block_index", "first", "second", "coupling_index"):
-        if hasattr(r, field):
-            out[field] = getattr(r, field)
+    out["reason"] = type(v.reason).__name__
+    out.update(dataclasses.asdict(v.reason))
     return out
 
 
@@ -299,13 +297,17 @@ def cmd_min_degree(args) -> int:
 def cmd_identity_space(args) -> int:
     started = time.perf_counter()
     if args.spec:
+        if args.n is not None:
+            raise MatpiError("identity-space takes --spec or --n, not both")
         if args.ring is not None:
             raise MatpiError("identity-space takes the ring from the spec file; drop --ring")
         spec = load_algebra_spec(args.spec)
         alg = build_algebra(spec)
         digest = spec.digest
         params = {"spec": spec.path, "t": args.t}
-    elif args.n:
+    elif args.n is not None:
+        if args.n < 1:
+            raise MatpiError(f"need n >= 1, got {args.n}")
         ring = parse_ring_flag(args.ring or DEFAULT_RING)
         alg = full_matrix_algebra(ring, args.n)
         params = {"n": args.n, "ring": ring.name, "t": args.t}

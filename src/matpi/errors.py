@@ -29,10 +29,6 @@ class NotBlockTriangularError(MatpiError):
     """A matrix has a nonzero entry below the block diagonal of a shape."""
 
 
-class NotSimpleBlocksError(MatpiError):
-    """A diagonal block projection is a proper subalgebra of its full block."""
-
-
 class ContractViolationError(MatpiError):
     """An internal consistency condition failed; indicates a broken input
     (e.g. a span that is not multiplicatively closed) rather than a bug in

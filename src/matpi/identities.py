@@ -13,8 +13,8 @@ random linear combinations of the basis instead.
 Every s_t sweep asks one of two questions.  Which combination of basis
 elements is the lex-first nonzero one (exhaustive mode and the Z/m
 spanning sweep; :func:`_first_combination_hit`)?  Which coefficient rows
-are nonzero, counting only some entries of the value if asked (randomized
-mode, the block-assembly and corner-vanishing checks; :func:`_row_hits`)?
+are nonzero (randomized mode, the block-assembly and corner-vanishing
+checks; :func:`_row_hits`)?
 Each picks its kernel once: numpy over GF(p) when the int64 bound of
 :func:`int64_eligible` holds, and the exact pure-Python DP otherwise (QQ,
 Z/m, large p), which never imports numpy.  Each numpy kernel has one
@@ -381,33 +381,28 @@ def _block_hit(a, basis_arr, block):
     return None
 
 
-def _dp_hits(ring, stack, entries=None):
+def _dp_hits(ring, stack):
     """Yield (b, mats, value) for every item b (from 0) of the (t, B, n, n)
-    residue stack on which s_t is nonzero, counting only the flat indices
-    `entries` of the value if given: mats are its arguments and value is
-    s_t, as matrices over the prime field ring.  The one caller of
+    residue stack on which s_t is nonzero: mats are its arguments and value
+    is s_t, as matrices over the prime field ring.  The one caller of
     :func:`fastpath.dp_batch`."""
     from . import fastpath
 
     values = fastpath.dp_batch(stack, ring.p)
-    flat = values.reshape(len(values), -1)
-    if entries is not None:
-        flat = flat[:, entries]
-    for b in flat.any(axis=1).nonzero()[0].tolist():
+    for b in values.reshape(len(values), -1).any(axis=1).nonzero()[0].tolist():
         mats = tuple(fastpath.array_to_matrix(ring, x) for x in stack[:, b])
         yield b, mats, fastpath.array_to_matrix(ring, values[b])
 
 
-def _row_hits(a, t: int, trials: int, draw, entries=None):
+def _row_hits(a, t: int, trials: int, draw):
     """Yield (pos, witness) for every one of `trials` coefficient rows,
     counted from 1, on which s_t is nonzero.  Each row is a t x dim array
     of coefficients in a.mats of the t arguments, and draw(k) returns the
-    next k rows (:func:`_random_rows`); with `entries`, a list of flat
-    indices into the n x n value, only those entries count.  Inside the
-    int64 bound of :func:`int64_eligible` the rows are evaluated by
-    :func:`_dp_hits` in blocks of at most one :func:`fastpath.dp_batch`
-    slice (:func:`fastpath.slice_items`): a probe block of PROBE_ITEMS, or
-    one slice if fewer, and then the rest in equal slices of at most that
+    next k rows (:func:`_random_rows`).  Inside the int64 bound of
+    :func:`int64_eligible` the rows are evaluated by :func:`_dp_hits` in
+    blocks of at most one :func:`fastpath.dp_batch` slice
+    (:func:`fastpath.slice_items`): a probe block of PROBE_ITEMS, or one
+    slice if fewer, and then the rest in equal slices of at most that
     many (:func:`_equal_slices`), each drawn as a (k, t, dim) array and
     stacked by :func:`fastpath.coords_to_stack` just before it is
     evaluated, so that no array of the sweep holds more than one slice
@@ -418,12 +413,10 @@ def _row_hits(a, t: int, trials: int, draw, entries=None):
     evaluated one by one by :func:`eval_standard_dp`."""
     ring, n = a.ring, a.n
     if not int64_eligible(ring, n, t):
-        zero = ring.zero
-        counted = range(n * n) if entries is None else entries
         for pos in range(1, trials + 1):
             mats = tuple(_linear_combination(a, coords) for coords in draw(1)[0])
             value = eval_standard_dp(list(mats))
-            if any(value.data[e] != zero for e in counted):
+            if not value.is_zero():
                 yield pos, _checked_witness(a, None, mats, value)
         return
     if not trials:
@@ -437,7 +430,7 @@ def _row_hits(a, t: int, trials: int, draw, entries=None):
     lo = 0
     for size in [probe, *_equal_slices(trials - probe, most)]:
         stack = fastpath.coords_to_stack(basis_arr, draw(size), n, p)
-        for b, mats, value in _dp_hits(ring, stack, entries):
+        for b, mats, value in _dp_hits(ring, stack):
             yield lo + b + 1, _checked_witness(a, None, mats, value)
         del stack
         lo += size
@@ -922,8 +915,8 @@ def ur_vanishing_check(ring: Ring, l: int, m: int, trials: int = 200, seed: int 
     t = 2 * (l + m)
     n = 2 * l + m
     corner = [i * n + j for i in range(l) for j in range(l + m, n)]
-    violations = sum(1 for _ in _row_hits(span, t, trials, _random_rows(span, t, seed),
-                                          entries=corner))
+    violations = sum(1 for _, w in _row_hits(span, t, trials, _random_rows(span, t, seed))
+                     if any(w.value.data[e] != ring.zero for e in corner))
     return CornerVanishingReport(
         ring=ring.name, l=l, m=m, degree=t, trials=trials, seed=seed,
         status="ok" if violations == 0 else "violation", violations=violations,

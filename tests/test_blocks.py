@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matpi import blocks
 from matpi.blocks import (
     BlockShape,
     FullBlockTriangular,
@@ -19,7 +20,6 @@ from matpi.blocks import (
     diag_block,
     first_below_block_violation,
     intertwiner_space,
-    detect_repetition,
     project,
     staircase_units,
     tail_staircase_units,
@@ -33,11 +33,7 @@ from matpi.constructions import (
     repetition_algebra,
     upper_triangular,
 )
-from matpi.errors import (
-    DimensionError,
-    NotBlockTriangularError,
-    NotSimpleBlocksError,
-)
+from matpi.errors import ContractViolationError, DimensionError, NotBlockTriangularError
 from matpi.identities import is_standard_identity, random_triangular_closures
 from matpi.matrices import Matrix, matrix_unit
 from matpi.rings import GF, QQ
@@ -116,21 +112,6 @@ def test_intertwiner_space_zero_when_inequivalent():
     a = upper_triangular(F, 2)
     s = BlockShape((1, 1))
     assert intertwiner_space(a, s, 1, 2) == []
-
-
-def test_detect_repetition():
-    a = repetition_algebra(F, 1, 1)
-    s = BlockShape((1, 1, 1))
-    rep = detect_repetition(a, s)
-    assert rep == (1, 3)
-    b = upper_triangular(F, 3)
-    assert detect_repetition(b, s) is None
-
-
-def test_detect_repetition_needs_full_blocks():
-    a = diagonal_algebra(F, 2)  # proper inside the single (2,) block
-    with pytest.raises(NotSimpleBlocksError):
-        detect_repetition(a, BlockShape((2,)))
 
 
 def test_staircase_units_shape_and_value():
@@ -257,6 +238,13 @@ def test_classify_repetition():
     assert (v.reason.first, v.reason.second) == (1, 3)
 
 
+def test_classify_repetition_on_unit_blocks():
+    # blocks 1 and 3 of Rep(1,1) carry the same scalar; U_3 ties none
+    s = BlockShape((1, 1, 1))
+    assert classify(repetition_algebra(F, 1, 1), s) == SatisfiesLowDegree(Repetition(1, 3))
+    assert isinstance(classify(upper_triangular(F, 3), s), FullBlockTriangular)
+
+
 def test_classify_diagonal_embedding_is_repetition():
     a = diagonal_embedding(F, 2, 2)
     v = classify(a, BlockShape((2, 2)))
@@ -264,13 +252,13 @@ def test_classify_diagonal_embedding_is_repetition():
     assert isinstance(v.reason, Repetition)
 
 
+# block-diagonal: U_1 x M_2 inside shape (1,2) with no coupling
+U1xM2 = span_basis(F, 3, [matrix_unit(F, 3, 1, 1)] + [
+    matrix_unit(F, 3, i, j) for i in (2, 3) for j in (2, 3)], label="U1xM2")
+
+
 def test_classify_not_uniserial():
-    # block-diagonal: U_1 x M_2 inside shape (1,2) with no coupling
-    mats = [matrix_unit(F, 3, 1, 1)] + [
-        matrix_unit(F, 3, i, j) for i in (2, 3) for j in (2, 3)
-    ]
-    a = span_basis(F, 3, mats, label="U1xM2")
-    v = classify(a, BlockShape((1, 2)))
+    v = classify(U1xM2, BlockShape((1, 2)))
     assert isinstance(v, SatisfiesLowDegree)
     assert isinstance(v.reason, NotUniserial)
     assert v.reason.coupling_index == 1
@@ -280,13 +268,41 @@ def test_classify_rejects_non_closed_span():
     # span{e11,e22,e33,e12,e23} is not multiplicatively closed (e12*e23=e13
     # escapes); the structural scans find no obstruction, so the dimension
     # consistency check must flag the bad input loudly
-    from matpi.errors import ContractViolationError
-
     mats = [matrix_unit(F, 3, i, j) for (i, j) in
             ((1, 1), (2, 2), (3, 3), (1, 2), (2, 3))]
     a = span_basis(F, 3, mats, label="U3-minus-corner")
     with pytest.raises(ContractViolationError):
         classify(a, BlockShape((1, 1, 1)))
+
+
+@pytest.mark.parametrize("a,parts,verdict,calls", [
+    (full_block_algebra(F, BlockShape((1, 2, 1))), (1, 2, 1), "full-block-triangular(1,2,1)", 5),
+    (upper_triangular(F, 4), (1, 1, 1, 1), "full-block-triangular(1,1,1,1)", 7),
+    (repetition_algebra(F, 1, 2), (1, 2, 1), "satisfies-low-degree(repetition[1,3])", 3),
+    (U1xM2, (1, 2), "satisfies-low-degree(not-uniserial[1])", 3),
+], ids=["E(1,2,1)", "U_4", "Rep(1,2)", "U_1xM_2"])
+def test_classify_projects_each_block_and_coupling_once(monkeypatch, a, parts, verdict, calls):
+    # one projection per diagonal block and per coupling reached: 2k - 1 on
+    # a full verdict with k blocks
+    seen = []
+
+    def spy(a, shape, i, j):
+        seen.append((i, j))
+        return project(a, shape, i, j)
+
+    monkeypatch.setattr(blocks, "project", spy)
+    assert classify(a, BlockShape(parts)).describe() == verdict
+    assert len(seen) == len(set(seen)) == calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classify_rejects_a_staircase_value_other_than_the_corner_unit(monkeypatch, n):
+    # s_(2n-2) on the tail staircase is e_(1,n) exactly; a nonzero value
+    # that is not, here 2 e_(1,n), fails the re-check
+    monkeypatch.setattr(blocks, "eval_standard_dp",
+                        lambda mats: eval_standard_dp(mats).scale(2))
+    with pytest.raises(ContractViolationError, match=f"e_\\(1,{n}\\)"):
+        classify(upper_triangular(F, n), BlockShape((1,) * n))
 
 
 def test_classify_over_qq_matches_gf():

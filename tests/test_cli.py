@@ -214,6 +214,24 @@ def test_identity_space_spec_rejects_ring(capsys, tmp_path):
     assert json.loads(out)["checks"][0]["detail"]["ring"] == "GF(101)"
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_identity_space_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "identity-space", "--n", n, "--t", "3")
+    assert code == 1 and out == ""
+    assert f"need n >= 1, got {n}" in err
+
+
+def test_identity_space_rejects_spec_with_n(capsys, tmp_path):
+    path = spec_file(tmp_path, """
+        ring: {kind: gf, p: 101}
+        n: 2
+        source: {construction: {kind: full_matrix}}
+    """)
+    code, out, err = run(capsys, "identity-space", "--spec", path, "--n", "2", "--t", "3")
+    assert code == 1 and out == ""
+    assert "identity-space takes --spec or --n, not both" in err
+
+
 def test_identity_space_structured(capsys):
     code, out, _ = run(capsys, "identity-space", "--n", "2", "--t", "3",
                        "--out", "structured")

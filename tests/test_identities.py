@@ -469,21 +469,20 @@ def test_counted_hits_agree_across_kernels(monkeypatch):
     # Rep(1,2) in M_4 satisfies s_6 but not s_4; at t = 4 its corner entry
     # (1, 4), flat index 3, is zero on some tuples whose value is not
     a = repetition_algebra(F, 1, 2)
-    corner = [3]
 
-    def hits(t, entries):
+    def hits(t):
         rng = random.Random(0)
         rows = iter([[[rng.randrange(101) for _ in range(a.dim)] for _ in range(t)]
                      for _ in range(40)])
         return [(pos, w.mats, w.value) for pos, w in
-                identities._row_hits(a, t, 40, lambda k: list(islice(rows, k)),
-                                     entries=entries)]
+                identities._row_hits(a, t, 40, lambda k: list(islice(rows, k)))]
 
-    fast = hits(4, corner)
-    assert fast and len(fast) < len(hits(4, None)) == 40
-    assert hits(6, None) == []
+    fast = hits(4)
+    cornered = [hit for hit in fast if hit[2].data[3] != 0]
+    assert cornered and len(cornered) < len(fast) == 40
+    assert hits(6) == []
     monkeypatch.setattr(identities, "int64_eligible", lambda *args: False)
-    assert hits(4, corner) == fast
+    assert hits(4) == fast
 
 
 def test_block_assembly_detects_violation_when_degree_too_low():
