@@ -8,6 +8,10 @@ witnessed explicitly), or it falls into one of three structural cases that
 each force the identity to hold at degree 2n-2.  Presentations outside the
 hypotheses of that dichotomy, with a zero or non-semisimple proper
 diagonal block, are reported as such.
+
+Each verdict class carries its report tag as the class attribute ``kind``.
+:func:`classify` scans the basis for entries below the block diagonal
+once, before anything else; the projections it then cuts trust that scan.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .errors import (
     CharacteristicError,
     ContractViolationError,
     DimensionError,
-    NotBlockTriangularError,
     UnsupportedRingError,
 )
 from .matrices import Echelon, Matrix, matrix_unit
@@ -96,9 +99,10 @@ class NonvanishingWitness:
 class FullBlockTriangular:
     shape: BlockShape
     witness: NonvanishingWitness
+    kind = "full-block-triangular"
 
     def describe(self) -> str:
-        return f"full-block-triangular{self.shape}"
+        return f"{self.kind}{self.shape}"
 
 
 @dataclass(frozen=True)
@@ -137,9 +141,10 @@ class SatisfiesLowDegree:
     """The algebra satisfies the standard identity of degree 2n-2."""
 
     reason: Union[ProperSimpleBlock, Repetition, NotUniserial]
+    kind = "satisfies-low-degree"
 
     def describe(self) -> str:
-        return f"satisfies-low-degree({self.reason.describe()})"
+        return f"{self.kind}({self.reason.describe()})"
 
 
 @dataclass(frozen=True)
@@ -169,9 +174,10 @@ class OutsideHypotheses:
     s_(2n-2) follows from the shape."""
 
     reason: Union[ZeroDiagonalBlock, NonSemisimpleBlock]
+    kind = "outside-hypotheses"
 
     def describe(self) -> str:
-        return f"outside-hypotheses({self.reason.describe()})"
+        return f"{self.kind}({self.reason.describe()})"
 
 
 @dataclass(frozen=True)
@@ -181,9 +187,10 @@ class NotCanonical:
     basis_index: int  # 1-based index into the canonical basis
     row: int          # 1-based entry position
     col: int
+    kind = "not-canonical"
 
     def describe(self) -> str:
-        return f"not-canonical(basis {self.basis_index} entry ({self.row},{self.col}))"
+        return f"{self.kind}(basis {self.basis_index} entry ({self.row},{self.col}))"
 
 
 ClassificationVerdict = Union[FullBlockTriangular, SatisfiesLowDegree, OutsideHypotheses,
@@ -224,22 +231,14 @@ def window_block(x: Matrix, shape: BlockShape, i: int, j: int) -> Matrix:
     return x.submatrix(start, stop, start, stop)
 
 
-def project(a: SubalgebraBasis, shape: BlockShape, i: int, j: int) -> SubalgebraBasis:
+def _project(a: SubalgebraBasis, shape: BlockShape, i: int, j: int) -> SubalgebraBasis:
     """Corner projection onto the window spanning blocks i..j.
 
     For block upper triangular matrices, cutting this window out is an
-    algebra homomorphism, so the image of a closed span is closed.  Raises
-    if some basis element is not block upper triangular for the shape.
+    algebra homomorphism, so the image of a closed span is closed.  The
+    caller has checked that every basis element is block upper triangular
+    for the shape; :func:`classify` does so once, before its first cut.
     """
-    if shape.n != a.n:
-        raise DimensionError(f"shape is for n={shape.n}, algebra has n={a.n}")
-    for idx, b in enumerate(a.mats, start=1):
-        viol = first_below_block_violation(b, shape)
-        if viol is not None:
-            raise NotBlockTriangularError(
-                f"basis element {idx} has a nonzero entry at {viol} below the "
-                f"block diagonal of {shape}"
-            )
     cut = [window_block(b, shape, i, j) for b in a.mats]
     sub_n = shape.row_range(j)[1] - shape.row_range(i)[0]
     return span_basis(a.ring, sub_n, cut, label=f"{a.label}|{i}..{j}")
@@ -333,7 +332,8 @@ def classify(a: SubalgebraBasis, shape: BlockShape) -> ClassificationVerdict:
     """Sort a subalgebra presented against a block shape.
 
     One pass, which builds each projection it reaches once, in order:
-    (1) any basis element below-block nonzero entry gives NotCanonical;
+    (1) any basis element below-block nonzero entry gives NotCanonical,
+    and this is the one scan of the basis for such entries;
     (2) the diagonal projections pi_i, in block order, return at the first
     that is not the full M_(l_i), with ProperSimpleBlock(i) as reason of
     SatisfiesLowDegree or an OutsideHypotheses verdict (below); (3) the
@@ -383,7 +383,7 @@ def classify(a: SubalgebraBasis, shape: BlockShape) -> ClassificationVerdict:
             return NotCanonical(idx, viol[0], viol[1])
     for i in range(1, shape.num_blocks + 1):
         li = shape.parts[i - 1]
-        block = project(a, shape, i, i)
+        block = _project(a, shape, i, i)
         if block.dim < li * li:
             if block.dim == 0:
                 return OutsideHypotheses(ZeroDiagonalBlock(i))
@@ -396,7 +396,7 @@ def classify(a: SubalgebraBasis, shape: BlockShape) -> ClassificationVerdict:
                 return SatisfiesLowDegree(Repetition(i, j))
     couplings = []
     for i in range(1, shape.num_blocks):
-        coupling = project(a, shape, i, i + 1)
+        coupling = _project(a, shape, i, i + 1)
         if is_semisimple(coupling):
             return SatisfiesLowDegree(NotUniserial(i))
         couplings.append(coupling)

@@ -24,12 +24,10 @@ from .blocks import (
     FullBlockTriangular,
     NotCanonical,
     OutsideHypotheses,
-    SatisfiesLowDegree,
     classify,
     staircase_units,
 )
 from .constructions import (
-    SpanningSetAlgebra,
     constrained_triangular,
     diagonal_algebra,
     full_matrix_algebra,
@@ -46,7 +44,7 @@ from .identities import (
     ur_vanishing_check,
 )
 from .matrices import Matrix, matrix_unit
-from .rings import GF, QQ, RING_KINDS, Ring, Zmod, ring_from_params
+from .rings import GF, RING_KINDS, Ring, Zmod, ring_from_params
 from .specfile import build_algebra, load_algebra_spec
 from .standardpoly import (
     consecutive_factor_sum,
@@ -67,16 +65,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_ring_flag(text: str) -> Ring:
-    s = text.strip().lower()
-    if ":" in s:
-        kind, _, mod = s.partition(":")
-        try:
-            return ring_from_params(kind, int(mod))
-        except ValueError:
-            raise MatpiError(f"bad ring flag {text!r}; use q, gf:<p>, or zmod:<m>") from None
-    if RING_KINDS.get(s) == "q":
-        return QQ
-    raise MatpiError(f"bad ring flag {text!r}; use q, gf:<p>, or zmod:<m>")
+    """The ring a --ring flag names.  Malformed text (an unknown kind or a
+    modulus that is not an integer) is a bad flag; a well-formed flag gets
+    the ring's own error, such as "4 is not prime"."""
+    kind, colon, mod = text.strip().lower().partition(":")
+    try:
+        modulus = int(mod) if colon else None
+    except ValueError:
+        kind = None
+    if kind not in RING_KINDS:
+        raise MatpiError(f"bad ring flag {text!r}; use q, gf:<p>, or zmod:<m>")
+    return ring_from_params(kind, modulus)
 
 
 def _check(name: str, status: str, summary: str, detail=None) -> dict:
@@ -94,7 +93,7 @@ def _digest_of_params(params: dict) -> str:
 def verdict_to_dict(v) -> dict:
     if isinstance(v, FullBlockTriangular):
         return {
-            "kind": "full-block-triangular",
+            "kind": v.kind,
             "shape": list(v.shape.parts),
             "witness": {
                 "degree": v.witness.degree,
@@ -102,22 +101,9 @@ def verdict_to_dict(v) -> dict:
                 "value": format_matrix(v.witness.value),
             },
         }
-    if isinstance(v, SatisfiesLowDegree):
-        out = {"kind": "satisfies-low-degree"}
-    elif isinstance(v, OutsideHypotheses):
-        out = {"kind": "outside-hypotheses"}
-    elif isinstance(v, NotCanonical):
-        return {
-            "kind": "not-canonical",
-            "basis_index": v.basis_index,
-            "row": v.row,
-            "col": v.col,
-        }
-    else:
-        raise TypeError(f"not a classification verdict: {v!r}")
-    out["reason"] = type(v.reason).__name__
-    out.update(dataclasses.asdict(v.reason))
-    return out
+    if isinstance(v, NotCanonical):
+        return {"kind": v.kind, **dataclasses.asdict(v)}
+    return {"kind": v.kind, "reason": type(v.reason).__name__, **dataclasses.asdict(v.reason)}
 
 
 def render_report(report: dict, out_format: str) -> str:
@@ -224,11 +210,6 @@ def cmd_classify(args) -> int:
     if spec.shape is None:
         raise MatpiError("classify needs a shape field in the spec file")
     alg = build_algebra(spec)
-    if isinstance(alg, SpanningSetAlgebra):
-        raise MatpiError(
-            f"classification needs a field; {alg.ring.name} spanning-set "
-            f"descriptors cannot be classified"
-        )
     params = {"spec": spec.path, "mode": args.mode}
     if args.mode == "randomized":
         params["trials"] = args.trials
@@ -314,8 +295,6 @@ def cmd_identity_space(args) -> int:
         digest = _digest_of_params(params)
     else:
         raise MatpiError("identity-space needs --spec or --n")
-    if isinstance(alg, SpanningSetAlgebra):
-        raise MatpiError("identity spaces need a field-backed basis")
     report = _base_report("identity-space", params, digest, None)
     space = multilinear_identity_space(alg, args.t)
     summary = f"{alg.label}, degree {args.t}: dimension {space.dimension}"

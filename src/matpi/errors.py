@@ -25,10 +25,6 @@ class DegreeGuardError(MatpiError):
     """A degree/size guard was exceeded (t too large for the evaluator)."""
 
 
-class NotBlockTriangularError(MatpiError):
-    """A matrix has a nonzero entry below the block diagonal of a shape."""
-
-
 class ContractViolationError(MatpiError):
     """An internal consistency condition failed; indicates a broken input
     (e.g. a span that is not multiplicatively closed) rather than a bug in

@@ -900,8 +900,8 @@ def ur_vanishing_check(ring: Ring, l: int, m: int, trials: int = 200, seed: int 
     Samples random matrices of the tied-corner shape [[a, b, 0], [0, e, d],
     [0, 0, a]] (the repeated-block form with the upper-right l x l corner
     pinned to zero), evaluates the degree 2(l+m) standard polynomial, and
-    asserts the upper-right corner of the value is zero.  The value itself
-    need not vanish; only its corner must.
+    asserts the upper-right corner of the value is zero.  Only corner
+    violations are counted; the rest of the value is not checked.
     """
     started = time.perf_counter()
     if trials < 0:

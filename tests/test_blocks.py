@@ -20,10 +20,10 @@ from matpi.blocks import (
     diag_block,
     first_below_block_violation,
     intertwiner_space,
-    project,
     staircase_units,
     tail_staircase_units,
     window_block,
+    _project,
 )
 from matpi.constructions import (
     diagonal_algebra,
@@ -33,7 +33,7 @@ from matpi.constructions import (
     repetition_algebra,
     upper_triangular,
 )
-from matpi.errors import ContractViolationError, DimensionError, NotBlockTriangularError
+from matpi.errors import ContractViolationError, DimensionError
 from matpi.identities import is_standard_identity, random_triangular_closures
 from matpi.matrices import Matrix, matrix_unit
 from matpi.rings import GF, QQ
@@ -81,19 +81,12 @@ def test_diag_and_window_blocks():
 def test_project_homomorphism():
     s = BlockShape((1, 2))
     e = full_block_algebra(F, s)
-    p2 = project(e, s, 2, 2)
+    p2 = _project(e, s, 2, 2)
     assert p2.n == 2 and p2.dim == 4
     # projection of a product = product of projections (spot check)
     x = Matrix(F, 3, 3, [1, 2, 3, 0, 4, 5, 0, 6, 7])
     y = Matrix(F, 3, 3, [2, 0, 1, 0, 1, 2, 0, 3, 4])
     assert diag_block(x * y, s, 2) == diag_block(x, s, 2) * diag_block(y, s, 2)
-
-
-def test_project_rejects_non_triangular():
-    s = BlockShape((1, 2))
-    bad = span_basis(F, 3, [matrix_unit(F, 3, 2, 1)])
-    with pytest.raises(NotBlockTriangularError):
-        project(bad, s, 1, 1)
 
 
 def test_intertwiner_space_identity_coupling():
@@ -288,11 +281,31 @@ def test_classify_projects_each_block_and_coupling_once(monkeypatch, a, parts, v
 
     def spy(a, shape, i, j):
         seen.append((i, j))
-        return project(a, shape, i, j)
+        return _project(a, shape, i, j)
 
-    monkeypatch.setattr(blocks, "project", spy)
+    monkeypatch.setattr(blocks, "_project", spy)
     assert classify(a, BlockShape(parts)).describe() == verdict
     assert len(seen) == len(set(seen)) == calls
+
+
+@pytest.mark.parametrize("a,parts,scans", [
+    (full_block_algebra(F, BlockShape((1, 2, 1))), (1, 2, 1), 11),
+    (upper_triangular(F, 4), (1, 1, 1, 1), 10),
+    (repetition_algebra(F, 1, 2), (1, 2, 1), 10),
+    (U1xM2, (1, 2), 5),
+], ids=["E(1,2,1)", "U_4", "Rep(1,2)", "U_1xM_2"])
+def test_classify_scans_each_basis_element_once(monkeypatch, a, parts, scans):
+    # the up-front NotCanonical check is the only triangularity scan; the
+    # projections cut after it do not repeat it
+    seen = []
+
+    def spy(x, shape):
+        seen.append(x)
+        return first_below_block_violation(x, shape)
+
+    monkeypatch.setattr(blocks, "first_below_block_violation", spy)
+    classify(a, BlockShape(parts))
+    assert len(seen) == a.dim == scans
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -5,7 +5,7 @@ import pytest
 
 from matpi import cli
 from matpi.cli import main, parse_ring_flag
-from matpi.errors import MatpiError
+from matpi.errors import MatpiError, UnsupportedRingError
 from matpi.rings import GF, QQ, Zmod
 
 
@@ -25,10 +25,24 @@ def test_parse_ring_flag():
     assert parse_ring_flag("gf:101") == GF(101)
     assert parse_ring_flag("q") == QQ
     assert parse_ring_flag("zmod:4") == Zmod(4)
-    with pytest.raises(MatpiError):
-        parse_ring_flag("gf:nope")
-    with pytest.raises(MatpiError):
-        parse_ring_flag("weird")
+    for malformed in ("gf:nope", "gf:", "weird", "weird:5"):
+        with pytest.raises(MatpiError, match=f"^bad ring flag {malformed!r}"):
+            parse_ring_flag(malformed)
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("gf:4", "4 is not prime"),
+    ("gf:1", "modulus 1 out of supported range"),
+    ("zmod:1", "modulus 1 out of supported range"),
+])
+def test_ring_flag_reports_the_ring_error(capsys, flag, message):
+    # a well-formed flag naming a ring that does not exist gets the ring's
+    # own diagnostic, as a spec file does
+    with pytest.raises(UnsupportedRingError, match=f"^{message}$"):
+        parse_ring_flag(flag)
+    code, out, err = run(capsys, "verify-al", "--n", "2", "--ring", flag)
+    assert code == 1 and out == ""
+    assert err == f"matpi: error: {message}\n"
 
 
 def test_verify_al_n2(capsys):
@@ -151,6 +165,24 @@ def test_classify_requires_shape(tmp_path, capsys):
     code, out, err = run(capsys, "classify", "--spec", path)
     assert code == 1
     assert "shape" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("classify",), "classification needs a field, not Z/4"),
+    (("identity-space", "--t", "3"), "identity space needs a field-backed basis"),
+])
+def test_zmod_spec_needs_a_field(tmp_path, capsys, argv, message):
+    # the library's own ring check decides; the CLI adds none of its own
+    path = spec_file(tmp_path, """
+        ring: {kind: zmod, m: 4}
+        n: 2
+        shape: [1, 1]
+        source:
+          construction: {kind: constrained_triangular, ideal_gen: 2}
+    """)
+    code, out, err = run(capsys, *argv, "--spec", path)
+    assert code == 1 and out == ""
+    assert err == f"matpi: error: {message}\n"
 
 
 def test_min_degree_m2(tmp_path, capsys):
