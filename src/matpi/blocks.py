@@ -10,14 +10,16 @@ hypotheses of that dichotomy, with a zero or non-semisimple proper
 diagonal block, are reported as such.
 
 Each verdict class carries its report tag as the class attribute ``kind``.
-:func:`classify` scans the basis for entries below the block diagonal
-once, before anything else; the projections it then cuts trust that scan.
+A full verdict's staircase witness is an identities.Witness, built and
+re-checked as every sweep witness is.  :func:`classify` scans the basis
+for entries below the block diagonal once, before anything else; the
+projections it then cuts trust that scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import (
     CharacteristicError,
@@ -27,8 +29,10 @@ from .errors import (
 )
 from .matrices import Echelon, Matrix, matrix_unit
 from .rings import Ring
-from .standardpoly import eval_standard_dp
 from .subalgebra import SubalgebraBasis, is_semisimple, span_basis
+
+if TYPE_CHECKING:  # identities imports this module through constructions
+    from .identities import Witness
 
 
 @dataclass(frozen=True)
@@ -87,18 +91,9 @@ class BlockShape:
 
 
 @dataclass(frozen=True)
-class NonvanishingWitness:
-    """A tuple of algebra elements where a standard polynomial is nonzero."""
-
-    degree: int
-    mats: tuple
-    value: Matrix
-
-
-@dataclass(frozen=True)
 class FullBlockTriangular:
     shape: BlockShape
-    witness: NonvanishingWitness
+    witness: Witness  # indices None
     kind = "full-block-triangular"
 
     def describe(self) -> str:
@@ -310,22 +305,15 @@ def tail_staircase_units(ring: Ring, n: int) -> list:
     return staircase_units(ring, n)[1:]
 
 
-def _nonvanishing_witness(a: SubalgebraBasis) -> NonvanishingWitness:
+def _nonvanishing_witness(a: SubalgebraBasis) -> Witness:
+    """The staircase witness of a full verdict, built and re-checked as
+    every sweep witness is (:func:`identities.checked_witness`): (e_11,)
+    with value e_11 at n = 1, else the tail staircase with value e_(1,n)."""
+    from .identities import checked_witness
+
     ring, n = a.ring, a.n
-    if n == 1:
-        mats = (matrix_unit(ring, 1, 1, 1),)
-        return NonvanishingWitness(1, mats, mats[0])
-    mats = tuple(tail_staircase_units(ring, n))
-    for u in mats:
-        if not a.contains(u):
-            raise ContractViolationError(
-                "staircase witness element escapes the algebra; the span "
-                "is not the full block triangular algebra it claimed to be"
-            )
-    value = eval_standard_dp(mats)
-    if value != matrix_unit(ring, n, 1, n):
-        raise ContractViolationError(f"staircase witness does not evaluate to e_(1,{n})")
-    return NonvanishingWitness(2 * n - 2, mats, value)
+    mats = tuple(tail_staircase_units(ring, n)) if n > 1 else (matrix_unit(ring, 1, 1, 1),)
+    return checked_witness(a, None, mats, matrix_unit(ring, n, 1, n))
 
 
 def classify(a: SubalgebraBasis, shape: BlockShape) -> ClassificationVerdict:
@@ -343,9 +331,11 @@ def classify(a: SubalgebraBasis, shape: BlockShape) -> ClassificationVerdict:
     two block actions are isomorphic; (4) the couplings pi_(i,i+1), in
     order, give NotUniserial(i) at the first that is semisimple; (5)
     otherwise the span must be the whole block upper triangular algebra
-    of the shape, returned with an explicit tuple where the degree 2n-2
-    standard polynomial is nonzero.  Step (5) reads the dimensions of the
-    couplings of step (4) and of the span, and raises
+    of the shape, returned with the tail staircase, where the degree 2n-2
+    standard polynomial is e_(1,n), as an identities.Witness built and
+    re-checked by the naive evaluator like every sweep witness
+    (:func:`identities.checked_witness`).  Step (5) reads the dimensions
+    of the couplings of step (4) and of the span, and raises
     ContractViolationError on any mismatch, since the first four steps
     exhaust the structural ways a proper subalgebra can sit inside the
     shape.  So a full verdict on k blocks projects 2k - 1 times.

@@ -96,7 +96,7 @@ def verdict_to_dict(v) -> dict:
             "kind": v.kind,
             "shape": list(v.shape.parts),
             "witness": {
-                "degree": v.witness.degree,
+                "degree": len(v.witness.mats),
                 "mats": [format_matrix(m) for m in v.witness.mats],
                 "value": format_matrix(v.witness.value),
             },

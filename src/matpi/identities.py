@@ -63,14 +63,15 @@ s_k(b_A) is nonzero miss the rows in which b_c is nonzero.  That test is
 sound on any basis, and on a graded one it drops every pair the weights
 would, since a nonzero weight vector off the diagonal has one entry.
 
-Verdicts of "not an identity" always carry a witness tuple whose arguments
-are checked to lie in the algebra and whose value is re-evaluated before
-being reported by the naive permutation sum: numpy's
-:func:`fastpath.naive_single` up to t = 8 inside the int64 bound, and
-elsewhere one pure-Python walk of the witness in its own ring, which
-stops past a budget of products formed and leaves the witness to the DP
-(see :func:`_reverify_witness` for the cases and what each re-check
-shares with the sweep).
+Verdicts of "not an identity", and the staircase of a full
+:func:`blocks.classify` verdict, always carry a witness tuple built by
+:func:`checked_witness`: its arguments are checked to lie in the algebra
+and its value is re-evaluated before being reported by the naive
+permutation sum: numpy's :func:`fastpath.naive_single` up to t = 8
+inside the int64 bound, and elsewhere one pure-Python walk of the
+witness in its own ring, which stops past a budget of products formed
+and leaves the witness to the DP (see :func:`_reverify_witness` for the
+cases and what each re-check shares with the sweep).
 """
 
 from __future__ import annotations
@@ -142,7 +143,8 @@ class Witness:
     """A tuple of elements on which the polynomial evaluated nonzero.
 
     indices are 1-based positions into the basis/spanning list when the
-    tuple came from an exhaustive sweep; None for random elements.
+    tuple came from an exhaustive sweep; None for random elements and for
+    the staircase of a full :func:`blocks.classify` verdict.
     """
 
     indices: Optional[tuple]
@@ -299,10 +301,11 @@ def _lex_rank(combo, d: int) -> int:
     return rank
 
 
-def _checked_witness(a, combo, mats, value) -> Witness:
+def checked_witness(a, combo, mats, value) -> Witness:
     """The witness of a nonzero value of s_t on mats, whose arguments are
     checked to lie in the algebra and whose value is re-verified first;
-    combo is the 0-based combination of a.mats that mats is, or None."""
+    combo is the 0-based combination of a.mats that mats is, or None.
+    Every sweep witness and :func:`blocks.classify`'s staircase come here."""
     if not all(a.contains(x) for x in mats):
         raise ContractViolationError("witness argument lies outside the algebra")
     _reverify_witness(mats, value)
@@ -337,7 +340,7 @@ def _first_combination_hit(a, t: int):
             mats = tuple(a.mats[i] for i in combo)
             value = eval_standard_dp(list(mats))
             if not value.is_zero():
-                return _lex_rank(combo, d) + 1, _checked_witness(a, combo, mats, value)
+                return _lex_rank(combo, d) + 1, checked_witness(a, combo, mats, value)
         return None
     from . import fastpath
 
@@ -377,7 +380,7 @@ def _block_hit(a, basis_arr, block):
     stack = fastpath.combos_to_stack(basis_arr, block, a.n)
     for b, mats, value in _dp_hits(a.ring, stack):
         combo = block[b]
-        return _lex_rank(combo, a.dim) + 1, _checked_witness(a, combo, mats, value)
+        return _lex_rank(combo, a.dim) + 1, checked_witness(a, combo, mats, value)
     return None
 
 
@@ -417,7 +420,7 @@ def _row_hits(a, t: int, trials: int, draw):
             mats = tuple(_linear_combination(a, coords) for coords in draw(1)[0])
             value = eval_standard_dp(list(mats))
             if not value.is_zero():
-                yield pos, _checked_witness(a, None, mats, value)
+                yield pos, checked_witness(a, None, mats, value)
         return
     if not trials:
         return
@@ -431,7 +434,7 @@ def _row_hits(a, t: int, trials: int, draw):
     for size in [probe, *_equal_slices(trials - probe, most)]:
         stack = fastpath.coords_to_stack(basis_arr, draw(size), n, p)
         for b, mats, value in _dp_hits(ring, stack):
-            yield lo + b + 1, _checked_witness(a, None, mats, value)
+            yield lo + b + 1, checked_witness(a, None, mats, value)
         del stack
         lo += size
 
@@ -450,15 +453,15 @@ def _layer_hit(a, t: int, layer):
     a.mats on which s_t is nonzero, read from layer t of a sparse pass, or
     None when the layer is empty.  That combination is the layer's largest
     key, its position is its lexicographic rank plus 1 (:func:`_lex_rank`),
-    and its witness is checked as a sweep's is (:func:`_checked_witness`)."""
+    and its witness is checked as a sweep's is (:func:`checked_witness`)."""
     from . import fastpath
 
     keys, values = layer
     if not len(keys):
         return None
     combo = tuple(fastpath.layer_combos(keys[-1:], a.dim, t)[0].tolist())
-    witness = _checked_witness(a, combo, tuple(a.mats[i] for i in combo),
-                               fastpath.array_to_matrix(a.ring, values[-1]))
+    witness = checked_witness(a, combo, tuple(a.mats[i] for i in combo),
+                              fastpath.array_to_matrix(a.ring, values[-1]))
     return _lex_rank(combo, a.dim) + 1, witness
 
 

@@ -79,27 +79,24 @@ def _parse_ring(data) -> Ring:
     if extra:
         raise SpecFileError("ring", f"unknown keys: {', '.join(sorted(extra))}")
     k = RING_KINDS.get(kind.strip().lower())
-    if k == "q":
-        if "p" in ring or "m" in ring:
-            raise SpecFileError("ring", "the rationals take no modulus")
-        return ring_from_params("q")
-    if k == "gf":
-        if "p" not in ring:
-            raise SpecFileError("ring.p", "missing prime modulus")
-        p = _require_int(ring["p"], "ring.p", minimum=2)
-        try:
-            return ring_from_params("gf", p)
-        except MatpiError as e:
-            raise SpecFileError("ring.p", str(e)) from None
-    if k == "zmod":
-        if "m" not in ring:
-            raise SpecFileError("ring.m", "missing modulus")
-        m = _require_int(ring["m"], "ring.m", minimum=2)
-        try:
-            return ring_from_params("zmod", m)
-        except MatpiError as e:
-            raise SpecFileError("ring.m", str(e)) from None
-    raise SpecFileError("ring.kind", f"expected one of gf, q, zmod; got {kind!r}")
+    if k is None:
+        raise SpecFileError("ring.kind", f"expected one of gf, q, zmod; got {kind!r}")
+    # each kind's one modulus key, and its message when missing
+    key, missing = {"q": (None, None), "gf": ("p", "missing prime modulus"),
+                    "zmod": ("m", "missing modulus")}[k]
+    stray = sorted(set(ring) - {"kind", key})
+    if stray:
+        raise SpecFileError("ring", "the rationals take no modulus" if key is None
+                            else f"ring kind {k} takes modulus {key}, not {', '.join(stray)}")
+    modulus = None
+    if key is not None:
+        if key not in ring:
+            raise SpecFileError(f"ring.{key}", missing)
+        modulus = _require_int(ring[key], f"ring.{key}", minimum=2)
+    try:
+        return ring_from_params(k, modulus)
+    except MatpiError as e:
+        raise SpecFileError(f"ring.{key}", str(e)) from None
 
 
 def _parse_generator(ring: Ring, n: int, idx: int, rows) -> Matrix:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpi import blocks
+from matpi import blocks, identities
 from matpi.blocks import (
     BlockShape,
     FullBlockTriangular,
@@ -127,7 +127,7 @@ def test_classify_full_block_shapes():
         assert isinstance(v, FullBlockTriangular), (parts, v)
         assert v.shape == s
         w = v.witness
-        assert w.degree == max(2 * s.n - 2, 1)
+        assert len(w.mats) == max(2 * s.n - 2, 1)
         assert not w.value.is_zero()
         for m in w.mats:
             assert e.contains(m)
@@ -312,10 +312,36 @@ def test_classify_scans_each_basis_element_once(monkeypatch, a, parts, scans):
 def test_classify_rejects_a_staircase_value_other_than_the_corner_unit(monkeypatch, n):
     # s_(2n-2) on the tail staircase is e_(1,n) exactly; a nonzero value
     # that is not, here 2 e_(1,n), fails the re-check
-    monkeypatch.setattr(blocks, "eval_standard_dp",
-                        lambda mats: eval_standard_dp(mats).scale(2))
-    with pytest.raises(ContractViolationError, match=f"e_\\(1,{n}\\)"):
+    monkeypatch.setattr(identities, "eval_standard_naive",
+                        lambda mats: eval_standard_naive(mats).scale(2))
+    with pytest.raises(ContractViolationError, match="witness failed re-verification"):
         classify(upper_triangular(F, n), BlockShape((1,) * n))
+
+
+@pytest.mark.parametrize("ring", [F, QQ], ids=["GF(101)", "QQ"])
+@pytest.mark.parametrize("parts", [(1, 2), (1, 1, 1), (2, 2)], ids=["E(1,2)", "U_3", "E(2,2)"])
+def test_classify_rechecks_its_staircase_once_without_the_dp(monkeypatch, ring, parts):
+    # a full verdict's witness goes through the shared witness check: one
+    # re-check of the tail staircase against e_(1,n), and no DP call
+    calls = []
+    reverify = identities._reverify_witness
+
+    def spy(mats, expected):
+        calls.append((tuple(mats), expected))
+        reverify(mats, expected)
+
+    def no_dp(mats):
+        raise AssertionError("the staircase re-check ran the DP")
+
+    monkeypatch.setattr(identities, "_reverify_witness", spy)
+    monkeypatch.setattr(identities, "eval_standard_dp", no_dp)
+    s = BlockShape(parts)
+    v = classify(full_block_algebra(ring, s), s)
+    assert isinstance(v, FullBlockTriangular)
+    assert isinstance(v.witness, identities.Witness) and v.witness.indices is None
+    corner = matrix_unit(ring, s.n, 1, s.n)
+    assert calls == [(tuple(tail_staircase_units(ring, s.n)), corner)]
+    assert v.witness.mats == calls[0][0] and v.witness.value == corner
 
 
 def test_classify_over_qq_matches_gf():

@@ -293,6 +293,26 @@ def test_identity_space_u2_degree3_empty():
     assert multilinear_identity_space(upper_triangular(F, 3), 3).dimension == 0
 
 
+# Published codimensions c_t = t! - dim(P_t cap Id(A)) of U_2 (Giambruno and
+# Zaicev, Polynomial Identities and Asymptotic Methods, 2005) and of M_2
+# (Procesi 1984; Drensky 2000): oracles from outside matpi
+CODIMENSIONS = {
+    "U_2": (upper_triangular, lambda t: 2 ** (t - 1) * (t - 2) + 2),
+    "M_2": (full_matrix_algebra,
+            lambda t: math.comb(2 * t + 2, t + 1) // (t + 2) - math.comb(t, 3) + 1 - 2**t),
+}
+
+
+@pytest.mark.parametrize("ring,name,t", [
+    *((F, "U_2", t) for t in range(2, 7)), *((F, "M_2", t) for t in range(2, 6)),
+    *((QQ, "U_2", t) for t in range(2, 6)), *((QQ, "M_2", t) for t in range(2, 5)),
+], ids=lambda v: v.name if hasattr(v, "name") else str(v))
+def test_identity_space_matches_published_codimensions(ring, name, t):
+    build, codim = CODIMENSIONS[name]
+    space = multilinear_identity_space(build(ring, 2), t)
+    assert space.dimension == math.factorial(t) - codim(t)
+
+
 def test_identity_space_members_vanish_on_fresh_random_tuples():
     # commutative diagonal algebra: all degree-3 monomials coincide, so the
     # identity space is the sum-zero hyperplane (dim 5); every kernel vector

@@ -84,6 +84,23 @@ def test_bad_prime_diagnostic(tmp_path):
     assert "4" in str(ei.value)
 
 
+@pytest.mark.parametrize("ring,stray", [
+    ("{kind: gf, p: 101, m: 4}", "m"),
+    ("{kind: zmod, m: 4, p: 7}", "p"),
+])
+def test_ring_rejects_the_other_kinds_modulus_key(tmp_path, ring, stray):
+    # each ring kind takes its one modulus key: gf takes p, zmod takes m
+    path = write_spec(tmp_path, f"""
+        ring: {ring}
+        n: 2
+        source:
+          construction: {{kind: full_matrix}}
+    """)
+    with pytest.raises(SpecFileError, match=f"not {stray}$") as ei:
+        load_algebra_spec(path)
+    assert ei.value.field == "ring"
+
+
 def test_non_square_generator_diagnostic(tmp_path):
     path = write_spec(tmp_path, """
         ring: {kind: q}
