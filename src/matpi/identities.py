@@ -697,11 +697,14 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int) -> IdentitySpace:
     """Nullspace of the evaluation map on all multilinear degree-t polynomials.
 
     Builds the matrix with one column per permutation monomial and one row
-    per (basis tuple, matrix entry) pair; alternation pruning does not apply
-    to general multilinear polynomials, so all dim^t tuples contribute,
-    except that tuples zero by weight would give only zero rows and are
-    skipped (they still count as swept).  Rows feed an incremental echelon
-    and the sweep stops as soon as the rank hits t! (zero space).
+    per (basis tuple, matrix entry) pair that some word product reaches:
+    an entry where every word's product is zero would give a zero row, so
+    that row is never formed.  Alternation pruning does not apply to
+    general multilinear polynomials, so all dim^t tuples contribute, except
+    that tuples zero by weight would give only zero rows and are skipped
+    (they still count as swept).  Rows feed an incremental echelon, whose
+    reduced form does not depend on the order rows arrive in, and the sweep
+    stops as soon as the rank hits t! (zero space), tested once per tuple.
 
     A word's product depends only on its sequence of basis indices, so the
     sweep's walks share one :func:`word_products` memo keyed by those
@@ -731,11 +734,15 @@ def multilinear_identity_space(a: SubalgebraBasis, t: int) -> IdentitySpace:
         swept += 1
         if not feasible(tup):
             continue
-        rows = [[zero] * fact for _ in range(n * n)]
+        rows = {}
         for r, _, prod in word_products([flats[i] for i in tup], n, ring, memo=memo, keys=tup):
             for e, v in enumerate(prod):
-                rows[e][r] = v
-        for row in rows:
+                if v != zero:
+                    row = rows.get(e)
+                    if row is None:
+                        row = rows[e] = [zero] * fact
+                    row[r] = v
+        for row in rows.values():
             sieve.insert(row)
         if sieve.rank == fact:
             break

@@ -35,6 +35,12 @@ stacked in int64.  They pin the seeded row stream through per-slice draws:
 its s_10 sweep evaluates all 2,000 rows, and its s_8 witness, the first
 row, is re-checked by the dense t = 8 naive walk.
 
+The identity-space digests of M_2 and U_2 at t = 5 over GF(101) pin
+large kernels, of 29 and 70 vectors; the two earlier identity-space
+digests pin kernels of dimension 0 and 1.  They were recorded while the
+sweep still handed its echelon a row for every matrix entry, zero rows
+included.
+
 The exact-arithmetic commands (over QQ and Z/m) also run in a fresh
 interpreter that must finish without importing numpy: those paths stay on
 pure-Python arithmetic, which keeps their memory footprint small.
@@ -93,6 +99,11 @@ SPECS = {
         source: {construction: {kind: upper_triangular}}
     """,
     "tied-u3-gf.yaml": _tied_u3_spec(),
+    "u2-gf.yaml": """
+        ring: {kind: gf, p: 101}
+        n: 2
+        source: {construction: {kind: upper_triangular}}
+    """,
 }
 # the specs over QQ or Z/m
 EXACT_SPECS = ("b2-z8.yaml", "b3-z4.yaml", "u4-qq.yaml")
@@ -139,6 +150,10 @@ GOLDEN = {
         "129ea44f7bc6c069d4e5dd2db761a98a44d777faf45c679e9b15a2dbd195a99a",
     ("verify-al", "--n", "5", "--mode", "randomized", "--seed", "2"):
         "5bd51b82d55c71ff5f332758f709d3e69fc1bf6cdab53ec8c512db957ccb58a5",
+    ("identity-space", "--n", "2", "--t", "5"):
+        "5dc75b8ec086cc4ca18cda79a52fe25f8a05096ce3b965ec94975bc8319d8c34",
+    ("identity-space", "--spec", "u2-gf.yaml", "--t", "5"):
+        "22f082c88df065150da1a598e7baf23b328203295d283362388da69257275a62",
 }
 
 EXACT_ONLY = [argv for argv in GOLDEN

@@ -28,7 +28,7 @@ from matpi.identities import (
     standard_sign_vector,
     ur_vanishing_check,
 )
-from matpi.matrices import Matrix, matrix_unit, mul_flat
+from matpi.matrices import Echelon, Matrix, matrix_unit, mul_flat
 from matpi.rings import GF, QQ, Zmod
 from matpi.standardpoly import eval_multilinear, eval_standard_naive
 from matpi.subalgebra import span_basis
@@ -389,17 +389,28 @@ def test_identity_space_memo_on_and_off_agree(monkeypatch, a, t):
     assert multilinear_identity_space(a, t).to_dict() == memoized
 
 
-@pytest.mark.parametrize("a,memoized,plain,recheck", [
-    (full_matrix_algebra(F, 2), 224, 72720, 72720),
-    (upper_triangular(F, 3), 211, 102995, 0),  # no kernel, so no re-check
+@pytest.mark.parametrize("a,memoized,plain,recheck,inserted", [
+    (full_matrix_algebra(F, 2), 224, 72720, 72720, 862),
+    (upper_triangular(F, 3), 211, 102995, 0, 690),  # no kernel, so no re-check
 ], ids=["M_2", "U_3"])
-def test_identity_space_sweep_forms_each_basis_word_once(monkeypatch, a, memoized, plain, recheck):
+def test_identity_space_sweep_forms_each_basis_word_once(monkeypatch, a, memoized, plain, recheck,
+                                                         inserted):
+    rows, insert = [], Echelon.insert
+
+    def recording(self, vec):
+        rows.append(list(vec))
+        return insert(self, vec)
+
     with monkeypatch.context() as mp:
         calls, memos = _products_by_walk(mp)
+        mp.setattr(Echelon, "insert", recording)
         multilinear_identity_space(a, 5)
     [memo] = memos  # one memo, shared by every walk of the sweep
     assert calls == {"memo": memoized, "fresh": recheck}
     assert sum(len(key) >= 2 for key in memo) == memoized
+    # only entries some word product reaches give rows, so none is zero
+    assert len(rows) == inserted
+    assert all(any(v != F.zero for v in row) for row in rows)
     calls, memos = _products_by_walk(monkeypatch)
     _without_memo(monkeypatch)
     multilinear_identity_space(a, 5)

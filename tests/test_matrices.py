@@ -134,6 +134,36 @@ def test_echelon_nullspace_kernel_property():
             assert sum(Fraction(x) * y for x, y in zip(r, v)) == 0
 
 
+@pytest.mark.parametrize("ring", [F, QQ], ids=lambda r: r.name)
+def test_echelon_form_ignores_insertion_order_and_zero_rows(ring):
+    rng = random.Random(5)
+    width = 7
+    rows = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(4)]
+    rows += [[a + 2 * b for a, b in zip(rows[0], rows[1])],
+             [3 * a - b for a, b in zip(rows[2], rows[3])]]
+    zeros = [[0] * width] * 3
+
+    def echelon(vecs):
+        ech = Echelon(ring, width)
+        for v in vecs:
+            ech.insert(v)
+        return ech.rows, ech.pivots, ech.nullspace_basis()
+
+    first = echelon(rows)
+    assert len(first[0]) == 4 and len(first[2]) == width - 4
+    for i in range(20):
+        order = rows + (zeros if i % 2 else [])
+        rng.shuffle(order)
+        assert echelon(order) == first
+    ech = Echelon(ring, width)
+    assert not ech.insert(zeros[0]) and ech.rows == []
+    for v in rows:
+        ech.insert(v)
+    before = [list(row) for row in ech.rows]
+    assert not ech.insert(zeros[0])
+    assert ech.rows == before
+
+
 def test_rational_stress_products():
     # exact arithmetic safety net: 50 random 4x4 rational triple products
     # satisfy associativity on the nose
