@@ -10,16 +10,17 @@ hypotheses of that dichotomy, with a zero or non-semisimple proper
 diagonal block, are reported as such.
 
 Each verdict class carries its report tag as the class attribute ``kind``.
-A full verdict's staircase witness is an identities.Witness, built and
-re-checked as every sweep witness is.  :func:`classify` scans the basis
-for entries below the block diagonal once, before anything else; the
-projections it then cuts trust that scan.
+A full verdict's staircase witness is a :class:`standardpoly.Witness`,
+built and re-checked by :func:`standardpoly.checked_witness` as every
+sweep witness is.  :func:`classify` scans the basis for entries below the
+block diagonal once, before anything else; the projections it then cuts
+trust that scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from .errors import (
     CharacteristicError,
@@ -29,10 +30,8 @@ from .errors import (
 )
 from .matrices import Echelon, Matrix, matrix_unit
 from .rings import Ring
+from .standardpoly import Witness, checked_witness
 from .subalgebra import SubalgebraBasis, is_semisimple, span_basis
-
-if TYPE_CHECKING:  # identities imports this module through constructions
-    from .identities import Witness
 
 
 @dataclass(frozen=True)
@@ -307,10 +306,8 @@ def tail_staircase_units(ring: Ring, n: int) -> list:
 
 def _nonvanishing_witness(a: SubalgebraBasis) -> Witness:
     """The staircase witness of a full verdict, built and re-checked as
-    every sweep witness is (:func:`identities.checked_witness`): (e_11,)
+    every sweep witness is (:func:`standardpoly.checked_witness`): (e_11,)
     with value e_11 at n = 1, else the tail staircase with value e_(1,n)."""
-    from .identities import checked_witness
-
     ring, n = a.ring, a.n
     mats = tuple(tail_staircase_units(ring, n)) if n > 1 else (matrix_unit(ring, 1, 1, 1),)
     return checked_witness(a, None, mats, matrix_unit(ring, n, 1, n))
@@ -332,9 +329,9 @@ def classify(a: SubalgebraBasis, shape: BlockShape) -> ClassificationVerdict:
     order, give NotUniserial(i) at the first that is semisimple; (5)
     otherwise the span must be the whole block upper triangular algebra
     of the shape, returned with the tail staircase, where the degree 2n-2
-    standard polynomial is e_(1,n), as an identities.Witness built and
+    standard polynomial is e_(1,n), as a standardpoly.Witness built and
     re-checked by the naive evaluator like every sweep witness
-    (:func:`identities.checked_witness`).  Step (5) reads the dimensions
+    (:func:`standardpoly.checked_witness`).  Step (5) reads the dimensions
     of the couplings of step (4) and of the span, and raises
     ContractViolationError on any mismatch, since the first four steps
     exhaust the structural ways a proper subalgebra can sit inside the

@@ -36,14 +36,13 @@ from .constructions import (
 from .errors import ContractViolationError, DimensionError, MatpiError
 from .identities import (
     block_assembly_check,
-    format_matrix,
     is_standard_identity,
     min_standard_degree,
     multilinear_identity_space,
     standard_sign_vector,
     ur_vanishing_check,
 )
-from .matrices import Matrix, matrix_unit
+from .matrices import Matrix, format_matrix, matrix_unit
 from .rings import GF, RING_KINDS, Ring, Zmod, ring_from_params
 from .specfile import build_algebra, load_algebra_spec
 from .standardpoly import (

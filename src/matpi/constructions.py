@@ -2,7 +2,9 @@
 
 All builders return canonical :class:`SubalgebraBasis` objects except the
 constrained triangular family over Z/m, which has no echelon form and is
-returned as a spanning set plus a membership predicate.
+returned as a spanning set plus a membership predicate.  The builders know
+nothing of spec files: :func:`specfile.build_named` maps a spec's
+construction kind and parameters onto them.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .blocks import BlockShape, staircase_units
-from .errors import DimensionError, SpecFileError, UnsupportedRingError
+from .blocks import BlockShape
+from .errors import DimensionError, UnsupportedRingError
 from .matrices import Matrix, matrix_unit, zero_matrix
 from .rings import IntegerModRing, Ring
 from .subalgebra import SubalgebraBasis, span_basis
@@ -182,85 +184,3 @@ def diagonal_embedding(ring: Ring, k: int, copies: int) -> SubalgebraBasis:
             basis.append(acc)
     return span_basis(ring, n, basis, label=f"Diag(M_{k}x{copies})")
 
-
-CONSTRUCTION_KINDS = (
-    "full_block",
-    "upper_triangular",
-    "full_matrix",
-    "staircase_closure",
-    "repetition",
-    "two_block_radical",
-    "constrained_triangular",
-    "diagonal_embedding",
-)
-
-
-def build_named(ring: Ring, n: int, kind: str, params: dict):
-    """Instantiate a named construction from spec-file / CLI parameters.
-
-    Returns a SubalgebraBasis (or SpanningSetAlgebra for the constrained
-    triangular family).  Raises SpecFileError on malformed parameters so
-    that file loading can report a precise field path.
-    """
-    params = dict(params or {})
-
-    def take_int(name, minimum=1):
-        if name not in params:
-            raise SpecFileError(f"source.construction.{name}", "missing required parameter")
-        v = params.pop(name)
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-            raise SpecFileError(f"source.construction.{name}", f"expected integer >= {minimum}, got {v!r}")
-        return v
-
-    def done(alg):
-        if params:
-            extra = ", ".join(sorted(params))
-            raise SpecFileError("source.construction", f"unknown parameters: {extra}")
-        return alg
-
-    if kind == "full_block":
-        shape_parts = params.pop("shape", None)
-        if not isinstance(shape_parts, (list, tuple)) or not shape_parts:
-            raise SpecFileError("source.construction.shape", f"expected a nonempty list of block sizes, got {shape_parts!r}")
-        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in shape_parts):
-            raise SpecFileError("source.construction.shape", f"block sizes must be positive integers, got {shape_parts!r}")
-        shape = BlockShape(tuple(shape_parts))
-        if shape.n != n:
-            raise SpecFileError("source.construction.shape", f"shape {shape} sums to {shape.n}, but n = {n}")
-        return done(full_block_algebra(ring, shape))
-    if kind == "upper_triangular":
-        return done(upper_triangular(ring, n))
-    if kind == "full_matrix":
-        return done(full_matrix_algebra(ring, n))
-    if kind == "staircase_closure":
-        from .subalgebra import close_generators
-
-        alg = close_generators(staircase_units(ring, n), label=f"<staircase_{n}>")
-        return done(alg)
-    if kind == "repetition":
-        l = take_int("l")
-        m = take_int("m")
-        if 2 * l + m != n:
-            raise SpecFileError("source.construction", f"repetition needs n = 2l+m = {2 * l + m}, but n = {n}")
-        return done(repetition_algebra(ring, l, m))
-    if kind == "two_block_radical":
-        l = take_int("l")
-        m = take_int("m")
-        if l + m != n:
-            raise SpecFileError("source.construction", f"two_block_radical needs n = l+m = {l + m}, but n = {n}")
-        return done(two_block_radical(ring, l, m))
-    if kind == "constrained_triangular":
-        if not isinstance(ring, IntegerModRing):
-            raise SpecFileError("ring", f"constrained_triangular needs a zmod ring, got {ring.name}")
-        g = take_int("ideal_gen", minimum=0)
-        return done(constrained_triangular(ring, n, g))
-    if kind == "diagonal_embedding":
-        k = take_int("k")
-        copies = take_int("copies")
-        if k * copies != n:
-            raise SpecFileError("source.construction", f"diagonal_embedding needs n = k*copies = {k * copies}, but n = {n}")
-        return done(diagonal_embedding(ring, k, copies))
-    raise SpecFileError(
-        "source.construction.kind",
-        f"unknown construction {kind!r}; known kinds: {', '.join(CONSTRUCTION_KINDS)}",
-    )

@@ -1,7 +1,8 @@
 """Vectorized numpy arithmetic for standard-polynomial evaluation over GF(p).
 
-This module holds only numpy integer arithmetic, and each of its three
-kernels has one caller.  :func:`dp_batch` runs the half-depth subset DP
+This module holds only numpy integer arithmetic, in three kernels:
+:func:`dp_batch` and :func:`naive_single` have one caller each, and
+:func:`sparse_layers` two.  :func:`dp_batch` runs the half-depth subset DP
 of :func:`standardpoly.half_depth_dp`, the one copy of that recurrence,
 over a batch of argument tuples, for identities._dp_hits, in one DP per
 call.  The sweeps there alone size its blocks, at most :func:`slice_items`

@@ -17,9 +17,12 @@ are nonzero (randomized mode, the block-assembly and corner-vanishing
 checks; :func:`_row_hits`)?
 Each picks its kernel once: numpy over GF(p) when the int64 bound of
 :func:`int64_eligible` holds, and the exact pure-Python DP otherwise (QQ,
-Z/m, large p), which never imports numpy.  Each numpy kernel has one
-caller.  :func:`_dp_hits` evaluates stacks by :func:`fastpath.dp_batch`:
-:func:`_row_hits` stacks coefficient rows, and an exhaustive sweep
+Z/m, large p), which never imports numpy.  :func:`fastpath.dp_batch` has
+one caller, :func:`_dp_hits`; :func:`fastpath.sparse_layers` has two,
+the exhaustive sweep past its probe (:func:`_first_combination_hit`) and
+the one pass of :func:`min_standard_degree` (:func:`_layer_reports`).
+:func:`_dp_hits` evaluates stacks by dp_batch: :func:`_row_hits` stacks
+coefficient rows, and an exhaustive sweep
 (:func:`_block_hit`) gathers the basis elements of its combinations, both
 one block of at most one kernel slice (:func:`fastpath.slice_items`) at
 a time: a first probe block of PROBE_ITEMS items, or one slice if fewer,
@@ -63,15 +66,16 @@ s_k(b_A) is nonzero miss the rows in which b_c is nonzero.  That test is
 sound on any basis, and on a graded one it drops every pair the weights
 would, since a nonzero weight vector off the diagonal has one entry.
 
-Verdicts of "not an identity", and the staircase of a full
-:func:`blocks.classify` verdict, always carry a witness tuple built by
-:func:`checked_witness`: its arguments are checked to lie in the algebra
-and its value is re-evaluated before being reported by the naive
-permutation sum: numpy's :func:`fastpath.naive_single` up to t = 8
-inside the int64 bound, and elsewhere one pure-Python walk of the
-witness in its own ring, which stops past a budget of products formed
-and leaves the witness to the DP (see :func:`_reverify_witness` for the
-cases and what each re-check shares with the sweep).
+Verdicts of "not an identity" always carry a witness tuple built by
+:func:`standardpoly.checked_witness`, the check a full
+:func:`blocks.classify` verdict's staircase passes too: its arguments are
+checked to lie in the algebra and its value is re-evaluated before being
+reported by the naive permutation sum: numpy's
+:func:`fastpath.naive_single` up to t = 8 inside the int64 bound, and
+elsewhere one pure-Python walk of the witness in its own ring, which stops
+past a budget of products formed and leaves the witness to the DP (see
+:func:`standardpoly._reverify_witness` for the cases and what each
+re-check shares with the sweep).
 """
 
 from __future__ import annotations
@@ -80,8 +84,8 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations, islice, product
-from math import comb, factorial, perm
-from typing import Optional, Sequence
+from math import comb, factorial
+from typing import Optional
 
 from .constructions import SpanningSetAlgebra, repetition_units
 from .errors import (
@@ -94,10 +98,9 @@ from .errors import (
 from .matrices import Echelon, Matrix, matrix_unit
 from .rings import Ring
 from .standardpoly import (
-    NAIVE_MAX_DEGREE,
-    _eval_standard_naive_py,
+    Witness,
+    checked_witness,
     eval_standard_dp,
-    eval_standard_naive,
     int64_eligible,
     signed_permutations,
     word_products,
@@ -110,8 +113,6 @@ IDENTITY_SPACE_MAX_DEGREE = 6
 # tuples in the numpy sweeps' first, probe block, at most one slice: a DP's
 # cost grows with its batch, so an early witness costs one small DP
 PROBE_ITEMS = 64
-# products the witness re-check's naive walk may form (_reverify_witness)
-WALK_BUDGET = 2**15
 
 PRUNING_NOTE = (
     "exhaustive over strictly increasing basis combinations: s_t is "
@@ -131,32 +132,6 @@ RANDOM_NOTE = (
     "randomized sweep; identity verdicts are heuristic (no counterexample "
     "found), non-identity verdicts are certain"
 )
-
-
-def format_matrix(x: Matrix) -> list:
-    ring = x.ring
-    return [[ring.format(x[i, j]) for j in range(x.cols)] for i in range(x.rows)]
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A tuple of elements on which the polynomial evaluated nonzero.
-
-    indices are 1-based positions into the basis/spanning list when the
-    tuple came from an exhaustive sweep; None for random elements and for
-    the staircase of a full :func:`blocks.classify` verdict.
-    """
-
-    indices: Optional[tuple]
-    mats: tuple
-    value: Matrix
-
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices) if self.indices is not None else None,
-            "mats": [format_matrix(m) for m in self.mats],
-            "value": format_matrix(self.value),
-        }
 
 
 @dataclass
@@ -201,51 +176,6 @@ class IdentityReport:
         if include_timing:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
-
-
-def _reverify_witness(mats: Sequence[Matrix], expected: Matrix) -> None:
-    """Witnesses never ship unvalidated: re-evaluate them once more.
-
-    Per case, the re-check and what it shares with the sweep:
-    - t <= 8 over GF(p) inside the int64 bound of :func:`int64_eligible`,
-      the gate of every numpy kernel: the naive permutation sum
-      :func:`fastpath.naive_single` (through :func:`eval_standard_naive`).
-    - otherwise, at any t: one walk of the witness in its own ring, the
-      pure-Python naive sum over :func:`word_products`, which stops with
-      DegreeGuardError past WALK_BUDGET products.  Every walk up to t = 7
-      forms at most sum over k = 2..t of t!/(t-k)! = 13,692, and the
-      sparse witnesses of sweeps stay inside it too (the largest
-      measured, M_6 s_11, forms 20,450).  The walk shares prefix products
-      and drops zero prefixes, and calls nothing of :func:`half_depth_dp`,
-      so it shares no recurrence with the DP.
-    - past the budget: :func:`eval_standard_dp`.  A witness with more
-      dense-walk products than the budget (t >= 8) none of whose factors
-      has a zero row or column goes there without walking: no product of
-      such factors has one either (row i of A has some A[i, j] != 0, and
-      row j of B some B[j, k] != 0), so no prefix is zero and its walk
-      would form every product, 109,592 at t = 8.  The DP is not
-      independent: over GF(p) it shares the recurrence
-      :func:`half_depth_dp` with the sweep's numpy kernels, and over QQ,
-      Z/m or a prime past the int64 bound it repeats the very call the
-      sweep made, so only the `contains` check and the nonzero test add
-      anything.
-    """
-    mats = list(mats)
-    t, ring, n = len(mats), expected.ring, expected.rows
-    if t <= NAIVE_MAX_DEGREE and int64_eligible(ring, n, t):
-        got = eval_standard_naive(mats)
-    elif sum(perm(t, k) for k in range(2, t + 1)) > WALK_BUDGET and all(
-            any(x.data[i * n:(i + 1) * n]) and any(x.data[i::n]) for x in mats for i in range(n)):
-        got = eval_standard_dp(mats)
-    else:
-        try:
-            got = _eval_standard_naive_py(mats, WALK_BUDGET)
-        except DegreeGuardError:
-            got = eval_standard_dp(mats)
-    if got != expected or got.is_zero():
-        raise ContractViolationError(
-            "witness failed re-verification; evaluators disagree"
-        )
 
 
 def _random_coords(ring: Ring, d: int, rng: random.Random) -> list:
@@ -299,17 +229,6 @@ def _lex_rank(combo, d: int) -> int:
         rank += comb(d - 1 - prev, t - i) - comb(d - c, t - i)
         prev = c
     return rank
-
-
-def checked_witness(a, combo, mats, value) -> Witness:
-    """The witness of a nonzero value of s_t on mats, whose arguments are
-    checked to lie in the algebra and whose value is re-verified first;
-    combo is the 0-based combination of a.mats that mats is, or None.
-    Every sweep witness and :func:`blocks.classify`'s staircase come here."""
-    if not all(a.contains(x) for x in mats):
-        raise ContractViolationError("witness argument lies outside the algebra")
-    _reverify_witness(mats, value)
-    return Witness(None if combo is None else tuple(i + 1 for i in combo), mats, value)
 
 
 def _first_combination_hit(a, t: int):

@@ -199,6 +199,12 @@ def matrix_unit(ring: Ring, n: int, i: int, j: int) -> Matrix:
     return Matrix._new(ring, n, n, data)
 
 
+def format_matrix(x: Matrix) -> list:
+    """The rows of x as lists of formatted entries, as reports print them."""
+    ring = x.ring
+    return [[ring.format(x[i, j]) for j in range(x.cols)] for i in range(x.rows)]
+
+
 # -- row reduction ------------------------------------------------------------
 
 class Echelon:

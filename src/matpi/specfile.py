@@ -2,7 +2,10 @@
 
 Scalars are strings (or plain ints), never floats: "3", "-2/7", "2 mod 4".
 The same schema covers all rings; entries are parsed in the declared ring
-and every validation failure names the offending field path.
+and every validation failure names the offending field path.  A value has
+one parser and one message for each mistake, whatever field holds it
+(:func:`_require_int`, :func:`_parse_shape`), and :func:`build_named` maps
+a construction onto the builders of :mod:`constructions`.
 
 Example::
 
@@ -31,19 +34,24 @@ from typing import Optional
 
 import yaml
 
-from .blocks import BlockShape
-from .constructions import SpanningSetAlgebra, build_named
+from .blocks import BlockShape, staircase_units
+from .constructions import (SpanningSetAlgebra, constrained_triangular, diagonal_embedding,
+                            full_block_algebra, full_matrix_algebra, repetition_algebra,
+                            two_block_radical, upper_triangular)
 from .errors import MatpiError, SpecFileError
 from .matrices import Matrix, identity_matrix
-from .rings import RING_KINDS, Ring, ring_from_params
+from .rings import RING_KINDS, IntegerModRing, Ring, ring_from_params
 from .subalgebra import close_generators, span_basis
 
 _TOP_KEYS = {"label", "ring", "n", "source", "include_identity", "shape"}
+CONSTRUCTION_KINDS = ("full_block", "upper_triangular", "full_matrix", "staircase_closure",
+                      "repetition", "two_block_radical", "constrained_triangular",
+                      "diagonal_embedding")
 
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    label: str
+    label: Optional[str]  # None when the file gives none
     ring: Ring
     n: int
     construction: Optional[tuple]  # (kind, params dict)
@@ -66,6 +74,19 @@ def _require_int(value, field, minimum=None):
     if minimum is not None and value < minimum:
         raise SpecFileError(field, f"expected an integer >= {minimum}, got {value}")
     return value
+
+
+def _parse_shape(parts, field, n) -> BlockShape:
+    """The block shape of n x n matrices that the list of block sizes parts
+    gives, at the top level or in a full_block construction."""
+    if not isinstance(parts, (list, tuple)) or not parts:
+        raise SpecFileError(field, f"expected a nonempty list of block sizes, got {parts!r}")
+    for v in parts:
+        _require_int(v, field, minimum=1)
+    shape = BlockShape(tuple(parts))
+    if shape.n != n:
+        raise SpecFileError(field, f"shape {shape} sums to {shape.n}, but n = {n}")
+    return shape
 
 
 def _parse_ring(data) -> Ring:
@@ -183,7 +204,6 @@ def load_algebra_spec(path: str) -> AlgebraSpec:
                 )
             params.update(nested)
         construction = (kind, params)
-        default_label = kind
     else:
         glist = source["generators"]
         if not isinstance(glist, list) or not glist:
@@ -191,22 +211,12 @@ def load_algebra_spec(path: str) -> AlgebraSpec:
         generators = tuple(
             _parse_generator(ring, n, i, rows) for i, rows in enumerate(glist)
         )
-        default_label = f"<{len(generators)} generators>"
     include_identity = data.get("include_identity", False)
     if not isinstance(include_identity, bool):
         raise SpecFileError("include_identity", f"expected true or false, got {include_identity!r}")
-    shape = None
-    if "shape" in data and data["shape"] is not None:
-        parts = data["shape"]
-        if not isinstance(parts, list) or not parts:
-            raise SpecFileError("shape", f"expected a nonempty list of block sizes, got {parts!r}")
-        for v in parts:
-            _require_int(v, "shape", minimum=1)
-        if sum(parts) != n:
-            raise SpecFileError("shape", f"parts sum to {sum(parts)}, but n = {n}")
-        shape = BlockShape(tuple(parts))
-    label = data.get("label", default_label)
-    if not isinstance(label, str) or not label:
+    shape = None if data.get("shape") is None else _parse_shape(data["shape"], "shape", n)
+    label = data.get("label")
+    if "label" in data and (not isinstance(label, str) or not label):
         raise SpecFileError("label", f"expected a nonempty string, got {label!r}")
     return AlgebraSpec(
         label=label, ring=ring, n=n, construction=construction,
@@ -215,8 +225,63 @@ def load_algebra_spec(path: str) -> AlgebraSpec:
     )
 
 
+def build_named(ring: Ring, n: int, kind: str, params: dict):
+    """Instantiate a named construction from spec-file parameters.
+
+    Returns a SubalgebraBasis (or SpanningSetAlgebra for the constrained
+    triangular family).  Raises SpecFileError on malformed parameters,
+    naming their field path under source.construction.
+    """
+    params = dict(params or {})
+
+    def take(name, minimum=1):
+        if name not in params:
+            raise SpecFileError(f"source.construction.{name}", "missing required parameter")
+        return _require_int(params.pop(name), f"source.construction.{name}", minimum)
+
+    def done(alg):
+        if params:
+            extra = ", ".join(sorted(params))
+            raise SpecFileError("source.construction", f"unknown parameters: {extra}")
+        return alg
+
+    if kind == "full_block":
+        shape = _parse_shape(params.pop("shape", None), "source.construction.shape", n)
+        return done(full_block_algebra(ring, shape))
+    if kind == "upper_triangular":
+        return done(upper_triangular(ring, n))
+    if kind == "full_matrix":
+        return done(full_matrix_algebra(ring, n))
+    if kind == "staircase_closure":
+        return done(close_generators(staircase_units(ring, n), label=f"<staircase_{n}>"))
+    if kind == "repetition":
+        l, m = take("l"), take("m")
+        if 2 * l + m != n:
+            raise SpecFileError("source.construction", f"repetition needs n = 2l+m = {2 * l + m}, but n = {n}")
+        return done(repetition_algebra(ring, l, m))
+    if kind == "two_block_radical":
+        l, m = take("l"), take("m")
+        if l + m != n:
+            raise SpecFileError("source.construction", f"two_block_radical needs n = l+m = {l + m}, but n = {n}")
+        return done(two_block_radical(ring, l, m))
+    if kind == "constrained_triangular":
+        if not isinstance(ring, IntegerModRing):
+            raise SpecFileError("ring", f"constrained_triangular needs a zmod ring, got {ring.name}")
+        return done(constrained_triangular(ring, n, take("ideal_gen", minimum=0)))
+    if kind == "diagonal_embedding":
+        k, copies = take("k"), take("copies")
+        if k * copies != n:
+            raise SpecFileError("source.construction", f"diagonal_embedding needs n = k*copies = {k * copies}, but n = {n}")
+        return done(diagonal_embedding(ring, k, copies))
+    raise SpecFileError(
+        "source.construction.kind",
+        f"unknown construction {kind!r}; known kinds: {', '.join(CONSTRUCTION_KINDS)}",
+    )
+
+
 def build_algebra(spec: AlgebraSpec):
-    """Instantiate the algebra a spec describes.
+    """Instantiate the algebra a spec describes, labelled as the spec says
+    or else as its builder does, or "<k generators>".
 
     Returns a SubalgebraBasis, or a SpanningSetAlgebra for the constrained
     triangular construction over Z/m.
@@ -235,7 +300,8 @@ def build_algebra(spec: AlgebraSpec):
                     "(the spanning set already fixes the algebra)",
                 )
             return alg
-        alg = alg.relabel(spec.label) if spec.label != kind else alg
+        if spec.label is not None:
+            alg = alg.relabel(spec.label)
         if spec.include_identity and not alg.is_unital():
             alg = span_basis(
                 spec.ring, spec.n,
@@ -244,4 +310,4 @@ def build_algebra(spec: AlgebraSpec):
             )
         return alg
     return close_generators(spec.generators, include_identity=spec.include_identity,
-                            label=spec.label)
+                            label=spec.label or f"<{len(spec.generators)} generators>")

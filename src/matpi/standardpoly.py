@@ -17,6 +17,11 @@ use.  The naive sum walks the words depth first with
 zero prefix skips every word that extends it, and each word's sign comes
 with its product.
 
+Every witness reported, by the sweeps of :mod:`identities` or as the
+staircase of a full :func:`blocks.classify` verdict, passes one check that
+chooses among these evaluators, :func:`checked_witness`: its arguments lie
+in the algebra, and its value is evaluated again (:func:`_reverify_witness`).
+
 Permutation words are tuples over {1..t} everywhere in the public API, to
 match the 1-based matrix unit convention.
 """
@@ -26,15 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, perm
 from typing import Optional, Sequence
 
-from .errors import DegreeGuardError, DimensionError, RingMismatchError
-from .matrices import Matrix, flat_is_zero, mul_flat, zero_matrix
+from .errors import ContractViolationError, DegreeGuardError, DimensionError, RingMismatchError
+from .matrices import Matrix, flat_is_zero, format_matrix, mul_flat, zero_matrix
 from .rings import Ring
 
 NAIVE_MAX_DEGREE = 8
 DP_MAX_DEGREE = 24
+# products the witness re-check's naive walk may form (_reverify_witness)
+WALK_BUDGET = 2**15
 _UNSEEN = object()  # a prefix not yet in a word_products memo
 
 
@@ -486,3 +493,83 @@ def product_of(mats: Sequence[Matrix]) -> Matrix:
     for a in mats[1:]:
         out = out * a
     return out
+
+
+# -- the witness check ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class Witness:
+    """A tuple of elements on which the polynomial evaluated nonzero.
+
+    indices are 1-based positions into the basis/spanning list when the
+    tuple came from an exhaustive sweep; None for random elements and for
+    the staircase of a full :func:`blocks.classify` verdict.
+    """
+
+    indices: Optional[tuple]
+    mats: tuple
+    value: Matrix
+
+    def to_dict(self) -> dict:
+        return {
+            "indices": list(self.indices) if self.indices is not None else None,
+            "mats": [format_matrix(m) for m in self.mats],
+            "value": format_matrix(self.value),
+        }
+
+
+def _reverify_witness(mats: Sequence[Matrix], expected: Matrix) -> None:
+    """Witnesses never ship unvalidated: re-evaluate them once more.
+
+    Per case, the re-check and what it shares with the sweep:
+    - t <= 8 over GF(p) inside the int64 bound of :func:`int64_eligible`,
+      the gate of every numpy kernel: the naive permutation sum
+      :func:`fastpath.naive_single` (through :func:`eval_standard_naive`).
+    - otherwise, at any t: one walk of the witness in its own ring, the
+      pure-Python naive sum over :func:`word_products`, which stops with
+      DegreeGuardError past WALK_BUDGET products.  Every walk up to t = 7
+      forms at most sum over k = 2..t of t!/(t-k)! = 13,692, and the
+      sparse witnesses of sweeps stay inside it too (the largest
+      measured, M_6 s_11, forms 20,450).  The walk shares prefix products
+      and drops zero prefixes, and calls nothing of :func:`half_depth_dp`,
+      so it shares no recurrence with the DP.
+    - past the budget: :func:`eval_standard_dp`.  A witness with more
+      dense-walk products than the budget (t >= 8) none of whose factors
+      has a zero row or column goes there without walking: no product of
+      such factors has one either (row i of A has some A[i, j] != 0, and
+      row j of B some B[j, k] != 0), so no prefix is zero and its walk
+      would form every product, 109,592 at t = 8.  The DP is not
+      independent: over GF(p) it shares the recurrence
+      :func:`half_depth_dp` with the sweep's numpy kernels, and over QQ,
+      Z/m or a prime past the int64 bound it repeats the very call the
+      sweep made, so only the `contains` check and the nonzero test add
+      anything.
+    """
+    mats = list(mats)
+    t, ring, n = len(mats), expected.ring, expected.rows
+    if t <= NAIVE_MAX_DEGREE and int64_eligible(ring, n, t):
+        got = eval_standard_naive(mats)
+    elif sum(perm(t, k) for k in range(2, t + 1)) > WALK_BUDGET and all(
+            any(x.data[i * n:(i + 1) * n]) and any(x.data[i::n]) for x in mats for i in range(n)):
+        got = eval_standard_dp(mats)
+    else:
+        try:
+            got = _eval_standard_naive_py(mats, WALK_BUDGET)
+        except DegreeGuardError:
+            got = eval_standard_dp(mats)
+    if got != expected or got.is_zero():
+        raise ContractViolationError(
+            "witness failed re-verification; evaluators disagree"
+        )
+
+
+def checked_witness(a, combo, mats, value) -> Witness:
+    """The witness of a nonzero value of s_t on mats, whose arguments are
+    checked to lie in the algebra a (anything with a `contains` test) and
+    whose value is re-verified first; combo is the 0-based combination of
+    a.mats that mats is, or None.  Every sweep witness of
+    :mod:`identities` and :func:`blocks.classify`'s staircase come here."""
+    if not all(a.contains(x) for x in mats):
+        raise ContractViolationError("witness argument lies outside the algebra")
+    _reverify_witness(mats, value)
+    return Witness(None if combo is None else tuple(i + 1 for i in combo), mats, value)

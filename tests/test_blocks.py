@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpi import blocks, identities
+from matpi import blocks, standardpoly
 from matpi.blocks import (
     BlockShape,
     FullBlockTriangular,
@@ -312,7 +312,7 @@ def test_classify_scans_each_basis_element_once(monkeypatch, a, parts, scans):
 def test_classify_rejects_a_staircase_value_other_than_the_corner_unit(monkeypatch, n):
     # s_(2n-2) on the tail staircase is e_(1,n) exactly; a nonzero value
     # that is not, here 2 e_(1,n), fails the re-check
-    monkeypatch.setattr(identities, "eval_standard_naive",
+    monkeypatch.setattr(standardpoly, "eval_standard_naive",
                         lambda mats: eval_standard_naive(mats).scale(2))
     with pytest.raises(ContractViolationError, match="witness failed re-verification"):
         classify(upper_triangular(F, n), BlockShape((1,) * n))
@@ -324,7 +324,7 @@ def test_classify_rechecks_its_staircase_once_without_the_dp(monkeypatch, ring, 
     # a full verdict's witness goes through the shared witness check: one
     # re-check of the tail staircase against e_(1,n), and no DP call
     calls = []
-    reverify = identities._reverify_witness
+    reverify = standardpoly._reverify_witness
 
     def spy(mats, expected):
         calls.append((tuple(mats), expected))
@@ -333,12 +333,12 @@ def test_classify_rechecks_its_staircase_once_without_the_dp(monkeypatch, ring, 
     def no_dp(mats):
         raise AssertionError("the staircase re-check ran the DP")
 
-    monkeypatch.setattr(identities, "_reverify_witness", spy)
-    monkeypatch.setattr(identities, "eval_standard_dp", no_dp)
+    monkeypatch.setattr(standardpoly, "_reverify_witness", spy)
+    monkeypatch.setattr(standardpoly, "eval_standard_dp", no_dp)
     s = BlockShape(parts)
     v = classify(full_block_algebra(ring, s), s)
     assert isinstance(v, FullBlockTriangular)
-    assert isinstance(v.witness, identities.Witness) and v.witness.indices is None
+    assert isinstance(v.witness, standardpoly.Witness) and v.witness.indices is None
     corner = matrix_unit(ring, s.n, 1, s.n)
     assert calls == [(tuple(tail_staircase_units(ring, s.n)), corner)]
     assert v.witness.mats == calls[0][0] and v.witness.value == corner

@@ -2,9 +2,7 @@ import pytest
 
 from matpi.blocks import BlockShape, staircase_units
 from matpi.constructions import (
-    CONSTRUCTION_KINDS,
     SpanningSetAlgebra,
-    build_named,
     constrained_triangular,
     diagonal_algebra,
     diagonal_embedding,
@@ -15,7 +13,7 @@ from matpi.constructions import (
     two_block_radical,
     upper_triangular,
 )
-from matpi.errors import SpecFileError, UnsupportedRingError
+from matpi.errors import UnsupportedRingError
 from matpi.matrices import Matrix, identity_matrix, matrix_unit
 from matpi.rings import GF, Zmod
 
@@ -100,35 +98,6 @@ def test_constrained_triangular():
 def test_constrained_triangular_field_rejected():
     with pytest.raises(UnsupportedRingError):
         constrained_triangular(F, 2, 2)
-
-
-def test_build_named_dispatch():
-    for kind in CONSTRUCTION_KINDS:
-        assert isinstance(kind, str)
-    e = build_named(F, 3, "full_block", {"shape": [1, 2]})
-    assert e.dim == 7
-    u = build_named(F, 2, "upper_triangular", {})
-    assert u.dim == 3
-    r = build_named(F, 3, "repetition", {"l": 1, "m": 1})
-    assert r.dim == 5
-    d = build_named(F, 4, "diagonal_embedding", {"k": 2, "copies": 2})
-    assert d.dim == 4
-    b = build_named(Zmod(4), 2, "constrained_triangular", {"ideal_gen": 2})
-    assert isinstance(b, SpanningSetAlgebra)
-
-
-def test_build_named_errors_have_field_paths():
-    with pytest.raises(SpecFileError) as ei:
-        build_named(F, 3, "repetition", {"l": 1})
-    assert "source.construction.m" in str(ei.value)
-    with pytest.raises(SpecFileError) as ei:
-        build_named(F, 4, "repetition", {"l": 1, "m": 1})
-    assert "n = 4" in str(ei.value) or "2l+m" in str(ei.value)
-    with pytest.raises(SpecFileError):
-        build_named(F, 3, "no_such_kind", {})
-    with pytest.raises(SpecFileError) as ei:
-        build_named(F, 3, "full_block", {"shape": [1, 1]})
-    assert "sums to 2" in str(ei.value)
 
 
 def test_identity_membership():

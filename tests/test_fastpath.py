@@ -12,12 +12,13 @@ from matpi.blocks import BlockShape, staircase_units
 from matpi.constructions import (full_block_algebra, full_matrix_algebra, repetition_algebra,
                                  repetition_units, upper_triangular)
 from matpi.errors import ContractViolationError, DegreeGuardError
-from matpi.identities import _reverify_witness, is_standard_identity, random_triangular_closures
+from matpi.identities import is_standard_identity, random_triangular_closures
 from matpi.matrices import Matrix, identity_matrix, matrix_unit
 from matpi.rings import GF, QQ, is_prime
 from matpi.standardpoly import (
     NAIVE_MAX_DEGREE,
     _eval_standard_naive_py,
+    _reverify_witness,
     eval_standard_dp,
     eval_standard_naive,
     perm_sign,

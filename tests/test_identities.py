@@ -1147,10 +1147,10 @@ def _walk_size(monkeypatch, mats) -> int:
         formed += 1
         return mul_flat(*args)
 
-    value = identities.eval_standard_dp(mats)
+    value = standardpoly.eval_standard_dp(mats)
     with monkeypatch.context() as mp:
         mp.setattr(standardpoly, "mul_flat", counting)
-        identities._reverify_witness(mats, value)
+        standardpoly._reverify_witness(mats, value)
     return formed
 
 
@@ -1165,7 +1165,7 @@ def test_high_degree_witnesses_recheck_without_the_dp(monkeypatch, a, t):
     def unused(mats):
         raise AssertionError("the re-check fell back to the DP")
 
-    monkeypatch.setattr(identities, "eval_standard_dp", unused)
+    monkeypatch.setattr(standardpoly, "eval_standard_dp", unused)
     if a is None:
         mats, value = _chain(), matrix_unit(QQ, 9, 1, 9)
     else:
@@ -1173,21 +1173,21 @@ def test_high_degree_witnesses_recheck_without_the_dp(monkeypatch, a, t):
         assert not rep.is_identity
         mats, value = rep.witness.mats, rep.witness.value
     walks = _walks(monkeypatch)
-    identities._reverify_witness(mats, value)
+    standardpoly._reverify_witness(mats, value)
     assert walks == [value.ring]  # one walk, in the witness's own ring
     with pytest.raises(ContractViolationError):
-        identities._reverify_witness(mats, value + value)
+        standardpoly._reverify_witness(mats, value + value)
 
 
 def test_recheck_past_the_walk_budget_falls_back_to_the_dp(monkeypatch):
     witness = is_standard_identity(upper_triangular(F, 5), 9).witness
     calls = []
-    dp = identities.eval_standard_dp
-    monkeypatch.setattr(identities, "eval_standard_dp", lambda mats: calls.append(1) or dp(mats))
-    identities._reverify_witness(witness.mats, witness.value)
+    dp = standardpoly.eval_standard_dp
+    monkeypatch.setattr(standardpoly, "eval_standard_dp", lambda mats: calls.append(1) or dp(mats))
+    standardpoly._reverify_witness(witness.mats, witness.value)
     assert calls == []
-    monkeypatch.setattr(identities, "WALK_BUDGET", 491)
-    identities._reverify_witness(witness.mats, witness.value)
+    monkeypatch.setattr(standardpoly, "WALK_BUDGET", 491)
+    standardpoly._reverify_witness(witness.mats, witness.value)
     assert calls == [1]
 
 
@@ -1204,14 +1204,12 @@ def test_recheck_takes_naive_single_exactly_inside_the_int64_gate(monkeypatch):
     def unused(mats, budget=None):
         raise AssertionError("the re-check took the pure walk")
 
-    for module in (identities, standardpoly):
-        monkeypatch.setattr(module, "_eval_standard_naive_py", unused)
-    identities._reverify_witness(gf.mats, gf.value)
+    monkeypatch.setattr(standardpoly, "_eval_standard_naive_py", unused)
+    standardpoly._reverify_witness(gf.mats, gf.value)
     assert kernels == [101]
-    for module in (identities, standardpoly):
-        monkeypatch.setattr(module, "_eval_standard_naive_py",
-                            lambda mats, budget=None: walks.append(len(mats)) or walk(mats, budget))
-    identities._reverify_witness(qq.mats, qq.value)
+    monkeypatch.setattr(standardpoly, "_eval_standard_naive_py",
+                        lambda mats, budget=None: walks.append(len(mats)) or walk(mats, budget))
+    standardpoly._reverify_witness(qq.mats, qq.value)
     assert kernels == [101] and walks == [3]
 
 
@@ -1219,14 +1217,14 @@ def test_dense_witness_past_the_budget_skips_the_walk(monkeypatch):
     # a dense s_9 witness: its walk would form about 986,000 products
     rng = random.Random(9)
     mats = [Matrix(F, 5, 5, [rng.randrange(101) for _ in range(25)]) for _ in range(9)]
-    value = identities.eval_standard_dp(mats)
+    value = standardpoly.eval_standard_dp(mats)
     assert not value.is_zero()
 
     def unused(mats):
         raise AssertionError("the re-check walked a dense degree-9 witness")
 
-    monkeypatch.setattr(identities, "_eval_standard_naive_py", unused)
-    identities._reverify_witness(mats, value)
+    monkeypatch.setattr(standardpoly, "_eval_standard_naive_py", unused)
+    standardpoly._reverify_witness(mats, value)
 
 
 def test_dense_witness_never_walks_its_supports(monkeypatch):
@@ -1236,7 +1234,7 @@ def test_dense_witness_never_walks_its_supports(monkeypatch):
     walks = _walks(monkeypatch)
     rep = is_standard_identity(full_matrix_algebra(F, 5), 9, mode="randomized", trials=20)
     assert not rep.is_identity and rep.tuples_checked == 1
-    identities._reverify_witness(rep.witness.mats, rep.witness.value)
+    standardpoly._reverify_witness(rep.witness.mats, rep.witness.value)
     assert walks == []
 
 
@@ -1247,7 +1245,7 @@ def test_walk_budget_covers_every_walk_up_to_degree_7(monkeypatch):
     ring = GF(2**61 - 1)
     dense = [Matrix(ring, 4, 4, [rng.randrange(1, 10) for _ in range(16)]) for _ in range(7)]
     total = sum(math.perm(7, k) for k in range(2, 8))
-    assert _walk_size(monkeypatch, dense) == total == 13692 <= identities.WALK_BUDGET
+    assert _walk_size(monkeypatch, dense) == total == 13692 <= standardpoly.WALK_BUDGET
     # a sparse t = 8 tuple is walked: a chain of units forms 168 products
     assert _walk_size(monkeypatch, _chain()) == 168
     # the walk of the U_5 s_9 witness forms 492 products

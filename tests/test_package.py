@@ -1,5 +1,6 @@
-"""The package surface: every name `matpi.__all__` exports exists, once, and
-no module carries an unused import or a private def that no code reads."""
+"""The package surface: every name `matpi.__all__` exports exists, once, no
+module carries an unused import or a private def that no code reads, and
+every import between modules points down one fixed order of layers."""
 
 import ast
 from collections import Counter
@@ -64,3 +65,51 @@ def test_every_private_function_and_class_is_referenced_by_code():
               and node.name.startswith("_") and not node.name.endswith("__")
               and node.name not in read]
     assert unread == []
+
+
+# every module imports only modules before it in this order
+LAYERS = ("errors", "rings", "matrices", "standardpoly", "fastpath", "subalgebra", "blocks",
+          "constructions", "identities", "specfile", "cli")
+
+
+def _package_imports(tree):
+    """(statement, target, in_function) of every import from the package:
+    target is the module, or for `from . import x` the name x."""
+    out = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level == 1:
+                for target in [child.module] if child.module else [a.name for a in child.names]:
+                    out.append((ast.unparse(child), target, in_function))
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(tree, False)
+    return out
+
+
+def test_imports_between_modules_point_down_the_layers():
+    # the exceptions: `from . import fastpath` inside a function, which keeps
+    # numpy off the exact paths, and cli's `from . import __version__`
+    assert sorted(name[:-3] for name, _ in _modules()) == sorted(LAYERS)
+    wrong = []
+    for name, tree in _modules():
+        below = LAYERS[:LAYERS.index(name[:-3])]
+        for statement, target, in_function in _package_imports(tree):
+            allowed = (target in below and not in_function
+                       or statement == "from . import fastpath" and in_function
+                       or statement == "from . import __version__" and name == "cli.py")
+            if not allowed:
+                wrong.append(f"{name}: {statement}")
+    assert wrong == []
+
+
+def test_no_module_uses_type_checking():
+    assert [name for name, tree in _modules() if "TYPE_CHECKING" in _loaded_names(tree)] == []
+
+
+def test_only_specfile_raises_spec_file_errors():
+    raising = {name for name, tree in _modules() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "SpecFileError"}
+    assert raising == {"specfile.py"}

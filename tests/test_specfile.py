@@ -6,7 +6,9 @@ from matpi.blocks import BlockShape
 from matpi.constructions import SpanningSetAlgebra
 from matpi.errors import SpecFileError
 from matpi.rings import GF, QQ, Zmod
-from matpi.specfile import build_algebra, load_algebra_spec
+from matpi.specfile import CONSTRUCTION_KINDS, build_algebra, build_named, load_algebra_spec
+
+F = GF(101)
 
 
 def write_spec(tmp_path, text, name="alg.yaml"):
@@ -203,3 +205,93 @@ def test_nested_params_equivalent(tmp_path):
     a1 = build_algebra(load_algebra_spec(flat))
     a2 = build_algebra(load_algebra_spec(nested))
     assert a1.mats == a2.mats
+
+
+def test_build_named_dispatch():
+    for kind in CONSTRUCTION_KINDS:
+        assert isinstance(kind, str)
+    e = build_named(F, 3, "full_block", {"shape": [1, 2]})
+    assert e.dim == 7
+    u = build_named(F, 2, "upper_triangular", {})
+    assert u.dim == 3
+    r = build_named(F, 3, "repetition", {"l": 1, "m": 1})
+    assert r.dim == 5
+    d = build_named(F, 4, "diagonal_embedding", {"k": 2, "copies": 2})
+    assert d.dim == 4
+    b = build_named(Zmod(4), 2, "constrained_triangular", {"ideal_gen": 2})
+    assert isinstance(b, SpanningSetAlgebra)
+
+
+def test_build_named_errors_have_field_paths():
+    with pytest.raises(SpecFileError) as ei:
+        build_named(F, 3, "repetition", {"l": 1})
+    assert "source.construction.m" in str(ei.value)
+    with pytest.raises(SpecFileError) as ei:
+        build_named(F, 4, "repetition", {"l": 1, "m": 1})
+    assert "n = 4" in str(ei.value) or "2l+m" in str(ei.value)
+    with pytest.raises(SpecFileError):
+        build_named(F, 3, "no_such_kind", {})
+    with pytest.raises(SpecFileError) as ei:
+        build_named(F, 3, "full_block", {"shape": [1, 1]})
+    assert "sums to 2" in str(ei.value)
+
+
+@pytest.mark.parametrize("parts,problem", [
+    ("[0, 3]", "expected an integer >= 1, got 0"),
+    ("[1, 1]", "shape (1,1) sums to 2, but n = 3"),
+], ids=["non-positive", "wrong-sum"])
+def test_a_bad_shape_gets_one_message_at_either_field(tmp_path, parts, problem):
+    # the top-level shape and a full_block construction's shape share one
+    # parser, so a mistake reads the same at both field paths
+    top = write_spec(tmp_path, f"""
+        ring: {{kind: q}}
+        n: 3
+        shape: {parts}
+        source:
+          construction: {{kind: upper_triangular}}
+    """, "top.yaml")
+    nested = write_spec(tmp_path, f"""
+        ring: {{kind: q}}
+        n: 3
+        source:
+          construction: {{kind: full_block, shape: {parts}}}
+    """, "nested.yaml")
+    seen = []
+    for path in (top, nested):
+        with pytest.raises(SpecFileError) as ei:
+            build_algebra(load_algebra_spec(path))
+        seen.append((ei.value.field, ei.value.problem))
+    assert seen == [("shape", problem), ("source.construction.shape", problem)]
+
+
+@pytest.mark.parametrize("label,want", [
+    (None, "U_3"),
+    ("mine", "mine"),
+    ("upper_triangular", "upper_triangular"),
+    ("U_3", "U_3"),
+], ids=["default", "other", "the-kind", "the-default"])
+def test_a_given_label_names_the_algebra_even_when_it_is_the_kind(tmp_path, label, want):
+    line = "" if label is None else f"label: {label}"
+    path = write_spec(tmp_path, f"""
+        {line}
+        ring: {{kind: gf, p: 101}}
+        n: 3
+        source:
+          construction: {{kind: upper_triangular}}
+    """)
+    spec = load_algebra_spec(path)
+    assert spec.label == label
+    assert build_algebra(spec).label == want
+
+
+def test_generators_default_to_their_count_as_label(tmp_path):
+    path = write_spec(tmp_path, """
+        ring: {kind: q}
+        n: 2
+        source:
+          generators:
+            - [["0", "1"], ["0", "0"]]
+    """)
+    spec = load_algebra_spec(path)
+    assert spec.label is None
+    assert build_algebra(spec).label == "<1 generators>"
